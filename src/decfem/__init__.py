@@ -53,6 +53,7 @@ from .whitney import (
     whitney_basis,
     whitney_interpolate,
     de_rham_map,
+    de_rham_whitney_matrix,
     coboundary_apply,
     cup_product,
     complex_fingerprint,

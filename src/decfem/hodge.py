@@ -17,7 +17,13 @@ import scipy.sparse.linalg as spla
 
 from .chains import matrices_for
 from .exterior import index_combinations
-from .mesh import AbstractComplex, GeometricComplex, barycentric_dual_volumes, unsigned_volume
+from .mesh import (
+    AbstractComplex,
+    DualVolumes,
+    GeometricComplex,
+    barycentric_dual_volumes,
+    unsigned_volume,
+)
 from .quadrature import simplex_rule
 from .whitney import Cochain, coboundary_apply, mesh_geometry
 
@@ -132,8 +138,13 @@ def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> Discret
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
+    return _diagonal_hodge(gc, ac, p, barycentric_dual_volumes(gc, ac))
+
+
+def _diagonal_hodge(
+    gc: GeometricComplex, ac: AbstractComplex, p: int, dv: DualVolumes
+) -> DiscreteHodge:
     n = ac.complex_dim
-    dv = barycentric_dual_volumes(gc, ac)
     size = ac.num_simplices(p)
     diag = np.empty(size)
     for i, sigma in enumerate(ac.simplices[p]):
@@ -149,7 +160,8 @@ def build_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerki
     if kind == "galerkin":
         return {p: galerkin_mass_matrix(gc, ac, p) for p in range(ac.complex_dim + 1)}
     if kind == "diagonal":
-        return {p: diagonal_hodge(gc, ac, p) for p in range(ac.complex_dim + 1)}
+        dv = barycentric_dual_volumes(gc, ac)
+        return {p: _diagonal_hodge(gc, ac, p, dv) for p in range(ac.complex_dim + 1)}
     raise ValueError(f"unknown hodge kind {kind!r}")
 
 

@@ -170,6 +170,7 @@ class AbstractComplex:
         ]
         self._top_containing: dict = {}
         self._facet_cofaces = None
+        self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
 
     def num_simplices(self, p: int) -> int:
         return len(self.simplices[p])

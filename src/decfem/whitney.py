@@ -17,13 +17,13 @@ import hashlib
 import itertools
 import json
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .chains import matrices_for
-from .exterior import eval_on_frame, num_components, wedge
+from .exterior import eval_on_frame, index_combinations, num_components, wedge
 from .mesh import AbstractComplex, GeometricComplex, affine_gradients
 from .quadrature import QuadratureRule, simplex_rule
 
@@ -34,6 +34,7 @@ __all__ = [
     "whitney_basis",
     "whitney_interpolate",
     "de_rham_map",
+    "de_rham_whitney_matrix",
     "coboundary_apply",
     "cup_product",
     "complex_fingerprint",
@@ -98,8 +99,13 @@ class _MeshGeometry:
     def __init__(self, gc: GeometricComplex, ac: AbstractComplex):
         if gc.complex_dim != ac.complex_dim:
             raise ValueError("geometric and abstract complex dimensions differ")
+        # The complex owns its geometry (``ac._geometry``), so this object
+        # keeps only the complex's face lists and never the complex itself:
+        # dropping the complex frees both.
         self.gc = gc
-        self.ac = ac
+        self.complex_dim = ac.complex_dim
+        self._simplices = ac.simplices
+        self._index_of = ac.index_of
         n, d = ac.complex_dim, gc.embed_dim
         tops = ac.simplices[n]
         self.top_count = len(tops)
@@ -124,15 +130,15 @@ class _MeshGeometry:
         """(local face positions, global face ids, sign-folded gradient wedges)."""
         if p in self._tables:
             return self._tables[p]
-        n, d = self.ac.complex_dim, self.gc.embed_dim
+        n, d = self.complex_dim, self.gc.embed_dim
         faces = tuple(itertools.combinations(range(n + 1), p + 1))
         ncomp = num_components(d, p)
         globals_ = np.empty((self.top_count, len(faces)), dtype=int)
         wedges = np.zeros((self.top_count, len(faces), p + 1, ncomp))
         factorial_p = float(math.factorial(p))
-        for t, top in enumerate(self.ac.simplices[n]):
+        for t, top in enumerate(self._simplices[n]):
             for f, pos in enumerate(faces):
-                globals_[t, f] = self.ac.index_of[p][tuple(top[k] for k in pos)]
+                globals_[t, f] = self._index_of[p][tuple(top[k] for k in pos)]
                 for k in range(p + 1):
                     if p == 0:
                         w = np.ones(1)
@@ -149,16 +155,12 @@ class _MeshGeometry:
         return table
 
 
-_GEOMETRY_CACHE: "weakref.WeakKeyDictionary[AbstractComplex, _MeshGeometry]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def mesh_geometry(gc: GeometricComplex, ac: AbstractComplex) -> _MeshGeometry:
-    geo = _GEOMETRY_CACHE.get(ac)
+    """The complex's cached geometry, rebuilt when asked for another embedding."""
+    geo = ac._geometry
     if geo is None or geo.gc is not gc:
         geo = _MeshGeometry(gc, ac)
-        _GEOMETRY_CACHE[ac] = geo
+        ac._geometry = geo
     return geo
 
 
@@ -250,6 +252,39 @@ def de_rham_map(
             acc += w * eval_on_frame(comps, p, frame)
         values[idx] = acc * inv_factorial
     return Cochain(ac, p, values)
+
+
+def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
+    """The de Rham map composed with Whitney interpolation, as a sparse matrix.
+
+    Entry (i, j) integrates the Whitney form of p-simplex j over p-simplex i,
+    so column j equals ``de_rham_map(gc, ac, whitney_interpolate(gc, e_j), p)``.
+    All p-simplices are integrated in one batched pass, each at the
+    quadrature points of the top simplex that owns it; a row holds one entry
+    per p-face of that top simplex.  Whitney forms are affine on a simplex,
+    so the default rule integrates them exactly.
+    """
+    if not 0 <= p <= ac.complex_dim:
+        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
+    rule = simplex_rule(p, DEFAULT_EXACTNESS)
+    geo = mesh_geometry(gc, ac)
+    faces, globals_, wedges = geo.signed_wedge_tables(p)
+    owners = ac.top_containing(p)
+    coords = gc.vertices[np.array(ac.simplices[p])]  # (m, p+1, d)
+    points = np.einsum("qk,mkd->mqd", rule.points, coords)
+    lam = (points - geo.origin[owners][:, None, :]) @ geo.grads[owners].transpose(0, 2, 1)
+    lam[:, :, 0] += 1.0  # barycentric coordinates in the owning top, (m, nq, n+1)
+    lam_local = lam[:, :, np.array(faces)]  # (m, nq, nloc, p+1)
+    basis = np.einsum("mqfk,mfkc->mqfc", lam_local, wedges[owners])
+    frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)  # (m, d, p)
+    minors = np.stack(
+        [np.linalg.det(frame[:, list(combo), :]) for combo in index_combinations(gc.embed_dim, p)],
+        axis=1,
+    )
+    values = np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors) / math.factorial(p)
+    m = len(owners)
+    rows = np.repeat(np.arange(m), len(faces))
+    return sp.csr_matrix((values.ravel(), (rows, globals_[owners].ravel())), shape=(m, m))
 
 
 def coboundary_apply(c: Cochain) -> Cochain:

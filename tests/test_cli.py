@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ def test_verify_passes_on_square(capsys, square_file):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+def test_verify_identity_check_bites_at_zero_tolerance(capsys):
+    torus = Path(__file__).resolve().parent.parent / "fixtures" / "torus.json"
+    code, out, _ = run(capsys, "verify", torus, "--tol", "0")
+    assert code == 1
+    [line] = [ln for ln in out.splitlines() if "interpolate-then-integrate" in ln]
+    assert line.startswith("FAIL")
+    assert float(line.split("max dev ")[1].rstrip("]")) > 0.0
+    assert "8/9 checks passed" in out
 
 
 def test_verify_text_format_mesh(capsys, tmp_path):

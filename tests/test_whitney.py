@@ -1,5 +1,8 @@
 """Whitney interpolation, integration, and their structural identities."""
 
+import gc as garbage_collector
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +16,16 @@ from decfem import (
     coboundary_apply,
     complex_fingerprint,
     de_rham_map,
+    de_rham_whitney_matrix,
     meshes,
     standard_test_forms,
     whitney_basis,
     whitney_interpolate,
 )
 from decfem.exterior import eval_on_frame, wedge
+from decfem.mesh import GeometricComplex
 from decfem.quadrature import simplex_rule
-from decfem.whitney import Cochain
+from decfem.whitney import Cochain, mesh_geometry
 
 from conftest import FIXTURE_NAMES, two_tets
 
@@ -107,6 +112,68 @@ class TestInterpolateIntegrateIdentity:
         field = whitney_interpolate(gc, Cochain(ac, 1, np.zeros(5)))
         x = np.array([0.4, 0.3])
         np.testing.assert_allclose(field.evaluate(0, x), 0.0)
+
+
+def per_cochain_columns(gc, ac, p):
+    """Interpolate and integrate every basis cochain separately."""
+    count = ac.num_simplices(p)
+    eye = np.eye(count)
+    return np.column_stack(
+        [
+            de_rham_map(gc, ac, whitney_interpolate(gc, Cochain(ac, p, eye[j])), p).values
+            for j in range(count)
+        ]
+    )
+
+
+class TestDeRhamWhitneyMatrix:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_columns_match_per_cochain_route(self, fixture_set, name):
+        gc = fixture_set[name]
+        ac = abstr(gc)
+        for p in range(ac.complex_dim + 1):
+            matrix = de_rham_whitney_matrix(gc, ac, p).toarray()
+            np.testing.assert_allclose(matrix, per_cochain_columns(gc, ac, p), rtol=0, atol=1e-14)
+
+    def test_columns_match_in_three_dimensions(self):
+        gc = two_tets()
+        ac = abstr(gc)
+        for p in range(4):
+            matrix = de_rham_whitney_matrix(gc, ac, p).toarray()
+            np.testing.assert_allclose(matrix, per_cochain_columns(gc, ac, p), rtol=0, atol=1e-14)
+
+    def test_rows_hold_one_entry_per_local_face(self):
+        gc = meshes.disk()
+        ac = abstr(gc)
+        matrix = de_rham_whitney_matrix(gc, ac, 1)
+        assert matrix.shape == (ac.num_simplices(1),) * 2
+        assert np.all(np.diff(matrix.indptr) <= 3)
+
+    def test_rejects_degree_out_of_range(self):
+        gc = meshes.split_square()
+        ac = abstr(gc)
+        with pytest.raises(ValueError, match="degree"):
+            de_rham_whitney_matrix(gc, ac, 3)
+
+
+class TestMeshGeometryLifetime:
+    def test_complex_is_freed_after_geometry_use(self):
+        gc = meshes.split_square()
+        ac = abstr(gc)
+        mesh_geometry(gc, ac).signed_wedge_tables(1)
+        ref = weakref.ref(ac)
+        del ac
+        garbage_collector.collect()
+        assert ref() is None
+
+    def test_geometry_is_cached_per_embedding(self):
+        gc = meshes.split_square()
+        ac = abstr(gc)
+        geo = mesh_geometry(gc, ac)
+        assert mesh_geometry(gc, ac) is geo
+        twin = GeometricComplex(gc.vertices, gc.top_simplices)
+        assert mesh_geometry(twin, ac) is not geo
+        assert mesh_geometry(twin, ac).gc is twin
 
 
 class TestPartitionOfUnity:
