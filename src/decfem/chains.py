@@ -192,13 +192,18 @@ def coboundary_matrix(ac: AbstractComplex, p: int) -> IntSparseMatrix:
 
 @dataclass
 class ComplexMatrices:
-    """All boundary/coboundary operators of one complex, with dd = 0 verified."""
+    """All boundary/coboundary operators of one complex, with dd = 0 verified.
+
+    ``_snf_cache`` holds rank-only Smith normal forms keyed like
+    ``_csr_cache`` ("b" or "d", degree); ``homology`` fills it.
+    """
 
     complex_dim: int
     counts: list
     boundary: dict
     coboundary: dict
     _csr_cache: dict = field(default_factory=dict, repr=False)
+    _snf_cache: dict = field(default_factory=dict, repr=False)
 
     def boundary_csr(self, p: int) -> sp.csr_matrix:
         key = ("b", p)

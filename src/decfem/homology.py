@@ -6,6 +6,7 @@ point enters any rank or group computation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .chains import ComplexMatrices, IntSparseMatrix
@@ -46,6 +47,10 @@ class _Eliminator:
     The working matrix lives in dict-of-dict rows plus a column index.  U,
     V^T, U^-T and V^-1 are stored row-major so that every elementary matrix
     operation reduces to a row operation on the bookkeeping tables.
+
+    Every operation records the rows and columns in which an entry value, a
+    row length or a column count changed; ``_select_pivot`` re-keys only the
+    cells of those rows and columns into ``heap``.
     """
 
     def __init__(self, mat: IntSparseMatrix, with_transforms: bool):
@@ -55,6 +60,9 @@ class _Eliminator:
         for (r, c), v in mat.entries.items():
             self.rows.setdefault(r, {})[c] = v
             self.colrows.setdefault(c, set()).add(r)
+        self.heap: list = []
+        self.dirty_rows: set = set(self.rows)
+        self.dirty_cols: set = set()
         self.with_transforms = with_transforms
         if with_transforms:
             self.U = {i: {i: 1} for i in range(self.m)}
@@ -89,14 +97,18 @@ class _Eliminator:
     def row_sub(self, i: int, t: int, q: int):
         """A row_i -= q * row_t, mirrored on U and U^-T."""
         drow = self.rows.setdefault(i, {})
+        self.dirty_rows.add(i)
         for c, v in list(self.rows.get(t, {}).items()):
             nv = drow.get(c, 0) - q * v
             if nv:
+                if c not in drow:
+                    self.colrows.setdefault(c, set()).add(i)
+                    self.dirty_cols.add(c)
                 drow[c] = nv
-                self.colrows.setdefault(c, set()).add(i)
             else:
                 drow.pop(c, None)
                 self.colrows.get(c, set()).discard(i)
+                self.dirty_cols.add(c)
         if not drow:
             self.rows.pop(i, None)
         if self.with_transforms:
@@ -105,16 +117,20 @@ class _Eliminator:
 
     def col_sub(self, j: int, t: int, q: int):
         """A col_j -= q * col_t, mirrored on V^T and V^-1."""
+        self.dirty_cols.add(j)
         for r in list(self.colrows.get(t, ())):
             v = self.rows[r][t]
             row = self.rows[r]
             nv = row.get(j, 0) - q * v
             if nv:
+                if j not in row:
+                    self.colrows.setdefault(j, set()).add(r)
+                    self.dirty_rows.add(r)
                 row[j] = nv
-                self.colrows.setdefault(j, set()).add(r)
             else:
                 row.pop(j, None)
                 self.colrows.get(j, set()).discard(r)
+                self.dirty_rows.add(r)
         if self.with_transforms:
             self._axpy(self.VT, j, t, q)
             self._axpy(self.Vinv, t, j, -q)
@@ -122,6 +138,7 @@ class _Eliminator:
     def row_swap(self, i: int, t: int):
         if i == t:
             return
+        self.dirty_rows.update((i, t))
         ri = self.rows.pop(i, {})
         rt = self.rows.pop(t, {})
         if rt:
@@ -143,6 +160,7 @@ class _Eliminator:
     def col_swap(self, j: int, t: int):
         if j == t:
             return
+        self.dirty_cols.update((j, t))
         cj = self.colrows.pop(j, set())
         ct = self.colrows.pop(t, set())
         for r in cj | ct:
@@ -168,23 +186,52 @@ class _Eliminator:
 
 
 def _select_pivot(elim: _Eliminator, t: int):
-    """Smallest |value|, then least fill-in estimate, then lowest (row, col)."""
-    best = None
-    best_key = None
-    for r in elim.rows:
-        if r < t:
+    """Smallest |value|, then least fill-in estimate, then lowest (row, col).
+
+    Each cell's key (|v|, fill, r, c) is packed into one int,
+    ((|v| m n + fill) m + r) n + c, which orders like the tuple because
+    fill = (row length - 1)(column count - 1) < m n.  The cells of rows and
+    columns changed since the last call are pushed with their current keys,
+    so every live cell's current key is in the heap; popping until the top
+    key matches its cell's current key therefore yields the exact minimum.
+    Rows and columns below t hold only finished pivots and are skipped.
+    """
+    m, n = elim.m, elim.n
+    mn = m * n
+    rows, colrows, heap = elim.rows, elim.colrows, elim.heap
+    for r in elim.dirty_rows:
+        row = rows.get(r)
+        if r < t or not row:
             continue
-        row = elim.rows[r]
-        rlen = len(row)
+        rfill = len(row) - 1
         for c, v in row.items():
-            if c < t:
-                continue
-            fill = (rlen - 1) * (len(elim.colrows[c]) - 1)
-            key = (abs(v), fill, r, c)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (r, c)
-    return best
+            heapq.heappush(heap, ((abs(v) * mn + rfill * (len(colrows[c]) - 1)) * m + r) * n + c)
+    for c in elim.dirty_cols:
+        members = colrows.get(c)
+        if c < t or not members:
+            continue
+        cfill = len(members) - 1
+        for r in members - elim.dirty_rows:
+            row = rows[r]
+            heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
+    elim.dirty_rows.clear()
+    elim.dirty_cols.clear()
+    while heap:
+        key = heapq.heappop(heap)
+        rest, c = divmod(key, n)
+        rest, r = divmod(rest, m)
+        absv, fill = divmod(rest, mn)
+        if r < t or c < t:
+            continue
+        row = rows.get(r)
+        v = row.get(c) if row else None
+        if (
+            v is not None
+            and abs(v) == absv
+            and (len(row) - 1) * (len(colrows[c]) - 1) == fill
+        ):
+            return r, c
+    return None
 
 
 def _process_pivot(elim: _Eliminator, t: int):
@@ -219,6 +266,8 @@ def _process_pivot(elim: _Eliminator, t: int):
                 elim.col_swap(idx, t)
         # Invariant-factor condition: pivot divides the remaining submatrix.
         p = elim.entry(t, t)
+        if p == 1:
+            return
         violator = None
         for r in sorted(elim.rows):
             if r <= t:
@@ -272,17 +321,20 @@ def smith_normal_form(mat: IntSparseMatrix, with_transforms: bool = True) -> Snf
     )
 
 
+def _rank_only_snf(cm: ComplexMatrices, kind: str, p: int) -> SnfResult:
+    """Cached rank-only SNF of boundary[p] (kind "b") or coboundary[p] ("d")."""
+    key = (kind, p)
+    if key not in cm._snf_cache:
+        mat = cm.boundary[p] if kind == "b" else cm.coboundary[p]
+        cm._snf_cache[key] = smith_normal_form(mat, with_transforms=False)
+    return cm._snf_cache[key]
+
+
 def _boundary_rank(cm: ComplexMatrices, p: int) -> int:
     """Integer rank of the degree-p boundary operator (0 outside 1..n)."""
     if p < 1 or p > cm.complex_dim:
         return 0
-    cache = getattr(cm, "_boundary_rank_cache", None)
-    if cache is None:
-        cache = {}
-        cm._boundary_rank_cache = cache  # type: ignore[attr-defined]
-    if p not in cache:
-        cache[p] = smith_normal_form(cm.boundary[p], with_transforms=False).rank
-    return cache[p]
+    return _rank_only_snf(cm, "b", p).rank
 
 
 def betti_numbers(cm: ComplexMatrices) -> list:
@@ -299,35 +351,29 @@ def torsion_coefficients(cm: ComplexMatrices, p: int) -> list:
         raise ValueError(f"degree {p} outside 0..{cm.complex_dim}")
     if p == cm.complex_dim:
         return []
-    snf = smith_normal_form(cm.boundary[p + 1], with_transforms=False)
-    return [d for d in snf.diag if d > 1]
+    return [d for d in _rank_only_snf(cm, "b", p + 1).diag if d > 1]
 
 
 def cohomology_betti(cm: ComplexMatrices, p: int) -> int:
     """Real Betti number from coboundary ranks (torsion is invisible here)."""
     if not 0 <= p <= cm.complex_dim:
         raise ValueError(f"degree {p} outside 0..{cm.complex_dim}")
-    cache = getattr(cm, "_coboundary_rank_cache", None)
-    if cache is None:
-        cache = {}
-        cm._coboundary_rank_cache = cache  # type: ignore[attr-defined]
 
     def d_rank(q: int) -> int:
         if q < 0 or q > cm.complex_dim - 1:
             return 0
-        if q not in cache:
-            cache[q] = smith_normal_form(cm.coboundary[q], with_transforms=False).rank
-        return cache[q]
+        return _rank_only_snf(cm, "d", q).rank
 
     return cm.counts[p] - d_rank(p) - d_rank(p - 1)
 
 
-def _column(mat: IntSparseMatrix, j: int) -> list:
-    col = [0] * mat.rows
+def _columns(mat: IntSparseMatrix, first: int) -> list:
+    """Columns first..cols-1 of mat as sparse {row: value} dicts, in one pass."""
+    cols = [{} for _ in range(first, mat.cols)]
     for (r, c), v in mat.entries.items():
-        if c == j:
-            col[r] = v
-    return col
+        if c >= first:
+            cols[c - first][r] = v
+    return cols
 
 
 def homology_generators(cm: ComplexMatrices, p: int) -> list:
@@ -352,9 +398,9 @@ def homology_generators(cm: ComplexMatrices, p: int) -> list:
     z = n_p - r
     if z == 0:
         return []
-    kernel_cols = [_column(vmat, j) for j in range(r, n_p)]
+    kernel_cols = _columns(vmat, r)
     if p == cm.complex_dim:
-        coords_gens = [[1 if i == j else 0 for i in range(z)] for j in range(z)]
+        coords_gens = [{j: 1} for j in range(z)]
     else:
         bmat = cm.boundary[p + 1]
         coeff = vinv @ bmat
@@ -366,15 +412,13 @@ def homology_generators(cm: ComplexMatrices, p: int) -> list:
             {(rr - r, cc): v for (rr, cc), v in coeff.entries.items()},
         )
         snf_y = smith_normal_form(ymat)
-        coords_gens = [_column(snf_y.left_inv, j) for j in range(snf_y.rank, z)]
+        coords_gens = _columns(snf_y.left_inv, snf_y.rank)
     gens = []
     for coord in coords_gens:
         chain = [0] * n_p
-        for j, c in enumerate(coord):
-            if c:
-                col = kernel_cols[j]
-                for i in range(n_p):
-                    chain[i] += c * col[i]
+        for j, c in coord.items():
+            for i, v in kernel_cols[j].items():
+                chain[i] += c * v
         gens.append(chain)
     return gens
 

@@ -58,18 +58,21 @@ class GeometricComplex:
     """Vertex coordinates plus top-dimensional simplices.
 
     Vertices are Cartesian coordinates in R^d, top simplices (n+1)-tuples of
-    global vertex indices with n <= d.  Construction validates index ranges,
-    non-degeneracy of every top simplex and absence of duplicate simplices
-    (as vertex sets).  Instances are immutable.
+    global vertex indices with n <= d.  Construction validates finite real
+    coordinates, integer index values and ranges, finite non-degenerate
+    volume of every top simplex and absence of duplicate simplices (as
+    vertex sets).  Instances are immutable.
     """
 
     def __init__(self, vertices, top_simplices, complex_dim=None):
-        verts = np.array(vertices, dtype=float)
-        tops = np.array(top_simplices, dtype=int)
+        verts = np.asarray(vertices)
+        tops = np.asarray(top_simplices)
         if verts.ndim != 2 or verts.shape[0] == 0:
             raise MeshValidationError("vertex array must be a nonempty 2-d array")
         if tops.ndim != 2 or tops.shape[0] == 0:
             raise MeshValidationError("simplex array must be a nonempty 2-d array")
+        verts = _real_coordinates(verts)
+        tops = _vertex_indices(tops)
         n = tops.shape[1] - 1
         d = verts.shape[1]
         if complex_dim is not None and complex_dim != n:
@@ -122,6 +125,8 @@ class GeometricComplex:
             else:
                 gram = edges @ edges.T
                 vol = math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(n)
+            if not math.isfinite(vol):
+                raise MeshValidationError(f"non-finite volume of simplex {i}")
             if abs(vol) * math.factorial(n) <= _DEGENERATE_RTOL * scale**n:
                 raise MeshValidationError(f"degenerate simplex {i}")
             vols[i] = vol
@@ -133,6 +138,28 @@ class GeometricComplex:
             f"GeometricComplex(n={self.complex_dim}, d={self.embed_dim}, "
             f"vertices={self.num_vertices}, top={self.num_top})"
         )
+
+
+def _real_coordinates(verts: np.ndarray) -> np.ndarray:
+    """Vertex coordinates as a fresh float array; strings, booleans and NaN/inf raise."""
+    if verts.dtype.kind not in "iuf":
+        raise MeshValidationError(f"vertex coordinates must be real numbers, not {verts.dtype}")
+    verts = verts.astype(float)
+    bad = ~np.isfinite(verts).all(axis=1)
+    if bad.any():
+        raise MeshValidationError(f"non-finite coordinate in vertex {int(np.argmax(bad))}")
+    return verts
+
+
+def _vertex_indices(tops: np.ndarray) -> np.ndarray:
+    """Vertex indices as a fresh int array; floats must be integral, other types raise."""
+    if tops.dtype.kind == "f":
+        bad = ~(np.isfinite(tops) & (tops == np.round(tops))).all(axis=1)
+        if bad.any():
+            raise MeshValidationError(f"non-integer vertex index in simplex {int(np.argmax(bad))}")
+    elif tops.dtype.kind not in "iu":
+        raise MeshValidationError(f"vertex indices must be integers, not {tops.dtype}")
+    return tops.astype(int)
 
 
 class AbstractComplex:
@@ -399,7 +426,7 @@ def load_mesh(source, fmt: str = "json") -> GeometricComplex:
         if missing:
             raise MeshParseError(f"mesh JSON missing keys: {sorted(missing)}")
         dim = obj["dimension"]
-        if not isinstance(dim, int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise MeshParseError("dimension must be an integer")
         try:
             return GeometricComplex(obj["vertices"], obj["simplices"], complex_dim=dim)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decfem import (
+    abstr,
     betti_numbers,
     cohomology_betti,
     homology_generators,
@@ -14,9 +15,16 @@ from decfem import (
     smith_normal_form,
     torsion_coefficients,
 )
+from decfem import homology
 from decfem.chains import IntSparseMatrix
 
-from conftest import exact_determinant
+from conftest import (
+    FIXTURE_NAMES,
+    exact_determinant,
+    random_delaunay_mesh,
+    rips_complex,
+    two_tets,
+)
 
 
 def snf_of(dense, **kw):
@@ -248,3 +256,122 @@ class TestGenerators:
         assert summary.betti == [1, 2, 1]
         assert summary.torsion == [[], [], []]
         assert [len(g) for g in summary.generators] == summary.betti
+
+
+def full_scan_pivot(elim, t):
+    """Reference pivot rule: scan every live cell for the least (|v|, fill, r, c)."""
+    best = None
+    best_key = None
+    for r in elim.rows:
+        if r < t:
+            continue
+        row = elim.rows[r]
+        rlen = len(row)
+        for c, v in row.items():
+            if c < t:
+                continue
+            fill = (rlen - 1) * (len(elim.colrows[c]) - 1)
+            key = (abs(v), fill, r, c)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (r, c)
+    return best
+
+
+def snf_fields(res):
+    return (res.diag, res.rank, res.left, res.right, res.left_inv, res.right_inv)
+
+
+def assert_same_as_full_scan(mat):
+    for with_transforms in (True, False):
+        heap_result = snf_fields(smith_normal_form(mat, with_transforms=with_transforms))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(homology, "_select_pivot", full_scan_pivot)
+            scan_result = snf_fields(smith_normal_form(mat, with_transforms=with_transforms))
+        assert heap_result == scan_result
+
+
+def assert_generators_same_as_full_scan(cm):
+    degrees = range(cm.complex_dim + 1)
+    heap_gens = [homology_generators(cm, p) for p in degrees]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_select_pivot", full_scan_pivot)
+        scan_gens = [homology_generators(cm, p) for p in degrees]
+    assert heap_gens == scan_gens
+
+
+DIFFERENTIAL_COMPLEXES = {
+    **{f"rips_{seed}": (lambda seed=seed: rips_complex(seed)) for seed in range(6)},
+    **{
+        f"delaunay_{seed}": (lambda seed=seed: abstr(random_delaunay_mesh(seed)))
+        for seed in range(6)
+    },
+    "two_tets": lambda: abstr(two_tets()),
+}
+
+
+def packed_key(elim, r, c):
+    """The heap key of cell (r, c): ((|v| m n + fill) m + r) n + c."""
+    m, n = elim.m, elim.n
+    fill = (len(elim.rows[r]) - 1) * (len(elim.colrows[c]) - 1)
+    return ((abs(elim.rows[r][c]) * m * n + fill) * m + r) * n + c
+
+
+def assert_heap_invariant(mat):
+    """After every pivot search, each live cell's current key is in the heap."""
+    searches = []
+    heap_search = homology._select_pivot
+
+    def checked(elim, t):
+        expected = full_scan_pivot(elim, t)
+        pivot = heap_search(elim, t)
+        assert pivot == expected
+        live = {
+            (r, c): packed_key(elim, r, c)
+            for r, row in elim.rows.items()
+            if r >= t
+            for c in row
+        }
+        live.pop(pivot, None)  # popped from the heap as the accepted minimum
+        assert set(live.values()) <= set(elim.heap)
+        searches.append(t)
+        return pivot
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_select_pivot", checked)
+        smith_normal_form(mat)
+    assert searches or mat.is_zero()
+
+
+class TestAgainstFullScanPivot:
+    """The heap pivot search picks exactly the pivots of a full-matrix scan."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(DIFFERENTIAL_COMPLEXES))
+    def test_complexes(self, abstract_set, name):
+        build = DIFFERENTIAL_COMPLEXES.get(name)
+        cm = matrices_for(abstract_set[name] if build is None else build())
+        for mat in list(cm.boundary.values()) + list(cm.coboundary.values()):
+            assert_same_as_full_scan(mat)
+            assert_heap_invariant(mat)
+        assert_generators_same_as_full_scan(cm)
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 10]),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @example([[2, 0], [0, 3]])
+    @example([[4, 6, 0], [6, 4, 2], [0, 2, 9]])
+    @settings(max_examples=150, deadline=None)
+    def test_random_integer_matrices(self, dense):
+        mat = IntSparseMatrix.from_dense(dense)
+        assert_same_as_full_scan(mat)
+        assert_heap_invariant(mat)

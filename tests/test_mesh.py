@@ -1,5 +1,6 @@
 """Mesh loading, validation, geometry and the abstract complex."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from decfem import (
 )
 from decfem.mesh import (
     GeometricComplex,
+    MeshError,
     MeshParseError,
     MeshValidationError,
 )
@@ -101,6 +103,119 @@ class TestLoadMesh:
         bad = '{"dimension": 3, "vertices": [[0,0],[1,0],[0,1]], "simplices": [[0,1,2]]}'
         with pytest.raises(MeshValidationError, match="declared dimension"):
             load_mesh(bad)
+
+
+def triangle_json(vertices=None, simplices=None, dimension=2) -> str:
+    obj = {
+        "dimension": dimension,
+        "vertices": [[0, 0], [1, 0], [0, 1]] if vertices is None else vertices,
+        "simplices": [[0, 1, 2]] if simplices is None else simplices,
+    }
+    return json.dumps(obj)
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinate(self, bad):
+        with pytest.raises(MeshValidationError, match="non-finite coordinate in vertex 1"):
+            load_mesh(triangle_json(vertices=[[0, 0], [1, bad], [0, 1]]))
+
+    def test_non_finite_coordinate_in_text_format(self):
+        with pytest.raises(MeshValidationError, match="non-finite coordinate in vertex 2"):
+            load_mesh("2 2 3 1\n0 0\n1 0\nnan 1\n0 1 2\n", fmt="text")
+
+    def test_non_integral_index(self):
+        with pytest.raises(MeshValidationError, match="non-integer vertex index in simplex 0"):
+            load_mesh(triangle_json(simplices=[[0, 1.7, 2]]))
+
+    def test_string_index(self):
+        with pytest.raises(MeshValidationError, match="vertex indices must be integers"):
+            load_mesh(triangle_json(simplices=[["0", 1, 2]]))
+
+    def test_string_coordinate(self):
+        with pytest.raises(MeshValidationError, match="coordinates must be real numbers"):
+            load_mesh(triangle_json(vertices=[[0, "0"], [1, 0], [0, 1]]))
+
+    def test_boolean_dimension(self):
+        with pytest.raises(MeshParseError, match="dimension must be an integer"):
+            load_mesh(triangle_json(dimension=True))
+
+    def test_index_beyond_int64(self):
+        with pytest.raises(MeshValidationError, match="vertex indices must be integers"):
+            load_mesh(triangle_json(simplices=[[0, 1, 10**30]]))
+
+    def test_overflowing_volume(self):
+        with pytest.raises(MeshValidationError, match="non-finite volume of simplex 0"):
+            with np.errstate(all="ignore"):
+                GeometricComplex([[-1e308, 0], [1e308, 0], [0, 1e308]], [[0, 1, 2]])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16, np.float64])
+    def test_numeric_index_arrays_load(self, dtype):
+        gc = GeometricComplex([[0, 0], [1, 0], [0, 1]], np.array([[0, 1, 2]], dtype=dtype))
+        assert gc.top_simplices.tolist() == [[0, 1, 2]]
+        assert gc.top_simplices.dtype == np.dtype(int)
+
+    def test_python_int_lists_load(self):
+        gc = load_mesh(triangle_json(simplices=[[2, 0, 1]]))
+        assert gc.top_simplices.tolist() == [[2, 0, 1]]
+
+    def test_caller_arrays_stay_writable(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        tops = np.array([[0, 1, 2]])
+        GeometricComplex(verts, tops)
+        assert verts.flags.writeable and tops.flags.writeable
+
+
+_json_scalars = st.one_of(
+    st.integers(min_value=-1, max_value=4),
+    st.integers(min_value=2**62, max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 1.0, 1.7, 1e308, -1e308]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["dimension", "vertices", "simplices"]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.one_of(st.floats(-2, 2), _json_scalars),
+    ),
+    max_size=2,
+)
+
+
+@given(edits=_edits)
+@settings(max_examples=300, deadline=None)
+def test_load_mesh_fuzz_returns_valid_complex_or_mesh_error(edits):
+    """A valid square mesh with its dimension or random entries overwritten or appended."""
+    obj = {
+        "dimension": 2,
+        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+        "simplices": [[0, 1, 2], [0, 2, 3]],
+    }
+    for key, i, j, value in edits:
+        if key == "dimension":
+            obj[key] = value
+            continue
+        row = obj[key][i % len(obj[key])]
+        if j < len(row):
+            row[j] = value
+        else:
+            row.append(value)
+    try:
+        with np.errstate(all="ignore"):
+            gc = load_mesh(json.dumps(obj))
+    except MeshError:
+        return
+    assert isinstance(gc, GeometricComplex)
+    assert np.isfinite(gc.vertices).all()
+    assert gc.top_simplices.dtype == np.dtype(int)
+    assert gc.top_simplices.min() >= 0 and gc.top_simplices.max() < gc.num_vertices
+    assert np.isfinite(gc.top_volumes).all() and (gc.top_volumes != 0).all()
+    assert gc.complex_dim == obj["dimension"] == gc.top_simplices.shape[1] - 1
 
 
 class TestSignedVolume:
