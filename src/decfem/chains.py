@@ -9,13 +9,12 @@ whenever a full operator family is built.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import AbstractComplex
+from .mesh import AbstractComplex, _permutation_sign
 
 __all__ = [
     "IntSparseMatrix",
@@ -229,18 +228,11 @@ def complex_matrices(ac: AbstractComplex) -> ComplexMatrices:
     return ComplexMatrices(n, ac.face_counts(), boundary, coboundary)
 
 
-_MATRICES_CACHE: "weakref.WeakKeyDictionary[AbstractComplex, ComplexMatrices]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def matrices_for(ac: AbstractComplex) -> ComplexMatrices:
-    """Cached complex_matrices keyed on the complex instance."""
-    cm = _MATRICES_CACHE.get(ac)
-    if cm is None:
-        cm = complex_matrices(ac)
-        _MATRICES_CACHE[ac] = cm
-    return cm
+    """complex_matrices, cached on the complex (``ac._matrices``)."""
+    if ac._matrices is None:
+        ac._matrices = complex_matrices(ac)
+    return ac._matrices
 
 
 def _induced_map(source: AbstractComplex, target: AbstractComplex, fmap, p: int) -> IntSparseMatrix:
@@ -253,20 +245,8 @@ def _induced_map(source: AbstractComplex, target: AbstractComplex, fmap, p: int)
         key = tuple(sorted(image))
         if p > target.complex_dim or key not in target.index_of[p]:
             raise ChainMapError(f"image of simplex {s} is not a simplex of the target")
-        ent[(target.index_of[p][key], j)] = _permutation_sign(image)
+        ent[(target.index_of[p][key], j)] = int(_permutation_sign(image))
     return IntSparseMatrix(rows, source.num_simplices(p), ent)
-
-
-def _permutation_sign(seq) -> int:
-    order = sorted(range(len(seq)), key=lambda k: seq[k])
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            sign = -sign
-    return sign
 
 
 def apply_chain_map_check(source: AbstractComplex, target: AbstractComplex, vertex_map) -> bool:

@@ -19,7 +19,6 @@ __all__ = [
     "num_components",
     "wedge",
     "eval_on_frame",
-    "inner_product",
 ]
 
 
@@ -84,28 +83,4 @@ def eval_on_frame(comps: np.ndarray, p: int, frame: np.ndarray) -> float:
         c = comps[idx]
         if c != 0.0:
             total += c * float(np.linalg.det(frame[list(combo), :]))
-    return total
-
-
-def inner_product(a: np.ndarray, b: np.ndarray, p: int, d: int, metric=None) -> float:
-    """Pointwise inner product of p-covectors.
-
-    With no metric the ambient basis is orthonormal and the product is the
-    plain dot of components.  A d x d SPD matrix acting on 1-covectors
-    induces the product on degree p through Gram determinants of its
-    submatrices.
-    """
-    if metric is None:
-        return float(np.dot(a, b))
-    if p == 0:
-        return float(a[0] * b[0])
-    combos = index_combinations(d, p)
-    total = 0.0
-    for i, ci in enumerate(combos):
-        if a[i] == 0.0:
-            continue
-        for j, cj in enumerate(combos):
-            if b[j] == 0.0:
-                continue
-            total += a[i] * b[j] * float(np.linalg.det(metric[np.ix_(ci, cj)]))
     return total

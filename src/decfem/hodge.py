@@ -21,8 +21,9 @@ from .mesh import (
     AbstractComplex,
     DualVolumes,
     GeometricComplex,
+    _local_faces,
+    _unsigned_volumes,
     barycentric_dual_volumes,
-    unsigned_volume,
 )
 from .quadrature import simplex_rule
 from .whitney import Cochain, coboundary_apply, mesh_geometry
@@ -64,26 +65,19 @@ class HarmonicBasis:
         return len(self.vectors)
 
 
-def _material_matrix(material, top_id: int, d: int):
-    if material is None:
-        return None
-    if callable(material):
-        g = np.asarray(material(top_id), dtype=float)
-    else:
-        g = np.asarray(material[top_id], dtype=float)
-    if g.shape != (d, d):
+def _material_tensors(material, count: int, d: int) -> np.ndarray:
+    """The d x d material tensor of every top simplex, shape (count, d, d)."""
+    get = material if callable(material) else material.__getitem__
+    tensors = [np.asarray(get(t), dtype=float) for t in range(count)]
+    if any(g.shape != (d, d) for g in tensors):
         raise ValueError(f"material tensor must be {d}x{d}")
-    return g
+    return np.array(tensors)
 
 
-def _induced_metric(g: np.ndarray, d: int, p: int) -> np.ndarray:
-    """Gram-determinant extension of a 1-covector metric to p-covectors."""
-    combos = index_combinations(d, p)
-    out = np.empty((len(combos), len(combos)))
-    for i, ci in enumerate(combos):
-        for j, cj in enumerate(combos):
-            out[i, j] = np.linalg.det(g[np.ix_(ci, cj)]) if p else 1.0
-    return out
+def _induced_metric(g: np.ndarray, p: int) -> np.ndarray:
+    """Gram-determinant extension of 1-covector metrics (m, d, d) to p-covectors."""
+    combos = np.array(index_combinations(g.shape[-1], p), dtype=int)
+    return np.linalg.det(g[:, combos[:, None, :, None], combos[None, :, None, :]])
 
 
 def galerkin_mass_matrix(
@@ -104,28 +98,23 @@ def galerkin_mass_matrix(
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     n, d = ac.complex_dim, gc.embed_dim
     geo = mesh_geometry(gc, ac)
-    faces, globals_, wedges = geo.signed_wedge_tables(p)
-    face_pos = np.array(faces)
+    wedges = geo.signed_wedge_tables(p)  # (m, nloc, p+1, ncomp)
     rule = simplex_rule(n, 2)
-    lam_local = rule.points[:, face_pos]  # (nq, nloc, p+1)
+    lam = rule.points[:, _local_faces(n, p)]  # (nq, nloc, p+1)
+    basis = np.einsum("qfk,tfkc->tqfc", lam, wedges)  # basis forms at the quadrature points
+    if material is None:
+        metric_basis = basis
+    else:
+        metric = _induced_metric(_material_tensors(material, len(wedges), d), p)
+        metric_basis = np.einsum("tce,tqje->tqjc", metric, basis)
+    local = np.einsum("tqic,tqjc,q->tij", basis, metric_basis, rule.weights)
+    local *= geo.vols[:, None, None]
+    ids = ac.top_faces(p)
+    nloc = ids.shape[1]
+    rows = np.repeat(ids, nloc, axis=1).ravel()
+    cols = np.tile(ids, nloc).ravel()
     size = ac.num_simplices(p)
-    rows, cols, data = [], [], []
-    for t in range(geo.top_count):
-        basis = np.einsum("qfk,fkc->qfc", lam_local, wedges[t])
-        g = _material_matrix(material, t, d)
-        if g is None:
-            local = np.einsum("qic,qjc,q->ij", basis, basis, rule.weights)
-        else:
-            gp = _induced_metric(g, d, p)
-            local = np.einsum("qic,cd,qjd,q->ij", basis, gp, basis, rule.weights)
-        local *= geo.vols[t]
-        idx = globals_[t]
-        for a in range(len(faces)):
-            for b in range(len(faces)):
-                rows.append(idx[a])
-                cols.append(idx[b])
-                data.append(local[a, b])
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
     return DiscreteHodge(kind="galerkin", degree=p, matrix=mat)
 
 
@@ -144,14 +133,10 @@ def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> Discret
 def _diagonal_hodge(
     gc: GeometricComplex, ac: AbstractComplex, p: int, dv: DualVolumes
 ) -> DiscreteHodge:
-    n = ac.complex_dim
-    size = ac.num_simplices(p)
-    diag = np.empty(size)
-    for i, sigma in enumerate(ac.simplices[p]):
-        dual = 1.0 if p == n else dv.vol[p][i]
-        primal = 1.0 if p == 0 else unsigned_volume(gc, sigma)
-        diag[i] = dual / primal
-    mat = sp.diags(diag).tocsr()
+    # A vertex has unit primal measure and a top simplex unit dual measure.
+    primal = _unsigned_volumes(gc, ac.simplices[p])
+    dual = 1.0 if p == ac.complex_dim else dv.vol[p]
+    mat = sp.diags(dual / primal).tocsr()
     return DiscreteHodge(kind="diagonal", degree=p, matrix=mat)
 
 
@@ -236,8 +221,8 @@ def harmonic_basis(
         rank = int(np.sum(svals > cutoff))
         vectors = [vt[j] for j in range(rank, size)]
     cochains = [Cochain(ac, p, v) for v in vectors]
-    mass = hodges[p].matrix
-    gram = np.array([[float(u.values @ (mass @ v.values)) for v in cochains] for u in cochains])
+    basis = np.array([c.values for c in cochains]).reshape(len(cochains), size)
+    gram = basis @ (hodges[p].matrix @ basis.T)
     if cochains and abs(np.linalg.det(gram)) < 1e-300:
         raise AssertionError("harmonic Gram matrix is singular")
     return HarmonicBasis(degree=p, vectors=cochains, gram=gram)

@@ -71,6 +71,12 @@ class GeometricComplex:
             raise MeshValidationError("vertex array must be a nonempty 2-d array")
         if tops.ndim != 2 or tops.shape[0] == 0:
             raise MeshValidationError("simplex array must be a nonempty 2-d array")
+        row = _first_boolean_row(vertices)
+        if row is not None:
+            raise MeshValidationError(f"boolean coordinate in vertex {row}")
+        row = _first_boolean_row(top_simplices)
+        if row is not None:
+            raise MeshValidationError(f"boolean vertex index in simplex {row}")
         verts = _real_coordinates(verts)
         tops = _vertex_indices(tops)
         n = tops.shape[1] - 1
@@ -102,34 +108,30 @@ class GeometricComplex:
         return self.top_simplices.shape[0]
 
     def _validate(self) -> np.ndarray:
-        m0 = self.num_vertices
-        n = self.complex_dim
-        seen: dict = {}
-        vols = np.empty(self.num_top)
-        for i, simplex in enumerate(self.top_simplices):
-            if simplex.min() < 0 or simplex.max() >= m0:
+        """Top volumes; the lowest faulty simplex raises, its checks in order."""
+        tops, n = self.top_simplices, self.complex_dim
+        in_range = (tops.min(axis=1) >= 0) & (tops.max(axis=1) < self.num_vertices)
+        ordered = np.sort(tops, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        ranks = _lex_ranks(ordered)
+        first = np.unique(ranks, return_index=True)[1][ranks]  # lowest simplex with this vertex set
+        vols, _, scales = _simplex_volumes(self.vertices[np.where(in_range[:, None], tops, 0)])
+        finite = np.isfinite(vols)
+        flat = np.abs(vols) * math.factorial(n) <= _DEGENERATE_RTOL * scales**n
+        faulty = ~in_range | repeated | (first < np.arange(len(tops))) | ~finite | flat
+        if faulty.any():
+            i = int(np.argmax(faulty))
+            if not in_range[i]:
                 raise MeshValidationError(f"vertex index out of range in simplex {i}")
-            if len(set(simplex.tolist())) != n + 1:
+            if repeated[i]:
                 raise MeshValidationError(f"degenerate simplex {i}")
-            key = tuple(sorted(simplex.tolist()))
-            if key in seen:
+            if first[i] < i:
                 raise MeshValidationError(
-                    f"duplicate simplex {i} (same vertex set as simplex {seen[key]})"
+                    f"duplicate simplex {i} (same vertex set as simplex {first[i]})"
                 )
-            seen[key] = i
-            coords = self.vertices[simplex]
-            edges = coords[1:] - coords[0]
-            scale = float(np.max(np.linalg.norm(edges, axis=1)))
-            if n == self.embed_dim:
-                vol = float(np.linalg.det(edges)) / math.factorial(n)
-            else:
-                gram = edges @ edges.T
-                vol = math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(n)
-            if not math.isfinite(vol):
+            if not finite[i]:
                 raise MeshValidationError(f"non-finite volume of simplex {i}")
-            if abs(vol) * math.factorial(n) <= _DEGENERATE_RTOL * scale**n:
-                raise MeshValidationError(f"degenerate simplex {i}")
-            vols[i] = vol
+            raise MeshValidationError(f"degenerate simplex {i}")
         vols.setflags(write=False)
         return vols
 
@@ -138,6 +140,21 @@ class GeometricComplex:
             f"GeometricComplex(n={self.complex_dim}, d={self.embed_dim}, "
             f"vertices={self.num_vertices}, top={self.num_top})"
         )
+
+
+def _first_boolean_row(rows):
+    """Index of the first row of a nested sequence that holds a boolean, else None.
+
+    numpy reads ``[0, True, 2]`` as the integers ``[0, 1, 2]``, so a dtype
+    check cannot see such an entry; arrays carry their own dtype and are not
+    scanned.
+    """
+    if isinstance(rows, np.ndarray):
+        return None
+    for i, row in enumerate(rows):
+        if not {bool, np.bool_}.isdisjoint(map(type, row)):
+            return i
+    return None
 
 
 def _real_coordinates(verts: np.ndarray) -> np.ndarray:
@@ -168,7 +185,10 @@ class AbstractComplex:
     ``simplices[p]`` lists the p-simplices as strictly ascending vertex
     tuples, sorted lexicographically; ``index_of[p]`` inverts that list.
     ``orientation_signs`` holds one +-1 per top simplex, in the order the
-    top simplices were given geometrically.
+    top simplices were given geometrically.  Derived data is cached on the
+    instance: the face tables of ``top_faces``, the geometry of one
+    embedding (``whitney.mesh_geometry``) and the boundary matrices
+    (``chains.matrices_for``).
     """
 
     def __init__(self, complex_dim, simplices, orientation_signs):
@@ -195,9 +215,9 @@ class AbstractComplex:
         self.index_of = [
             {s: i for i, s in enumerate(level)} for level in self.simplices
         ]
-        self._top_containing: dict = {}
-        self._facet_cofaces = None
+        self._top_faces: dict = {}
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
+        self._matrices = None  # boundary operators, see chains.matrices_for
 
     def num_simplices(self, p: int) -> int:
         return len(self.simplices[p])
@@ -208,31 +228,38 @@ class AbstractComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
 
-    def top_containing(self, p: int) -> np.ndarray:
-        """For each p-simplex, the index (into simplices[n]) of one containing top simplex."""
-        if p not in self._top_containing:
+    def top_faces(self, p: int) -> np.ndarray:
+        """Global p-face ids of every top simplex, shape (num_top, C(n+1, p+1)).
+
+        Column j holds the face at the local vertex positions of row j of
+        ``_local_faces(n, p)``, i.e. in ``itertools.combinations`` order.
+        """
+        if p not in self._top_faces:
             n = self.complex_dim
-            owner = np.full(self.num_simplices(p), -1, dtype=int)
-            for t, top in enumerate(self.simplices[n]):
-                for face in itertools.combinations(top, p + 1):
-                    j = self.index_of[p][face]
-                    if owner[j] < 0:
-                        owner[j] = t
-            owner.setflags(write=False)
-            self._top_containing[p] = owner
-        return self._top_containing[p]
+            tops = _simplex_array(self.simplices[n])
+            faces = tops[:, _local_faces(n, p)].reshape(-1, p + 1)
+            level = _simplex_array(self.simplices[p])
+            # ``level`` is sorted, duplicate-free and holds every face, so a
+            # face's rank among the distinct rows is its index in ``level``.
+            ids = _lex_ranks(np.concatenate([level, faces]))[len(level):]
+            table = ids.reshape(len(tops), -1)
+            table.setflags(write=False)
+            self._top_faces[p] = table
+        return self._top_faces[p]
+
+    def top_containing(self, p: int) -> np.ndarray:
+        """For each p-simplex, the index (into simplices[n]) of the first top
+        simplex containing it, or -1 when none does."""
+        table = self.top_faces(p)
+        owner = np.full(self.num_simplices(p), -1, dtype=int)
+        faces, first = np.unique(table, return_index=True)
+        owner[faces] = first // table.shape[1]
+        return owner
 
     def facet_coface_counts(self) -> np.ndarray:
         """Number of top simplices containing each (n-1)-simplex."""
-        if self._facet_cofaces is None:
-            n = self.complex_dim
-            counts = np.zeros(self.num_simplices(n - 1), dtype=int)
-            for top in self.simplices[n]:
-                for face in itertools.combinations(top, n):
-                    counts[self.index_of[n - 1][face]] += 1
-            counts.setflags(write=False)
-            self._facet_cofaces = counts
-        return self._facet_cofaces
+        n = self.complex_dim
+        return np.bincount(self.top_faces(n - 1).ravel(), minlength=self.num_simplices(n - 1))
 
     def is_closed(self) -> bool:
         return bool(np.all(self.facet_coface_counts() == 2))
@@ -253,16 +280,68 @@ class DualVolumes:
     vol: tuple
 
 
-def _sort_parity(simplex) -> int:
-    perm = sorted(range(len(simplex)), key=lambda k: simplex[k])
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
+def _simplex_volumes(coords: np.ndarray):
+    """Signed volumes, unsigned volumes and longest-edge lengths of m k-simplices.
+
+    ``coords`` has shape (m, k+1, d).  The unsigned volume is the Gram
+    volume sqrt(det(E E^T))/k! of the edge rows E = [v1-v0, ..., vk-v0] (1
+    for a vertex).  The signed volume is det(E)/k! when k = d and the Gram
+    volume otherwise; for k = d the two differ only by rounding.
+    """
+    edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
+    k, d = edges.shape[1:]
+    vols = np.sqrt(np.maximum(np.linalg.det(edges @ edges.transpose(0, 2, 1)), 0.0))
+    vols /= math.factorial(k)
+    signed = np.linalg.det(edges) / math.factorial(k) if k == d else vols
+    return signed, vols, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0)
+
+
+def _simplex_gradients(coords: np.ndarray) -> np.ndarray:
+    """Barycentric gradients of m non-degenerate k-simplices, shape (m, k+1, d).
+
+    Row i of a simplex is grad(lambda_i) for its i-th vertex, tangential to
+    the simplex plane when k < d.
+    """
+    edges = coords[:, 1:] - coords[:, :1]
+    rest = np.linalg.solve(edges @ edges.transpose(0, 2, 1), edges)
+    return np.concatenate([-rest.sum(axis=1, keepdims=True), rest], axis=1)
+
+
+def _simplex_array(level) -> np.ndarray:
+    """A list of vertex tuples of one size as an (m, size) int array."""
+    return np.array(level, dtype=int).reshape(len(level), -1)
+
+
+def _local_faces(n: int, p: int) -> np.ndarray:
+    """Local vertex positions of the p-faces of an n-simplex, in combinations order."""
+    return np.array(list(itertools.combinations(range(n + 1), p + 1)), dtype=int)
+
+
+def _lex_ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of every row among the distinct rows, in lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    ranks = np.empty(len(rows), dtype=int)
+    ranks[order] = np.cumsum(starts) - 1
+    return ranks
+
+
+def _permutation_sign(rows):
+    """Parity (+-1) of the permutation sorting each row of distinct values.
+
+    Takes one sequence or an (m, k) array of rows; the sign is (-1) to the
+    number of inversions.
+    """
+    rows = np.asarray(rows)
+    k = rows.shape[-1]
+    inversions = sum(rows[..., i] > rows[..., j] for i, j in itertools.combinations(range(k), 2))
+    return 1 - 2 * (inversions % 2)
+
+
+def _unsigned_volumes(gc: GeometricComplex, level) -> np.ndarray:
+    """Unsigned volumes of simplices given as rows of vertex indices."""
+    return _simplex_volumes(gc.vertices[_simplex_array(level)])[1]
 
 
 def signed_volume(gc: GeometricComplex, simplex) -> float:
@@ -282,24 +361,12 @@ def signed_volume(gc: GeometricComplex, simplex) -> float:
         raise MeshValidationError("repeated vertex in simplex")
     if min(simplex) < 0 or max(simplex) >= gc.num_vertices:
         raise MeshValidationError("vertex index out of range")
-    coords = gc.vertices[list(simplex)]
-    edges = coords[1:] - coords[0]
-    if n == gc.embed_dim:
-        return float(np.linalg.det(edges)) / math.factorial(n)
-    gram = edges @ edges.T
-    return math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(n)
+    return float(_simplex_volumes(gc.vertices[_simplex_array([simplex])])[0][0])
 
 
 def unsigned_volume(gc: GeometricComplex, simplex) -> float:
-    """Unsigned p-volume of any p-simplex given by vertex indices (Gram determinant)."""
-    simplex = tuple(int(v) for v in simplex)
-    p = len(simplex) - 1
-    if p == 0:
-        return 1.0
-    coords = gc.vertices[list(simplex)]
-    edges = coords[1:] - coords[0]
-    gram = edges @ edges.T
-    return math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(p)
+    """Unsigned p-volume of any p-simplex given by vertex indices."""
+    return float(_unsigned_volumes(gc, [tuple(int(v) for v in simplex)])[0])
 
 
 def barycentric_gradients(gc: GeometricComplex, top_simplex_id: int) -> np.ndarray:
@@ -309,18 +376,7 @@ def barycentric_gradients(gc: GeometricComplex, top_simplex_id: int) -> np.ndarr
     for n < d these are tangential gradients within the simplex plane.
     """
     simplex = gc.top_simplices[int(top_simplex_id)]
-    return affine_gradients(gc.vertices[simplex])
-
-
-def affine_gradients(coords: np.ndarray) -> np.ndarray:
-    """Barycentric gradients for a simplex given by its vertex coordinates."""
-    edges = (coords[1:] - coords[0]).T  # d x n
-    gram = edges.T @ edges
-    try:
-        rest = np.linalg.solve(gram, edges.T)  # n x d
-    except np.linalg.LinAlgError as exc:
-        raise MeshValidationError("degenerate simplex") from exc
-    return np.vstack([-rest.sum(axis=0), rest])
+    return _simplex_gradients(gc.vertices[simplex][None])[0]
 
 
 def abstr(gc: GeometricComplex) -> AbstractComplex:
@@ -342,9 +398,9 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
                 faces.add(s[:k] + s[k + 1:])
         simplices[p - 1] = sorted(faces)
     if n == gc.embed_dim:
-        signs = [1 if v > 0 else -1 for v in gc.top_volumes]
+        signs = np.where(gc.top_volumes > 0, 1, -1)
     else:
-        signs = [_sort_parity(s.tolist()) for s in gc.top_simplices]
+        signs = _permutation_sign(gc.top_simplices)
     return AbstractComplex(n, simplices, signs)
 
 
@@ -356,28 +412,24 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> DualV
     strictly increasing face chains sigma = s_p < s_{p+1} < ... < s_n = T.
     For p = n the primal volume is recorded.
     """
-    n = gc.complex_dim
-    vols = [np.zeros(ac.num_simplices(p)) for p in range(n + 1)]
-    for top in ac.simplices[n]:
-        coords = gc.vertices[list(top)]
-        for p in range(n):
-            for face_pos in itertools.combinations(range(n + 1), p + 1):
-                rest = [k for k in range(n + 1) if k not in face_pos]
-                base = coords[list(face_pos)].mean(axis=0)
-                sigma = tuple(top[k] for k in face_pos)
-                idx = ac.index_of[p][sigma]
-                for order in itertools.permutations(rest):
-                    pts = [base]
-                    members = list(face_pos)
-                    for k in order:
-                        members.append(k)
-                        pts.append(coords[members].mean(axis=0))
-                    edges = np.array(pts[1:]) - pts[0]
-                    gram = edges @ edges.T
-                    frag = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-                    vols[p][idx] += frag / math.factorial(n - p)
-    for i, top in enumerate(ac.simplices[n]):
-        vols[n][i] = unsigned_volume(gc, top)
+    n, d = gc.complex_dim, gc.embed_dim
+    coords = gc.vertices[_simplex_array(ac.simplices[n])]  # (m, n+1, d)
+    vols = []
+    for p in range(n):
+        # The flags below sigma are the same in every top: one fragment per
+        # (local face, order of adding the remaining vertices).
+        owners, points = [], []
+        for f, face in enumerate(_local_faces(n, p).tolist()):
+            rest = [k for k in range(n + 1) if k not in face]
+            for order in itertools.permutations(rest):
+                chain = [face + list(order[:j]) for j in range(len(order) + 1)]
+                owners.append(f)
+                points.append(np.stack([coords[:, members].mean(axis=1) for members in chain], axis=1))
+        # points: (m, fragments, n-p+1, d), flattened top by top
+        frags = _simplex_volumes(np.stack(points, axis=1).reshape(-1, n - p + 1, d))[1]
+        ids = ac.top_faces(p)[:, owners].ravel()
+        vols.append(np.bincount(ids, weights=frags, minlength=ac.num_simplices(p)))
+    vols.append(_simplex_volumes(coords)[1])
     for p in range(n + 1):
         if np.any(vols[p] <= 0):
             raise MeshValidationError(f"non-positive dual volume at degree {p}")

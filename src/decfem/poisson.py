@@ -240,11 +240,12 @@ def l2_and_energy_error(
     geo = mesh_geometry(gc, ac)
     rule = simplex_rule(ac.complex_dim, 5)
     n = ac.complex_dim
+    top_values = np.asarray(vertex_values, dtype=float)[ac.top_faces(0)]  # (m, n+1)
     l2 = 0.0
     energy = 0.0
     for t, top in enumerate(ac.simplices[n]):
         coords = gc.vertices[list(top)]
-        local = np.array([vertex_values[ac.index_of[0][(v,)]] for v in top])
+        local = top_values[t]
         grad_h = local @ geo.grads[t]
         for w, bary in zip(rule.weights, rule.points):
             x = bary @ coords

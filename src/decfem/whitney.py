@@ -14,7 +14,6 @@ integration is the identity on cochains.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,8 +22,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chains import matrices_for
-from .exterior import eval_on_frame, index_combinations, num_components, wedge
-from .mesh import AbstractComplex, GeometricComplex, affine_gradients
+from .exterior import eval_on_frame, index_combinations, wedge
+from .mesh import (
+    AbstractComplex,
+    GeometricComplex,
+    _local_faces,
+    _permutation_sign,
+    _simplex_array,
+    _simplex_gradients,
+    _simplex_volumes,
+)
 from .quadrature import QuadratureRule, simplex_rule
 
 __all__ = [
@@ -100,25 +107,13 @@ class _MeshGeometry:
         if gc.complex_dim != ac.complex_dim:
             raise ValueError("geometric and abstract complex dimensions differ")
         # The complex owns its geometry (``ac._geometry``), so this object
-        # keeps only the complex's face lists and never the complex itself:
-        # dropping the complex frees both.
+        # never refers to the complex: dropping the complex frees both.
         self.gc = gc
-        self.complex_dim = ac.complex_dim
-        self._simplices = ac.simplices
-        self._index_of = ac.index_of
-        n, d = ac.complex_dim, gc.embed_dim
-        tops = ac.simplices[n]
-        self.top_count = len(tops)
-        self.grads = np.empty((self.top_count, n + 1, d))
-        self.vols = np.empty(self.top_count)
-        self.origin = np.empty((self.top_count, d))
-        for t, top in enumerate(tops):
-            coords = gc.vertices[list(top)]
-            self.grads[t] = affine_gradients(coords)
-            edges = coords[1:] - coords[0]
-            gram = edges @ edges.T
-            self.vols[t] = math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(n)
-            self.origin[t] = coords[0]
+        self.complex_dim = n = ac.complex_dim
+        coords = gc.vertices[_simplex_array(ac.simplices[n])]
+        self.vols = _simplex_volumes(coords)[1]
+        self.grads = _simplex_gradients(coords)
+        self.origin = coords[:, 0]
         self._tables: dict = {}
 
     def barycentric(self, top_id: int, x: np.ndarray) -> np.ndarray:
@@ -126,33 +121,26 @@ class _MeshGeometry:
         lam[0] += 1.0
         return lam
 
-    def signed_wedge_tables(self, p: int):
-        """(local face positions, global face ids, sign-folded gradient wedges)."""
-        if p in self._tables:
-            return self._tables[p]
-        n, d = self.complex_dim, self.gc.embed_dim
-        faces = tuple(itertools.combinations(range(n + 1), p + 1))
-        ncomp = num_components(d, p)
-        globals_ = np.empty((self.top_count, len(faces)), dtype=int)
-        wedges = np.zeros((self.top_count, len(faces), p + 1, ncomp))
-        factorial_p = float(math.factorial(p))
-        for t, top in enumerate(self._simplices[n]):
-            for f, pos in enumerate(faces):
-                globals_[t, f] = self._index_of[p][tuple(top[k] for k in pos)]
-                for k in range(p + 1):
-                    if p == 0:
-                        w = np.ones(1)
-                    else:
-                        rest = [pos[j] for j in range(p + 1) if j != k]
-                        w = self.grads[t, rest[0]].copy()
-                        deg = 1
-                        for idx in rest[1:]:
-                            w = wedge(w, deg, self.grads[t, idx], 1, d)
-                            deg += 1
-                    wedges[t, f, k] = ((-1) ** k) * factorial_p * w
-        table = (faces, globals_, wedges)
-        self._tables[p] = table
-        return table
+    def signed_wedge_tables(self, p: int) -> np.ndarray:
+        """Sign-folded gradient wedges, shape (num_top, C(n+1, p+1), p+1, C(d, p)).
+
+        Entry [t, f, k] is (-1)^k p! times the wedge of the gradients at the
+        vertices of local face f (``mesh._local_faces(n, p)``) other than its
+        k-th, in ascending order.
+        """
+        if p not in self._tables:
+            n, d = self.complex_dim, self.gc.embed_dim
+            # Each wedge of p gradients is the vector of p x p minors of their
+            # rows in the gradient array, one minor per ambient index combination.
+            rows = _local_faces(n, p - 1)
+            cols = np.array(index_combinations(d, p), dtype=int)
+            minors = np.linalg.det(self.grads[:, rows[:, None, :, None], cols[None, :, None, :]])
+            row_of = {tuple(r): i for i, r in enumerate(rows.tolist())}
+            faces = _local_faces(n, p).tolist()
+            omit = [[row_of[tuple(f[:k] + f[k + 1:])] for k in range(p + 1)] for f in faces]
+            signs = math.factorial(p) * (-1.0) ** np.arange(p + 1)
+            self._tables[p] = minors[:, omit] * signs[:, None]
+        return self._tables[p]
 
 
 def mesh_geometry(gc: GeometricComplex, ac: AbstractComplex) -> _MeshGeometry:
@@ -173,29 +161,19 @@ def whitney_basis(
 ) -> np.ndarray:
     """Whitney form of one p-simplex, evaluated at a barycentric point of a
     containing top simplex; returns ambient covector components."""
-    n, d = ac.complex_dim, gc.embed_dim
+    n = ac.complex_dim
     sigma = tuple(int(v) for v in sigma)
     top = ac.simplices[n][int(top_id)]
-    if not set(sigma) <= set(top):
+    if len(set(sigma)) != len(sigma) or not set(sigma) <= set(top):
         raise ValueError(f"{sigma} is not a face of top simplex {top}")
     lam = np.asarray(point, dtype=float)
     if lam.shape != (n + 1,) or np.any(lam < -1e-12) or abs(lam.sum() - 1.0) > 1e-9:
         raise ValueError("point must be nonnegative barycentric coordinates summing to 1")
-    geo = mesh_geometry(gc, ac)
     pos = [top.index(v) for v in sigma]
     p = len(sigma) - 1
-    if p == 0:
-        return np.array([lam[pos[0]]])
-    out = np.zeros(num_components(d, p))
-    for k in range(p + 1):
-        rest = [pos[j] for j in range(p + 1) if j != k]
-        w = geo.grads[top_id, rest[0]].copy()
-        deg = 1
-        for idx in rest[1:]:
-            w = wedge(w, deg, geo.grads[top_id, idx], 1, d)
-            deg += 1
-        out += ((-1) ** k) * math.factorial(p) * lam[pos[k]] * w
-    return out
+    face = _local_faces(n, p).tolist().index(sorted(pos))
+    wedges = mesh_geometry(gc, ac).signed_wedge_tables(p)[int(top_id), face]
+    return _permutation_sign(pos) * (lam[sorted(pos)] @ wedges)
 
 
 def whitney_interpolate(gc: GeometricComplex, c: Cochain) -> FormField:
@@ -203,15 +181,16 @@ def whitney_interpolate(gc: GeometricComplex, c: Cochain) -> FormField:
     ac = c.complex
     geo = mesh_geometry(gc, ac)
     p = c.degree
-    faces, globals_, wedges = geo.signed_wedge_tables(p)
-    face_pos = np.array(faces)  # (nloc, p+1)
+    wedges = geo.signed_wedge_tables(p)
+    face_pos = _local_faces(ac.complex_dim, p)  # (nloc, p+1)
+    face_ids = ac.top_faces(p)
     coeffs = c.values
 
     def evaluate(top_id: int, x) -> np.ndarray:
         lam = geo.barycentric(top_id, x)
         lam_local = lam[face_pos]  # (nloc, p+1)
         basis = np.einsum("fk,fkc->fc", lam_local, wedges[top_id])
-        return coeffs[globals_[top_id]] @ basis
+        return coeffs[face_ids[top_id]] @ basis
 
     return FormField(degree=p, evaluate=evaluate, kind="whitney")
 
@@ -268,13 +247,14 @@ def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) ->
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     rule = simplex_rule(p, DEFAULT_EXACTNESS)
     geo = mesh_geometry(gc, ac)
-    faces, globals_, wedges = geo.signed_wedge_tables(p)
+    wedges = geo.signed_wedge_tables(p)
+    face_pos = _local_faces(ac.complex_dim, p)
     owners = ac.top_containing(p)
-    coords = gc.vertices[np.array(ac.simplices[p])]  # (m, p+1, d)
+    coords = gc.vertices[_simplex_array(ac.simplices[p])]  # (m, p+1, d)
     points = np.einsum("qk,mkd->mqd", rule.points, coords)
     lam = (points - geo.origin[owners][:, None, :]) @ geo.grads[owners].transpose(0, 2, 1)
     lam[:, :, 0] += 1.0  # barycentric coordinates in the owning top, (m, nq, n+1)
-    lam_local = lam[:, :, np.array(faces)]  # (m, nq, nloc, p+1)
+    lam_local = lam[:, :, face_pos]  # (m, nq, nloc, p+1)
     basis = np.einsum("mqfk,mfkc->mqfc", lam_local, wedges[owners])
     frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)  # (m, d, p)
     minors = np.stack(
@@ -283,8 +263,8 @@ def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) ->
     )
     values = np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors) / math.factorial(p)
     m = len(owners)
-    rows = np.repeat(np.arange(m), len(faces))
-    return sp.csr_matrix((values.ravel(), (rows, globals_[owners].ravel())), shape=(m, m))
+    rows = np.repeat(np.arange(m), len(face_pos))
+    return sp.csr_matrix((values.ravel(), (rows, ac.top_faces(p)[owners].ravel())), shape=(m, m))
 
 
 def coboundary_apply(c: Cochain) -> Cochain:

@@ -1,0 +1,416 @@
+"""The batched simplex kernel and face tables against the per-simplex loops they replaced.
+
+Each oracle below is the loop the library ran before its geometry was
+computed for all simplices at once (``mesh._simplex_volumes`` and
+``mesh._simplex_gradients``) and read through the per-degree face tables
+(``AbstractComplex.top_faces``).  Float results
+must agree to 1e-14 relative to the largest oracle entry; integer tables,
+owners, counts, signs and error messages must be identical.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from decfem import (
+    abstr,
+    barycentric_dual_volumes,
+    barycentric_gradients,
+    diagonal_hodge,
+    galerkin_mass_matrix,
+    signed_volume,
+    unsigned_volume,
+    whitney_basis,
+)
+from decfem.exterior import index_combinations, num_components, wedge
+from decfem.mesh import GeometricComplex, MeshValidationError
+from decfem.quadrature import simplex_rule
+from decfem.whitney import mesh_geometry
+
+from conftest import FIXTURE_NAMES, random_delaunay_mesh, two_tets
+
+REL_TOL = 1e-14
+DEGENERATE_RTOL = 1e-12
+
+
+# -- the per-simplex oracles --------------------------------------------------
+
+
+def old_validate(vertices, tops):
+    """Top volumes, or the message of the first faulty simplex, one simplex at a time."""
+    m0, n, d = len(vertices), tops.shape[1] - 1, vertices.shape[1]
+    seen: dict = {}
+    vols = np.empty(len(tops))
+    for i, simplex in enumerate(tops):
+        if simplex.min() < 0 or simplex.max() >= m0:
+            return f"vertex index out of range in simplex {i}"
+        if len(set(simplex.tolist())) != n + 1:
+            return f"degenerate simplex {i}"
+        key = tuple(sorted(simplex.tolist()))
+        if key in seen:
+            return f"duplicate simplex {i} (same vertex set as simplex {seen[key]})"
+        seen[key] = i
+        coords = vertices[simplex]
+        edges = coords[1:] - coords[0]
+        scale = float(np.max(np.linalg.norm(edges, axis=1)))
+        if n == d:
+            vol = float(np.linalg.det(edges)) / math.factorial(n)
+        else:
+            gram = edges @ edges.T
+            vol = math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(n)
+        if not math.isfinite(vol):
+            return f"non-finite volume of simplex {i}"
+        if abs(vol) * math.factorial(n) <= DEGENERATE_RTOL * scale**n:
+            return f"degenerate simplex {i}"
+        vols[i] = vol
+    return vols
+
+
+def old_signed_volume(gc, simplex):
+    coords = gc.vertices[list(simplex)]
+    edges = coords[1:] - coords[0]
+    n = len(simplex) - 1
+    if n == gc.embed_dim:
+        return float(np.linalg.det(edges)) / math.factorial(n)
+    return math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0)) / math.factorial(n)
+
+
+def old_unsigned_volume(gc, simplex):
+    p = len(simplex) - 1
+    if p == 0:
+        return 1.0
+    coords = gc.vertices[list(simplex)]
+    edges = coords[1:] - coords[0]
+    return math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0)) / math.factorial(p)
+
+
+def old_affine_gradients(coords):
+    edges = (coords[1:] - coords[0]).T
+    rest = np.linalg.solve(edges.T @ edges, edges.T)
+    return np.vstack([-rest.sum(axis=0), rest])
+
+
+def old_sort_parity(simplex):
+    perm = sorted(range(len(simplex)), key=lambda k: simplex[k])
+    sign = 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def old_top_geometry(gc, ac):
+    """Gradients, volumes and origins of the canonical top simplices."""
+    n = ac.complex_dim
+    grads, vols, origin = [], [], []
+    for top in ac.simplices[n]:
+        coords = gc.vertices[list(top)]
+        grads.append(old_affine_gradients(coords))
+        vols.append(old_unsigned_volume(gc, top))
+        origin.append(coords[0])
+    return np.array(grads), np.array(vols), np.array(origin)
+
+
+def old_wedge_tables(gc, ac, grads, p):
+    """(global face ids, sign-folded gradient wedges) by iterated wedge products."""
+    n, d = ac.complex_dim, gc.embed_dim
+    faces = tuple(itertools.combinations(range(n + 1), p + 1))
+    tops = ac.simplices[n]
+    globals_ = np.empty((len(tops), len(faces)), dtype=int)
+    wedges = np.zeros((len(tops), len(faces), p + 1, num_components(d, p)))
+    for t, top in enumerate(tops):
+        for f, pos in enumerate(faces):
+            globals_[t, f] = ac.index_of[p][tuple(top[k] for k in pos)]
+            for k in range(p + 1):
+                if p == 0:
+                    w = np.ones(1)
+                else:
+                    rest = [pos[j] for j in range(p + 1) if j != k]
+                    w = grads[t, rest[0]].copy()
+                    for deg, idx in enumerate(rest[1:], start=1):
+                        w = wedge(w, deg, grads[t, idx], 1, d)
+                wedges[t, f, k] = ((-1) ** k) * math.factorial(p) * w
+    return globals_, wedges
+
+
+def old_whitney_basis(grads, ac, sigma, top_id, lam, d):
+    top = ac.simplices[ac.complex_dim][top_id]
+    pos = [top.index(v) for v in sigma]
+    p = len(sigma) - 1
+    if p == 0:
+        return np.array([lam[pos[0]]])
+    out = np.zeros(num_components(d, p))
+    for k in range(p + 1):
+        rest = [pos[j] for j in range(p + 1) if j != k]
+        w = grads[top_id, rest[0]].copy()
+        for deg, idx in enumerate(rest[1:], start=1):
+            w = wedge(w, deg, grads[top_id, idx], 1, d)
+        out += ((-1) ** k) * math.factorial(p) * lam[pos[k]] * w
+    return out
+
+
+def old_induced_metric(g, d, p):
+    combos = index_combinations(d, p)
+    out = np.empty((len(combos), len(combos)))
+    for i, ci in enumerate(combos):
+        for j, cj in enumerate(combos):
+            out[i, j] = np.linalg.det(g[np.ix_(ci, cj)]) if p else 1.0
+    return out
+
+
+def old_galerkin(gc, ac, p, material=None):
+    n, d = ac.complex_dim, gc.embed_dim
+    grads, vols, _ = old_top_geometry(gc, ac)
+    globals_, wedges = old_wedge_tables(gc, ac, grads, p)
+    faces = list(itertools.combinations(range(n + 1), p + 1))
+    rule = simplex_rule(n, 2)
+    lam_local = rule.points[:, np.array(faces)]
+    rows, cols, data = [], [], []
+    for t in range(len(vols)):
+        basis = np.einsum("qfk,fkc->qfc", lam_local, wedges[t])
+        if material is None:
+            local = np.einsum("qic,qjc,q->ij", basis, basis, rule.weights)
+        else:
+            gp = old_induced_metric(np.asarray(material[t], dtype=float), d, p)
+            local = np.einsum("qic,cd,qjd,q->ij", basis, gp, basis, rule.weights)
+        local *= vols[t]
+        for a in range(len(faces)):
+            for b in range(len(faces)):
+                rows.append(globals_[t, a])
+                cols.append(globals_[t, b])
+                data.append(local[a, b])
+    size = ac.num_simplices(p)
+    return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).toarray()
+
+
+def old_dual_volumes(gc, ac):
+    n = gc.complex_dim
+    vols = [np.zeros(ac.num_simplices(p)) for p in range(n + 1)]
+    for top in ac.simplices[n]:
+        coords = gc.vertices[list(top)]
+        for p in range(n):
+            for face_pos in itertools.combinations(range(n + 1), p + 1):
+                rest = [k for k in range(n + 1) if k not in face_pos]
+                base = coords[list(face_pos)].mean(axis=0)
+                idx = ac.index_of[p][tuple(top[k] for k in face_pos)]
+                for order in itertools.permutations(rest):
+                    pts = [base]
+                    members = list(face_pos)
+                    for k in order:
+                        members.append(k)
+                        pts.append(coords[members].mean(axis=0))
+                    edges = np.array(pts[1:]) - pts[0]
+                    frag = math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0))
+                    vols[p][idx] += frag / math.factorial(n - p)
+    for i, top in enumerate(ac.simplices[n]):
+        vols[n][i] = old_unsigned_volume(gc, top)
+    return vols
+
+
+def old_diagonal_hodge(gc, ac, p):
+    n = ac.complex_dim
+    dual_vols = old_dual_volumes(gc, ac)
+    diag = np.empty(ac.num_simplices(p))
+    for i, sigma in enumerate(ac.simplices[p]):
+        dual = 1.0 if p == n else dual_vols[p][i]
+        primal = 1.0 if p == 0 else old_unsigned_volume(gc, sigma)
+        diag[i] = dual / primal
+    return diag
+
+
+def old_top_containing(ac, p):
+    n = ac.complex_dim
+    owner = np.full(ac.num_simplices(p), -1, dtype=int)
+    for t, top in enumerate(ac.simplices[n]):
+        for face in itertools.combinations(top, p + 1):
+            j = ac.index_of[p][face]
+            if owner[j] < 0:
+                owner[j] = t
+    return owner
+
+
+def old_facet_coface_counts(ac):
+    n = ac.complex_dim
+    counts = np.zeros(ac.num_simplices(n - 1), dtype=int)
+    for top in ac.simplices[n]:
+        for face in itertools.combinations(top, n):
+            counts[ac.index_of[n - 1][face]] += 1
+    return counts
+
+
+# -- the comparisons ----------------------------------------------------------
+
+
+def assert_close(new, old):
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    scale = np.abs(old).max() if old.size else 0.0
+    assert np.abs(new - old).max(initial=0.0) <= REL_TOL * scale
+
+
+MESHES = (
+    [("fixture", name) for name in FIXTURE_NAMES]
+    + [("two_tets", None)]
+    + [("delaunay", seed) for seed in range(6)]
+)
+
+
+@pytest.fixture(params=MESHES, ids=lambda m: f"{m[0]}-{m[1]}")
+def mesh(request, fixture_set):
+    kind, arg = request.param
+    if kind == "fixture":
+        gc = fixture_set[arg]
+    elif kind == "two_tets":
+        gc = two_tets()
+    else:
+        gc = random_delaunay_mesh(arg)
+    return gc, abstr(gc)
+
+
+def test_top_volumes_match_validation_loop(mesh):
+    gc, _ = mesh
+    assert_close(gc.top_volumes, old_validate(gc.vertices, gc.top_simplices))
+
+
+def test_volume_functions_match(mesh):
+    gc, ac = mesh
+    assert_close(
+        [signed_volume(gc, s) for s in gc.top_simplices],
+        [old_signed_volume(gc, s) for s in gc.top_simplices],
+    )
+    for p in range(ac.complex_dim + 1):
+        assert_close(
+            [unsigned_volume(gc, s) for s in ac.simplices[p]],
+            [old_unsigned_volume(gc, s) for s in ac.simplices[p]],
+        )
+
+
+def test_gradients_match(mesh):
+    gc, ac = mesh
+    assert_close(
+        [barycentric_gradients(gc, t) for t in range(gc.num_top)],
+        [old_affine_gradients(gc.vertices[s]) for s in gc.top_simplices],
+    )
+    geo = mesh_geometry(gc, ac)
+    grads, vols, origin = old_top_geometry(gc, ac)
+    assert_close(geo.grads, grads)
+    assert_close(geo.vols, vols)
+    assert_close(geo.origin, origin)
+
+
+def test_orientation_signs_match(mesh):
+    gc, ac = mesh
+    if gc.complex_dim == gc.embed_dim:
+        old = [1 if v > 0 else -1 for v in old_validate(gc.vertices, gc.top_simplices)]
+    else:
+        old = [old_sort_parity(s.tolist()) for s in gc.top_simplices]
+    assert ac.orientation_signs.tolist() == old
+
+
+def test_face_tables_and_wedges_match(mesh):
+    gc, ac = mesh
+    geo = mesh_geometry(gc, ac)
+    grads, _, _ = old_top_geometry(gc, ac)
+    for p in range(ac.complex_dim + 1):
+        globals_, wedges = old_wedge_tables(gc, ac, grads, p)
+        assert ac.top_faces(p).tolist() == globals_.tolist()
+        assert_close(geo.signed_wedge_tables(p), wedges)
+
+
+def test_whitney_basis_matches(mesh):
+    gc, ac = mesh
+    n = ac.complex_dim
+    rng = np.random.default_rng(3)
+    grads, _, _ = old_top_geometry(gc, ac)
+    for top_id in range(0, ac.num_simplices(n), 3):
+        top = ac.simplices[n][top_id]
+        lam = rng.exponential(size=n + 1)
+        lam /= lam.sum()
+        for p in range(n + 1):
+            for sigma in itertools.combinations(top, p + 1):
+                for ordered in (sigma, sigma[::-1]):
+                    assert_close(
+                        whitney_basis(gc, ac, ordered, top_id, lam),
+                        old_whitney_basis(grads, ac, ordered, top_id, lam, gc.embed_dim),
+                    )
+
+
+def test_galerkin_matches(mesh):
+    gc, ac = mesh
+    for p in range(ac.complex_dim + 1):
+        assert_close(galerkin_mass_matrix(gc, ac, p).matrix.toarray(), old_galerkin(gc, ac, p))
+
+
+def test_galerkin_with_material_matches(mesh):
+    gc, ac = mesh
+    d = gc.embed_dim
+    rng = np.random.default_rng(11)
+    factors = rng.standard_normal((ac.num_simplices(ac.complex_dim), d, d))
+    material = factors @ factors.transpose(0, 2, 1) + np.eye(d)
+    for p in range(ac.complex_dim + 1):
+        old = old_galerkin(gc, ac, p, material)
+        assert_close(galerkin_mass_matrix(gc, ac, p, material=material).matrix.toarray(), old)
+        callable_route = galerkin_mass_matrix(gc, ac, p, material=lambda t: material[t])
+        assert_close(callable_route.matrix.toarray(), old)
+
+
+def test_dual_volumes_and_diagonal_hodge_match(mesh):
+    gc, ac = mesh
+    dual = barycentric_dual_volumes(gc, ac)
+    for new, old in zip(dual.vol, old_dual_volumes(gc, ac)):
+        assert_close(new, old)
+    for p in range(ac.complex_dim + 1):
+        assert_close(diagonal_hodge(gc, ac, p).matrix.diagonal(), old_diagonal_hodge(gc, ac, p))
+
+
+def test_owners_and_coface_counts_match(mesh):
+    _, ac = mesh
+    for p in range(ac.complex_dim + 1):
+        assert ac.top_containing(p).tolist() == old_top_containing(ac, p).tolist()
+    assert ac.facet_coface_counts().tolist() == old_facet_coface_counts(ac).tolist()
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "tops",
+    [
+        # Two faults in two simplices: the lower simplex's fault is reported.
+        [[0, 1, 2], [0, 1, 4], [0, 2, 9]],  # degenerate volume before out of range
+        [[0, 1, 2], [0, 9, 3], [0, 2, 2]],  # out of range before repeated vertex
+        [[0, 1, 2], [2, 1, 0], [0, 1, 4]],  # duplicate before degenerate volume
+        [[0, 1, 4], [0, 1, 2], [1, 2, 0]],  # degenerate volume before duplicate
+        [[0, 2, 3], [0, 3, 3], [3, 0, 2]],  # repeated vertex before duplicate
+        # Within one simplex the checks keep their order.
+        [[0, 1, 2], [0, 0, 9]],  # out of range before repeated vertex
+        [[1, 2, 3], [0, 1, 2], [3, 2, 1], [2, 1, 3]],  # first duplicate named
+        [[0, 1, 2], [0, 2, 3]],  # valid
+    ],
+)
+def test_validation_reports_the_lowest_faulty_simplex(tops):
+    vertices = np.array(SQUARE)
+    expected = old_validate(vertices, np.array(tops))
+    if isinstance(expected, str):
+        with pytest.raises(MeshValidationError) as info:
+            GeometricComplex(vertices, tops)
+        assert str(info.value) == expected
+    else:
+        np.testing.assert_array_equal(GeometricComplex(vertices, tops).top_volumes, expected)
+
+
+def test_validation_names_non_finite_volume_before_later_faults():
+    vertices = np.array(
+        [[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308], [0.0, 1.0], [1.0, 1.0], [0.0, 2.0]]
+    )
+    tops = np.array([[3, 4, 5], [0, 1, 2], [3, 4, 4]])
+    with np.errstate(all="ignore"):
+        expected = old_validate(vertices, tops)
+        with pytest.raises(MeshValidationError) as info:
+            GeometricComplex(vertices, tops)
+    assert str(info.value) == expected == "non-finite volume of simplex 1"

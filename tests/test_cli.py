@@ -10,6 +10,8 @@ from decfem import abstr, cup_product, meshes
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 
 @pytest.fixture()
 def square_file(tmp_path):
@@ -153,8 +155,16 @@ def test_verify_passes_on_square(capsys, square_file):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.stem)
+def test_verify_passes_every_check_on_each_fixture(capsys, path):
+    code, out, _ = run(capsys, "verify", path, "--json")
+    assert code == 0
+    checks = json.loads(out)
+    assert checks and all(check["pass"] for check in checks)
+
+
 def test_verify_identity_check_bites_at_zero_tolerance(capsys):
-    torus = Path(__file__).resolve().parent.parent / "fixtures" / "torus.json"
+    torus = FIXTURES / "torus.json"
     code, out, _ = run(capsys, "verify", torus, "--tol", "0")
     assert code == 1
     [line] = [ln for ln in out.splitlines() if "interpolate-then-integrate" in ln]

@@ -140,6 +140,20 @@ class TestRejectedInput:
         with pytest.raises(MeshParseError, match="dimension must be an integer"):
             load_mesh(triangle_json(dimension=True))
 
+    def test_boolean_index_in_list(self):
+        with pytest.raises(MeshValidationError, match="boolean vertex index in simplex 1"):
+            GeometricComplex([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [1, True, 3]])
+        with pytest.raises(MeshValidationError, match="boolean vertex index in simplex 0"):
+            load_mesh(triangle_json(simplices=[[0, True, 2]]))
+
+    def test_boolean_coordinate_in_list(self):
+        with pytest.raises(MeshValidationError, match="boolean coordinate in vertex 2"):
+            GeometricComplex([[0, 0], [1, 0], [np.True_, 1]], [[0, 1, 2]])
+        with pytest.raises(MeshValidationError, match="boolean coordinate in vertex 1"):
+            load_mesh(triangle_json(vertices=[[0, 0], [1, False], [0, 1]]))
+        with pytest.raises(MeshValidationError, match="boolean coordinate in vertex 0"):
+            load_mesh(triangle_json(vertices=[[0.5, True], [1, 0], [0, 1]]))
+
     def test_index_beyond_int64(self):
         with pytest.raises(MeshValidationError, match="vertex indices must be integers"):
             load_mesh(triangle_json(simplices=[[0, 1, 10**30]]))
@@ -190,7 +204,10 @@ _edits = st.lists(
 @given(edits=_edits)
 @settings(max_examples=300, deadline=None)
 def test_load_mesh_fuzz_returns_valid_complex_or_mesh_error(edits):
-    """A valid square mesh with its dimension or random entries overwritten or appended."""
+    """A valid square mesh with its dimension or random entries overwritten or appended.
+
+    A boolean anywhere in the result must be rejected.
+    """
     obj = {
         "dimension": 2,
         "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -205,11 +222,15 @@ def test_load_mesh_fuzz_returns_valid_complex_or_mesh_error(edits):
             row[j] = value
         else:
             row.append(value)
+    has_boolean = isinstance(obj["dimension"], bool) or any(
+        isinstance(v, bool) for key in ("vertices", "simplices") for row in obj[key] for v in row
+    )
     try:
         with np.errstate(all="ignore"):
             gc = load_mesh(json.dumps(obj))
     except MeshError:
         return
+    assert not has_boolean
     assert isinstance(gc, GeometricComplex)
     assert np.isfinite(gc.vertices).all()
     assert gc.top_simplices.dtype == np.dtype(int)

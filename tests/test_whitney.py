@@ -17,6 +17,7 @@ from decfem import (
     complex_fingerprint,
     de_rham_map,
     de_rham_whitney_matrix,
+    matrices_for,
     meshes,
     standard_test_forms,
     whitney_basis,
@@ -60,6 +61,8 @@ class TestWhitneyBasis:
         # top simplex 0 is (0,1,2); vertex 3 is not in it
         with pytest.raises(ValueError, match="not a face"):
             whitney_basis(gc, ac, (0, 3), 0, [1 / 3, 1 / 3, 1 / 3])
+        with pytest.raises(ValueError, match="not a face"):
+            whitney_basis(gc, ac, (1, 1), 0, [1 / 3, 1 / 3, 1 / 3])
 
     def test_rejects_bad_barycentric_point(self):
         gc = meshes.reference_triangle()
@@ -161,6 +164,7 @@ class TestMeshGeometryLifetime:
         gc = meshes.split_square()
         ac = abstr(gc)
         mesh_geometry(gc, ac).signed_wedge_tables(1)
+        matrices_for(ac)
         ref = weakref.ref(ac)
         del ac
         garbage_collector.collect()
