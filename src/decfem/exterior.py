@@ -18,7 +18,6 @@ __all__ = [
     "index_combinations",
     "num_components",
     "wedge",
-    "eval_on_frame",
 ]
 
 
@@ -54,33 +53,22 @@ def _shuffle_table(d: int, p: int, q: int) -> tuple:
 def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int, d: int) -> np.ndarray:
     """Exterior product of component vectors; result has degree p + q.
 
-    Arguments of higher degree first are routed through the graded swap, so
-    a wedge and its graded-commuted twin are computed from identical
-    floating-point products.
+    Components run along the last axis and leading axes broadcast, with the
+    same products as one call per row.  Arguments of higher degree first are
+    routed through the graded swap, so a wedge and its graded-commuted twin
+    are computed from identical floating-point products.
     """
     if p + q > d:
         raise ValueError(f"wedge degree {p + q} exceeds dimension {d}")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if p == 0:
-        return a[0] * np.asarray(b, dtype=float)
+        return a[..., :1] * b
     if q == 0:
-        return b[0] * np.asarray(a, dtype=float)
+        return b[..., :1] * a
     if p > q:
         out = wedge(b, q, a, p, d)
         return out if (p * q) % 2 == 0 else -out
-    out = np.zeros(num_components(d, p + q))
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (num_components(d, p + q),))
     for out_idx, ia, ib, sign in _shuffle_table(d, p, q):
-        out[out_idx] += sign * (a[ia] * b[ib])
+        out[..., out_idx] += sign * (a[..., ia] * b[..., ib])
     return out
-
-
-def eval_on_frame(comps: np.ndarray, p: int, frame: np.ndarray) -> float:
-    """Value of a p-covector on p column vectors (a d x p frame)."""
-    if p == 0:
-        return float(comps[0])
-    d = frame.shape[0]
-    total = 0.0
-    for idx, combo in enumerate(index_combinations(d, p)):
-        c = comps[idx]
-        if c != 0.0:
-            total += c * float(np.linalg.det(frame[list(combo), :]))
-    return total

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chains import matrices_for
-from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
+from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, _simplex_array, abstr
 from .quadrature import simplex_rule
 from .whitney import analytic_form, de_rham_map, mesh_geometry
 from .hodge import build_hodges
@@ -236,24 +236,27 @@ def l2_and_energy_error(
     vertex_values: np.ndarray,
     solution: ManufacturedSolution,
 ) -> tuple:
-    """L2 and gradient-seminorm errors of a vertex field against a closed form."""
+    """L2 and gradient-seminorm errors of a vertex field (one value per
+    canonical vertex) against a closed form, summed over all tops at once."""
+    values = np.asarray(vertex_values, dtype=float)
+    if values.shape != (ac.num_simplices(0),):
+        raise ValueError(f"expected {ac.num_simplices(0)} vertex values, got shape {values.shape}")
     geo = mesh_geometry(gc, ac)
     rule = simplex_rule(ac.complex_dim, 5)
-    n = ac.complex_dim
-    top_values = np.asarray(vertex_values, dtype=float)[ac.top_faces(0)]  # (m, n+1)
+    top_values = values[ac.top_faces(0)]  # (m, n+1)
+    coords = gc.vertices[_simplex_array(ac.simplices[ac.complex_dim])]  # (m, n+1, d)
+    grad_h = np.einsum("mk,mkd->md", top_values, geo.grads)
     l2 = 0.0
     energy = 0.0
-    for t, top in enumerate(ac.simplices[n]):
-        coords = gc.vertices[list(top)]
-        local = top_values[t]
-        grad_h = local @ geo.grads[t]
-        for w, bary in zip(rule.weights, rule.points):
-            x = bary @ coords
-            diff = float(bary @ local) - solution.u(x)
-            l2 += geo.vols[t] * w * diff * diff
-            if solution.gradient is not None:
-                gdiff = grad_h - solution.gradient(x)
-                energy += geo.vols[t] * w * float(gdiff @ gdiff)
+    m, d = grad_h.shape
+    for w, bary in zip(rule.weights, rule.points):
+        points = np.einsum("k,mkd->md", bary, coords)
+        # fromiter keeps one callable result alive at a time, not m of them.
+        diff = top_values @ bary - np.fromiter(map(solution.u, points), float, m)
+        l2 += w * float(geo.vols @ (diff * diff))
+        if solution.gradient is not None:
+            gdiff = grad_h - np.fromiter(map(solution.gradient, points), (float, d), m)
+            energy += w * float(geo.vols @ np.einsum("md,md->m", gdiff, gdiff))
     return math.sqrt(max(l2, 0.0)), math.sqrt(max(energy, 0.0))
 
 

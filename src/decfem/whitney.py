@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chains import matrices_for
-from .exterior import eval_on_frame, index_combinations, wedge
+from .exterior import index_combinations, num_components, wedge
 from .mesh import (
     AbstractComplex,
     GeometricComplex,
@@ -86,12 +86,11 @@ class FormField:
 
     degree: int
     evaluate: object
-    kind: str = "analytic"
 
 
-def analytic_form(degree: int, component_fn, kind: str = "analytic") -> FormField:
+def analytic_form(degree: int, component_fn) -> FormField:
     """Wrap a coordinate function x -> component vector as a form field."""
-    return FormField(degree=degree, evaluate=lambda top_id, x: component_fn(x), kind=kind)
+    return FormField(degree=degree, evaluate=lambda top_id, x: component_fn(x))
 
 
 class _MeshGeometry:
@@ -192,7 +191,40 @@ def whitney_interpolate(gc: GeometricComplex, c: Cochain) -> FormField:
         basis = np.einsum("fk,fkc->fc", lam_local, wedges[top_id])
         return coeffs[face_ids[top_id]] @ basis
 
-    return FormField(degree=p, evaluate=evaluate, kind="whitney")
+    return FormField(degree=p, evaluate=evaluate)
+
+
+def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule: QuadratureRule):
+    """Quadrature data of every canonical p-simplex, in one batched pass.
+
+    Returns the owning top simplex of each p-simplex (``top_containing``),
+    the rule's points on it (m, nq, d), their barycentric coordinates in
+    the owner (m, nq, n+1) and the p x p minors of its edge frame divided
+    by p! (m, C(d, p)), so that a form with components c at the points
+    integrates to ``einsum("q,mqc,mc->m", rule.weights, c, minors)``.
+    """
+    geo = mesh_geometry(gc, ac)
+    owners = ac.top_containing(p)
+    coords = gc.vertices[_simplex_array(ac.simplices[p])]  # (m, p+1, d)
+    # One small matrix product per point, rounded as in the single-point
+    # ``_MeshGeometry.barycentric``: thin simplices amplify any difference.
+    points = (rule.points[:, None, :] @ coords[:, None])[:, :, 0]
+    offsets = points - geo.origin[owners][:, None, :]
+    lam = (geo.grads[owners][:, None] @ offsets[..., None])[..., 0]
+    lam[:, :, 0] += 1.0
+    # One minor per ambient index combination, taken from the (d, p) edge frame.
+    frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)
+    combos = np.array(index_combinations(gc.embed_dim, p), dtype=int)
+    minors = np.linalg.det(frame[:, combos, :]) / math.factorial(p)
+    return owners, points, lam, minors
+
+
+def _local_basis_values(gc: GeometricComplex, ac: AbstractComplex, p: int, owners, lam):
+    """Every local Whitney p-form of each owning top at its barycentric
+    points lam (m, nq, n+1), shape (m, nq, C(n+1, p+1), C(d, p))."""
+    wedges = mesh_geometry(gc, ac).signed_wedge_tables(p)[owners]
+    lam_local = lam[:, :, _local_faces(ac.complex_dim, p)]  # (m, nq, nloc, p+1)
+    return np.einsum("mqfk,mfkc->mqfc", lam_local, wedges)
 
 
 def de_rham_map(
@@ -207,30 +239,24 @@ def de_rham_map(
     Exact whenever the form restricted to each simplex is polynomial within
     the rule's exactness degree.
     """
+    if not 0 <= p <= ac.complex_dim:
+        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     if f.degree != p:
         raise ValueError(f"form degree {f.degree} does not match requested degree {p}")
     if rule is None:
         rule = simplex_rule(p, DEFAULT_EXACTNESS)
     if rule.dim != p:
         raise ValueError(f"rule dimension {rule.dim} does not match degree {p}")
-    geo = mesh_geometry(gc, ac)
-    owners = ac.top_containing(p)
-    values = np.empty(ac.num_simplices(p))
-    inv_factorial = 1.0 / math.factorial(p)
-    for idx, sigma in enumerate(ac.simplices[p]):
-        top_id = int(owners[idx])
-        coords = gc.vertices[list(sigma)]
-        if p == 0:
-            values[idx] = f.evaluate(top_id, coords[0])[0]
-            continue
-        frame = (coords[1:] - coords[0]).T  # d x p
-        acc = 0.0
-        for w, bary in zip(rule.weights, rule.points):
-            x = bary @ coords
-            comps = f.evaluate(top_id, x)
-            acc += w * eval_on_frame(comps, p, frame)
-        values[idx] = acc * inv_factorial
-    return Cochain(ac, p, values)
+    owners, points, _, minors = _simplex_quadrature(gc, ac, p, rule)
+    width = num_components(gc.embed_dim, p)
+    comps = np.empty(points.shape[:2] + (width,))
+    for i, top_id in enumerate(owners.tolist()):
+        for k, x in enumerate(points[i]):
+            value = f.evaluate(top_id, x)
+            if np.shape(value) != (width,):
+                raise ValueError(f"evaluate gave shape {np.shape(value)}, not {width} components")
+            comps[i, k] = value
+    return Cochain(ac, p, np.einsum("q,mqc,mc->m", rule.weights, comps, minors))
 
 
 def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
@@ -246,24 +272,11 @@ def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) ->
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     rule = simplex_rule(p, DEFAULT_EXACTNESS)
-    geo = mesh_geometry(gc, ac)
-    wedges = geo.signed_wedge_tables(p)
-    face_pos = _local_faces(ac.complex_dim, p)
-    owners = ac.top_containing(p)
-    coords = gc.vertices[_simplex_array(ac.simplices[p])]  # (m, p+1, d)
-    points = np.einsum("qk,mkd->mqd", rule.points, coords)
-    lam = (points - geo.origin[owners][:, None, :]) @ geo.grads[owners].transpose(0, 2, 1)
-    lam[:, :, 0] += 1.0  # barycentric coordinates in the owning top, (m, nq, n+1)
-    lam_local = lam[:, :, face_pos]  # (m, nq, nloc, p+1)
-    basis = np.einsum("mqfk,mfkc->mqfc", lam_local, wedges[owners])
-    frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)  # (m, d, p)
-    minors = np.stack(
-        [np.linalg.det(frame[:, list(combo), :]) for combo in index_combinations(gc.embed_dim, p)],
-        axis=1,
-    )
-    values = np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors) / math.factorial(p)
+    owners, _, lam, minors = _simplex_quadrature(gc, ac, p, rule)
+    basis = _local_basis_values(gc, ac, p, owners, lam)
+    values = np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors)
     m = len(owners)
-    rows = np.repeat(np.arange(m), len(face_pos))
+    rows = np.repeat(np.arange(m), values.shape[1])
     return sp.csr_matrix((values.ravel(), (rows, ac.top_faces(p)[owners].ravel())), shape=(m, m))
 
 
@@ -276,17 +289,13 @@ def coboundary_apply(c: Cochain) -> Cochain:
     return Cochain(ac, c.degree + 1, d_csr @ c.values)
 
 
-def cup_product(
-    gc: GeometricComplex,
-    a: Cochain,
-    b: Cochain,
-    rule: QuadratureRule | None = None,
-) -> Cochain:
+def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:
     """Combinatorial cup product: interpolate both factors, wedge pointwise,
     integrate over (p+q)-simplices.
 
-    Bilinear and graded-commutative at the arithmetic level of a shared
-    rule; associative only up to interpolation error.
+    Bilinear, graded-commutative to the last bit (both argument orders
+    reach the same wedge products) and associative only up to
+    interpolation error.
     """
     if a.complex is not b.complex:
         raise ValueError("cup product factors must live on the same complex")
@@ -294,17 +303,15 @@ def cup_product(
     p, q = a.degree, b.degree
     if p + q > ac.complex_dim:
         raise ValueError(f"cup degree {p + q} exceeds complex dimension")
-    wa = whitney_interpolate(gc, a)
-    wb = whitney_interpolate(gc, b)
-    d = gc.embed_dim
-
-    def evaluate(top_id: int, x) -> np.ndarray:
-        return wedge(wa.evaluate(top_id, x), p, wb.evaluate(top_id, x), q, d)
-
-    field = FormField(degree=p + q, evaluate=evaluate, kind="whitney")
-    if rule is None:
-        rule = simplex_rule(p + q, DEFAULT_EXACTNESS)
-    return de_rham_map(gc, ac, field, p + q, rule)
+    rule = simplex_rule(p + q, DEFAULT_EXACTNESS)
+    owners, _, lam, minors = _simplex_quadrature(gc, ac, p + q, rule)
+    wa, wb = (
+        np.einsum("mf,mqfc->mqc", c.values[ac.top_faces(c.degree)[owners]],
+                  _local_basis_values(gc, ac, c.degree, owners, lam))
+        for c in (a, b)
+    )
+    product = wedge(wa, p, wb, q, gc.embed_dim)
+    return Cochain(ac, p + q, np.einsum("q,mqc,mc->m", rule.weights, product, minors))
 
 
 def complex_fingerprint(ac: AbstractComplex) -> str:

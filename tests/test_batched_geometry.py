@@ -3,9 +3,12 @@
 Each oracle below is the loop the library ran before its geometry was
 computed for all simplices at once (``mesh._simplex_volumes`` and
 ``mesh._simplex_gradients``) and read through the per-degree face tables
-(``AbstractComplex.top_faces``).  Float results
-must agree to 1e-14 relative to the largest oracle entry; integer tables,
-owners, counts, signs and error messages must be identical.
+(``AbstractComplex.top_faces``), or before its integrals were batched over
+simplices and quadrature points (``de_rham_map``, ``cup_product``,
+``l2_and_energy_error`` and the batched ``wedge``).  Geometry results must
+agree to 1e-14 relative to the largest oracle entry, integrals to 1e-14
+times max(1, largest oracle entry); integer tables, owners, counts, signs
+and error messages must be identical.
 """
 
 import itertools
@@ -19,16 +22,22 @@ from decfem import (
     abstr,
     barycentric_dual_volumes,
     barycentric_gradients,
+    cup_product,
+    de_rham_map,
     diagonal_hodge,
     galerkin_mass_matrix,
+    l2_and_energy_error,
     signed_volume,
+    standard_test_forms,
     unsigned_volume,
     whitney_basis,
+    whitney_interpolate,
 )
-from decfem.exterior import index_combinations, num_components, wedge
+from decfem.exterior import _shuffle_table, index_combinations, num_components, wedge
 from decfem.mesh import GeometricComplex, MeshValidationError
+from decfem.poisson import ManufacturedSolution
 from decfem.quadrature import simplex_rule
-from decfem.whitney import mesh_geometry
+from decfem.whitney import Cochain, FormField, mesh_geometry
 
 from conftest import FIXTURE_NAMES, random_delaunay_mesh, two_tets
 
@@ -243,6 +252,82 @@ def old_facet_coface_counts(ac):
     return counts
 
 
+def old_wedge(a, p, b, q, d):
+    """One pair of component vectors at a time."""
+    if p == 0:
+        return a[0] * np.asarray(b, dtype=float)
+    if q == 0:
+        return b[0] * np.asarray(a, dtype=float)
+    if p > q:
+        out = old_wedge(b, q, a, p, d)
+        return out if (p * q) % 2 == 0 else -out
+    out = np.zeros(num_components(d, p + q))
+    for out_idx, ia, ib, sign in _shuffle_table(d, p, q):
+        out[out_idx] += sign * (a[ia] * b[ib])
+    return out
+
+
+def old_eval_on_frame(comps, p, frame):
+    """Value of a p-covector on the p columns of a d x p frame."""
+    if p == 0:
+        return float(comps[0])
+    total = 0.0
+    for idx, combo in enumerate(index_combinations(frame.shape[0], p)):
+        c = comps[idx]
+        if c != 0.0:
+            total += c * float(np.linalg.det(frame[list(combo), :]))
+    return total
+
+
+def old_de_rham_map(gc, ac, f, p, rule):
+    """One simplex and one quadrature point at a time."""
+    owners = ac.top_containing(p)
+    values = np.empty(ac.num_simplices(p))
+    for idx, sigma in enumerate(ac.simplices[p]):
+        top_id = int(owners[idx])
+        coords = gc.vertices[list(sigma)]
+        if p == 0:
+            values[idx] = f.evaluate(top_id, coords[0])[0]
+            continue
+        frame = (coords[1:] - coords[0]).T
+        acc = 0.0
+        for w, bary in zip(rule.weights, rule.points):
+            acc += w * old_eval_on_frame(f.evaluate(top_id, bary @ coords), p, frame)
+        values[idx] = acc / math.factorial(p)
+    return values
+
+
+def old_cup_product(gc, a, b):
+    """Both interpolants as per-point closures, wedged and integrated point by point."""
+    p, q, d = a.degree, b.degree, gc.embed_dim
+    wa = whitney_interpolate(gc, a)
+    wb = whitney_interpolate(gc, b)
+    field = FormField(
+        degree=p + q,
+        evaluate=lambda t, x: old_wedge(wa.evaluate(t, x), p, wb.evaluate(t, x), q, d),
+    )
+    return old_de_rham_map(gc, a.complex, field, p + q, simplex_rule(p + q, 2))
+
+
+def old_l2_and_energy_error(gc, ac, vertex_values, solution):
+    """One top simplex and one quadrature point at a time."""
+    geo = mesh_geometry(gc, ac)
+    rule = simplex_rule(ac.complex_dim, 5)
+    top_values = np.asarray(vertex_values, dtype=float)[ac.top_faces(0)]
+    l2 = energy = 0.0
+    for t, top in enumerate(ac.simplices[ac.complex_dim]):
+        coords = gc.vertices[list(top)]
+        local = top_values[t]
+        grad_h = local @ geo.grads[t]
+        for w, bary in zip(rule.weights, rule.points):
+            x = bary @ coords
+            diff = float(bary @ local) - solution.u(x)
+            l2 += geo.vols[t] * w * diff * diff
+            gdiff = grad_h - solution.gradient(x)
+            energy += geo.vols[t] * w * float(gdiff @ gdiff)
+    return math.sqrt(max(l2, 0.0)), math.sqrt(max(energy, 0.0))
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -250,6 +335,13 @@ def assert_close(new, old):
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
     assert new.shape == old.shape
     scale = np.abs(old).max() if old.size else 0.0
+    assert np.abs(new - old).max(initial=0.0) <= REL_TOL * scale
+
+
+def assert_integrals_close(new, old):
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    scale = max(1.0, np.abs(old).max(initial=0.0))
     assert np.abs(new - old).max(initial=0.0) <= REL_TOL * scale
 
 
@@ -373,6 +465,84 @@ def test_owners_and_coface_counts_match(mesh):
     for p in range(ac.complex_dim + 1):
         assert ac.top_containing(p).tolist() == old_top_containing(ac, p).tolist()
     assert ac.facet_coface_counts().tolist() == old_facet_coface_counts(ac).tolist()
+
+
+def polynomial_forms(d, n):
+    """A cubic p-form in R^d for every p <= n, with distinct components."""
+    forms = []
+    for p in range(n + 1):
+        width = num_components(d, p)
+        forms.append(
+            FormField(
+                degree=p,
+                evaluate=lambda t, x, width=width: np.array(
+                    [(1.0 + x[i % len(x)]) ** 2 * (x[0] - 0.5 * i) for i in range(width)]
+                ),
+            )
+        )
+    return forms
+
+
+def test_de_rham_map_matches(mesh):
+    gc, ac = mesh
+    n, d = ac.complex_dim, gc.embed_dim
+    rng = np.random.default_rng(17)
+    forms = polynomial_forms(d, n)
+    if d in (2, 3):
+        forms += [f for _name, form, dform in standard_test_forms(d) for f in (form, dform)]
+    for p in range(n + 1):
+        c = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
+        forms.append(whitney_interpolate(gc, c))
+    for form in forms:
+        p = form.degree
+        if p > n:
+            continue
+        rule = simplex_rule(p, 5)
+        assert_integrals_close(
+            de_rham_map(gc, ac, form, p, rule).values, old_de_rham_map(gc, ac, form, p, rule)
+        )
+
+
+def test_cup_product_matches(mesh):
+    gc, ac = mesh
+    n = ac.complex_dim
+    rng = np.random.default_rng(19)
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            a = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
+            b = Cochain(ac, q, rng.standard_normal(ac.num_simplices(q)))
+            assert_integrals_close(cup_product(gc, a, b).values, old_cup_product(gc, a, b))
+
+
+def test_l2_and_energy_error_matches(mesh):
+    gc, ac = mesh
+    solution = ManufacturedSolution(
+        u=lambda x: float(np.sum(x)) ** 3,
+        source=lambda x: 0.0,
+        gradient=lambda x: 3.0 * float(np.sum(x)) ** 2 * np.ones(len(x)),
+    )
+    values = np.random.default_rng(23).standard_normal(ac.num_simplices(0))
+    assert_integrals_close(
+        l2_and_energy_error(gc, ac, values, solution),
+        old_l2_and_energy_error(gc, ac, values, solution),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_wedge_equals_row_by_row_bitwise(d):
+    rng = np.random.default_rng(29)
+    for p in range(d + 1):
+        for q in range(d + 1 - p):
+            a = rng.standard_normal((5, 3, num_components(d, p)))
+            b = rng.standard_normal((5, 3, num_components(d, q)))
+            rows = np.array(
+                [[old_wedge(a[i, k], p, b[i, k], q, d) for k in range(3)] for i in range(5)]
+            )
+            np.testing.assert_array_equal(wedge(a, p, b, q, d), rows)
+            np.testing.assert_array_equal(wedge(a[2, 1], p, b[2, 1], q, d), rows[2, 1])
+            # Leading axes broadcast: (5, 1) against (3,) gives (5, 3).
+            pairs = [[old_wedge(a[i, 0], p, b[0, k], q, d) for k in range(3)] for i in range(5)]
+            np.testing.assert_array_equal(wedge(a[:, :1], p, b[0], q, d), np.array(pairs))
 
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.0]]

@@ -6,6 +6,8 @@ import pytest
 from decfem import abstr, coboundary_apply, cup_product, meshes
 from decfem.whitney import Cochain
 
+from conftest import FIXTURE_NAMES, two_tets
+
 
 @pytest.fixture(scope="module")
 def square():
@@ -47,6 +49,23 @@ def test_mixed_degree_commutes_exactly(square):
     np.testing.assert_array_equal(
         cup_product(gc, a, b).values, cup_product(gc, b, a).values
     )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["two_tets"])
+def test_graded_commutativity_is_exact_on_every_mesh(fixture_set, name):
+    gc = two_tets() if name == "two_tets" else fixture_set[name]
+    ac = abstr(gc)
+    n = ac.complex_dim
+    rng = np.random.default_rng(7)
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            a = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
+            b = Cochain(ac, q, rng.standard_normal(ac.num_simplices(q)))
+            np.testing.assert_array_equal(
+                cup_product(gc, a, b).values,
+                (-1) ** (p * q) * cup_product(gc, b, a).values,
+                err_msg=f"degrees ({p}, {q})",
+            )
 
 
 def test_bilinearity(square):

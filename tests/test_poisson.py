@@ -258,3 +258,12 @@ def test_l2_error_of_exact_interpolant_is_small():
     l2, energy = l2_and_energy_error(gc, ac, vertex_values, solution)
     assert l2 <= 1e-13
     assert energy <= 1e-13
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_l2_error_rejects_vertex_values_of_wrong_length(count):
+    # split_square has 4 vertices.
+    gc = meshes.split_square()
+    ac = abstr(gc)
+    with pytest.raises(ValueError, match="expected 4 vertex values"):
+        l2_and_energy_error(gc, ac, np.zeros(count), affine_solution())

@@ -23,7 +23,7 @@ from decfem import (
     whitney_basis,
     whitney_interpolate,
 )
-from decfem.exterior import eval_on_frame, wedge
+from decfem.exterior import index_combinations, wedge
 from decfem.mesh import GeometricComplex
 from decfem.quadrature import simplex_rule
 from decfem.whitney import Cochain, mesh_geometry
@@ -227,6 +227,9 @@ class TestTangentialContinuity:
             [gc.vertices[shared[1]] - gc.vertices[shared[0]],
              gc.vertices[shared[2]] - gc.vertices[shared[0]]]
         )
+        # A 2-covector's value on the frame pairs its components with the
+        # frame's 2 x 2 minors, one per ambient index pair.
+        minors = np.array([np.linalg.det(frame[list(c), :]) for c in index_combinations(3, 2)])
         for p in (1, 2):
             c = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
             field = whitney_interpolate(gc, c)
@@ -239,7 +242,7 @@ class TestTangentialContinuity:
                     if p == 1:
                         vals.append([float(comps @ frame[:, 0]), float(comps @ frame[:, 1])])
                     else:
-                        vals.append([eval_on_frame(comps, 2, frame)])
+                        vals.append([float(comps @ minors)])
                 np.testing.assert_allclose(vals[0], vals[1], atol=1e-12)
 
 
@@ -267,6 +270,22 @@ class TestDeRhamMap:
             de_rham_map(gc, ac, f, 2)
         with pytest.raises(ValueError):
             de_rham_map(gc, ac, f, 1, rule=simplex_rule(2, 2))
+
+    @pytest.mark.parametrize("p", [-1, 3])
+    def test_degree_outside_complex_rejected(self, p):
+        gc = meshes.reference_triangle()
+        ac = abstr(gc)
+        f = analytic_form(p, lambda x: np.array([1.0]))
+        with pytest.raises(ValueError, match="outside 0..2"):
+            de_rham_map(gc, ac, f, p)
+
+    @pytest.mark.parametrize("comps", [[1.0], [1.0, 2.0, 3.0], 1.0])
+    def test_wrong_component_count_rejected(self, comps):
+        gc = meshes.reference_triangle()
+        ac = abstr(gc)
+        f = analytic_form(1, lambda x: comps)
+        with pytest.raises(ValueError, match="not 2 components"):
+            de_rham_map(gc, ac, f, 1)
 
 
 class TestCoboundary:
