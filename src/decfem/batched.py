@@ -1,0 +1,158 @@
+"""Batched array kernels on stacks of simplices.
+
+Every function here works on all simplices of a level at once, as numpy
+arrays: local face tables and permutation parities, volumes and barycentric
+gradients of (m, k+1, d) coordinate stacks, and lexicographic sorting and
+lookup of simplex rows (stable sorts only, no row packed into one key).  ``mesh``, ``whitney`` and ``hodge`` build on them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+
+def _local_faces(n: int, p: int) -> np.ndarray:
+    """Local vertex positions of the p-faces of an n-simplex, in combinations order."""
+    return np.array(list(itertools.combinations(range(n + 1), p + 1)), dtype=int)
+
+
+def _permutation_sign(rows):
+    """Parity (+-1) of the permutation sorting each row of distinct values.
+
+    Takes one sequence or an (m, k) array of rows; the sign is (-1) to the
+    number of inversions.
+    """
+    rows = np.asarray(rows)
+    k = rows.shape[-1]
+    inversions = sum(rows[..., i] > rows[..., j] for i, j in itertools.combinations(range(k), 2))
+    return 1 - 2 * (inversions % 2)
+
+
+def _simplex_volumes(coords: np.ndarray) -> np.ndarray:
+    """Unsigned volumes of m k-simplices, ``coords`` of shape (m, k+1, d).
+
+    The volume is the Gram volume sqrt(det(E E^T))/k! of the edge rows
+    E = [v1-v0, ..., vk-v0] (1 for a vertex).
+    """
+    edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
+    vols = np.sqrt(np.maximum(np.linalg.det(edges @ edges.transpose(0, 2, 1)), 0.0))
+    vols /= math.factorial(edges.shape[1])
+    return vols
+
+
+def _signed_volumes(coords: np.ndarray):
+    """Signed volumes and longest-edge lengths of m k-simplices.
+
+    The signed volume is det(E)/k! when k = d and the unsigned volume of
+    ``_simplex_volumes`` otherwise; for k = d the two differ only by
+    rounding.
+    """
+    edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
+    k, d = edges.shape[1:]
+    signed = np.linalg.det(edges) / math.factorial(k) if k == d else _simplex_volumes(coords)
+    return signed, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0)
+
+
+def _simplex_gradients(coords: np.ndarray) -> np.ndarray:
+    """Barycentric gradients of m non-degenerate k-simplices, shape (m, k+1, d).
+
+    Row i of a simplex is grad(lambda_i) for its i-th vertex, tangential to
+    the simplex plane when k < d.
+    """
+    edges = coords[:, 1:] - coords[:, :1]
+    rest = np.linalg.solve(edges @ edges.transpose(0, 2, 1), edges)
+    return np.concatenate([-rest.sum(axis=1, keepdims=True), rest], axis=1)
+
+
+def _coface_omissions(n: int, p: int):
+    """For each local p-face g of an n-simplex (``_local_faces(n, p)`` order):
+    the column in ``_local_faces(n, p+1)`` of the (p+1)-face g + {v}, v the
+    lowest local position outside g, and the position of v within it."""
+    upper = _local_faces(n, p + 1).tolist()
+    cofaces, omitted = [], []
+    for g in _local_faces(n, p).tolist():
+        v = min(set(range(n + 1)) - set(g))
+        f = sorted(g + [v])
+        cofaces.append(upper.index(f))
+        omitted.append(f.index(v))
+    return np.array(cofaces), np.array(omitted)
+
+
+def _level_array(level, p: int):
+    """One simplex level as a fresh (m, p+1) int64 array, or None when its
+    rows are not integer vectors of that width."""
+    try:
+        arr = np.asarray(level)
+    except (TypeError, ValueError, OverflowError):  # ragged rows
+        return None
+    if arr.ndim > 0 and len(arr) == 0:
+        return np.empty((0, p + 1), dtype=np.int64)
+    if arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != p + 1:
+        return None
+    return arr.astype(np.int64)
+
+
+def _rows_strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether every row is lexicographically greater than the one before it."""
+    greater = np.zeros(max(len(rows) - 1, 0), dtype=bool)
+    tied = ~greater
+    for column in rows.T:
+        greater |= tied & (column[1:] > column[:-1])
+        tied &= column[1:] == column[:-1]
+    return bool(greater.all())
+
+
+def _lex_unique(rows: np.ndarray):
+    """The distinct rows in lexicographic order, and each row's rank among them."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[:1] = True
+    for column in ranked.T:
+        starts[1:] |= column[1:] != column[:-1]
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(starts) - 1
+    return ranked[starts], ranks
+
+
+def _face_keys(prefix_ids, last_ranks, lower: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """int64 keys of p-faces, given the ids of their prefix (p-1)-faces in
+    ``lower`` and the ranks of their last vertices in ``vertices``.
+
+    A key is prefix id * m0 + last rank with m0 = len(vertices): keys sort
+    like the faces (lexicographically) and stay below len(lower) * m0,
+    which is checked here, so they never overflow.
+    """
+    if len(lower) * len(vertices) >= 2**63:
+        raise ValueError("too many simplices for int64 face keys")
+    return prefix_ids * len(vertices) + last_ranks
+
+
+def _sorted_ids(keys: np.ndarray, queries) -> np.ndarray:
+    """Index of each query in the sorted, distinct 1-d ``keys``, or -1 where absent."""
+    queries = np.asarray(queries)
+    # One stable sort of keys and queries together, the queries column by
+    # column: sorted levels then form long presorted runs.
+    ranks = _lex_unique(np.concatenate([keys, queries.T.ravel()])[:, None])[1]
+    position = np.full(len(ranks), -1, dtype=np.int64)
+    position[ranks[: len(keys)]] = np.arange(len(keys))
+    return position[ranks[len(keys):]].reshape(queries.T.shape).T
+
+
+def _chain_ids(keys: list, ranks: np.ndarray) -> np.ndarray:
+    """Index of each row of vertex ranks in its level, or -1 where absent.
+
+    ``keys[p]`` lists the p-simplices of a complex as sorted, distinct int64
+    keys: the vertex ids for p = 0, else the ``_face_keys`` of the face
+    omitting the last vertex and of that vertex.  ``ranks`` rows are ascending
+    vertex ranks, -1 for a non-vertex.
+    """
+    ids = ranks[:, 0]
+    for c in range(1, ranks.shape[1]):
+        known = (ids >= 0) & (ranks[:, c] >= 0)
+        queries = np.where(known, _face_keys(ids, ranks[:, c], keys[c - 1], keys[0]), -1)
+        ids = _sorted_ids(keys[c], queries)
+    return ids

@@ -2,9 +2,12 @@
 
 Boundary columns follow the canonical ascending-vertex convention: the
 column of a p-simplex (i0 < ... < ip) carries (-1)^k in the row of the face
-omitting i_k.  Coboundaries are boundary transposes.  The complex property
-(boundary of boundary vanishes) is machine-checked in integer arithmetic
-whenever a full operator family is built.
+omitting i_k.  Coboundaries are boundary transposes.  Operators are built
+as int64 CSR matrices; ``IntSparseMatrix`` (arbitrary-precision entries)
+serves Smith normal forms, their transforms and the exact chain-map
+checks.  The complex property (boundary of boundary vanishes) is
+machine-checked in integer arithmetic whenever a full operator family is
+built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import AbstractComplex, _permutation_sign
+from .batched import _permutation_sign
+from .mesh import AbstractComplex
 
 __all__ = [
     "IntSparseMatrix",
@@ -169,17 +173,31 @@ class IntSparseMatrix:
         return f"IntSparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _exact(mat: sp.csr_matrix) -> IntSparseMatrix:
+    """An integer CSR matrix without explicit zeros as an IntSparseMatrix."""
+    indptr = mat.indptr.tolist()
+    rows = [r for r in range(mat.shape[0]) for _ in range(indptr[r], indptr[r + 1])]
+    out = IntSparseMatrix(*mat.shape)
+    out.entries = dict(zip(zip(rows, mat.indices.tolist()), mat.data.tolist()))
+    return out
+
+
+def _boundary_csr(ac: AbstractComplex, p: int) -> sp.csr_matrix:
+    """The degree-p boundary as an int64 CSR matrix, read off ``ac.boundary_faces(p)``."""
+    faces = ac.boundary_faces(p).ravel()  # entry j * (p+1) + k: face of simplex j omitting vertex k
+    rows = ac.num_simplices(p - 1)
+    order = np.argsort(faces, kind="stable")  # row by row, columns ascending
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(faces, minlength=rows), out=indptr[1:])
+    signs = 1 - 2 * (order % (p + 1) % 2)  # (-1)^k
+    return sp.csr_matrix((signs, order // (p + 1), indptr), shape=(rows, ac.num_simplices(p)))
+
+
 def boundary_matrix(ac: AbstractComplex, p: int) -> IntSparseMatrix:
     """Boundary operator from p-chains to (p-1)-chains, exact integers."""
     if not 1 <= p <= ac.complex_dim:
         raise ValueError(f"boundary degree {p} outside 1..{ac.complex_dim}")
-    ent = {}
-    lower = ac.index_of[p - 1]
-    for j, s in enumerate(ac.simplices[p]):
-        for k in range(p + 1):
-            face = s[:k] + s[k + 1:]
-            ent[(lower[face], j)] = (-1) ** k
-    return IntSparseMatrix(ac.num_simplices(p - 1), ac.num_simplices(p), ent)
+    return _exact(_boundary_csr(ac, p))
 
 
 def coboundary_matrix(ac: AbstractComplex, p: int) -> IntSparseMatrix:
@@ -189,43 +207,54 @@ def coboundary_matrix(ac: AbstractComplex, p: int) -> IntSparseMatrix:
     return boundary_matrix(ac, p + 1).transpose()
 
 
-@dataclass
+@dataclass(eq=False)
 class ComplexMatrices:
-    """All boundary/coboundary operators of one complex, with dd = 0 verified.
+    """All boundary operators of one complex, with dd = 0 verified.
 
-    ``_snf_cache`` holds rank-only Smith normal forms keyed like
-    ``_csr_cache`` ("b" or "d", degree); ``homology`` fills it.
+    ``boundary_csr(p)`` is the degree-p boundary as an int64 CSR matrix,
+    the primary form; ``coboundary_csr(p)`` is the transpose of
+    ``boundary_csr(p + 1)``.  Integer data mixes with float vectors and
+    matrices exactly, since every entry is +-1.  ``boundary`` and
+    ``coboundary`` hold the same operators as IntSparseMatrix objects keyed
+    by degree, for Smith normal forms and exact checks; they are built
+    from the CSR matrices on first access.  ``_snf_cache`` holds rank-only
+    Smith normal forms keyed by ("b" or "d", degree); ``homology`` fills it.
     """
 
     complex_dim: int
     counts: list
-    boundary: dict
-    coboundary: dict
-    _csr_cache: dict = field(default_factory=dict, repr=False)
+    _boundary: dict = field(repr=False)
+    _exact_views: dict = field(default_factory=dict, repr=False)
     _snf_cache: dict = field(default_factory=dict, repr=False)
 
     def boundary_csr(self, p: int) -> sp.csr_matrix:
-        key = ("b", p)
-        if key not in self._csr_cache:
-            self._csr_cache[key] = self.boundary[p].to_csr()
-        return self._csr_cache[key]
+        return self._boundary[p]
 
     def coboundary_csr(self, p: int) -> sp.csr_matrix:
-        key = ("d", p)
-        if key not in self._csr_cache:
-            self._csr_cache[key] = self.coboundary[p].to_csr()
-        return self._csr_cache[key]
+        return self._boundary[p + 1].T.tocsr()
+
+    @property
+    def boundary(self) -> dict:
+        if "b" not in self._exact_views:
+            self._exact_views["b"] = {p: _exact(b) for p, b in self._boundary.items()}
+        return self._exact_views["b"]
+
+    @property
+    def coboundary(self) -> dict:
+        if "d" not in self._exact_views:
+            self._exact_views["d"] = {p - 1: b.transpose() for p, b in self.boundary.items()}
+        return self._exact_views["d"]
 
 
 def complex_matrices(ac: AbstractComplex) -> ComplexMatrices:
-    """Build every boundary and coboundary matrix and verify dd = 0 exactly."""
+    """Build every boundary matrix and verify dd = 0 exactly."""
     n = ac.complex_dim
-    boundary = {p: boundary_matrix(ac, p) for p in range(1, n + 1)}
-    coboundary = {p: boundary[p + 1].transpose() for p in range(0, n)}
+    boundary = {p: _boundary_csr(ac, p) for p in range(1, n + 1)}
     for p in range(1, n):
-        if not (boundary[p] @ boundary[p + 1]).is_zero():
+        # Exact in int64: each entry sums at most p + 2 products of +-1.
+        if (boundary[p] @ boundary[p + 1]).data.any():
             raise AssertionError(f"boundary composition nonzero at degree {p}")
-    return ComplexMatrices(n, ac.face_counts(), boundary, coboundary)
+    return ComplexMatrices(n, ac.face_counts(), boundary)
 
 
 def matrices_for(ac: AbstractComplex) -> ComplexMatrices:

@@ -213,6 +213,10 @@ def _cmd_solve(args) -> int:
     if args.manufactured == "sinsin":
         if gc.embed_dim != 2:
             raise MeshError("manufactured sinsin problem needs a planar mesh")
+        if gc.complex_dim != 2:
+            raise MeshError(
+                f"manufactured sinsin problem needs a 2-d complex, not complex dimension {gc.complex_dim}"
+            )
         solution = sin_sin_solution()
     elif args.manufactured == "affine":
         solution = affine_solution(1.0, 0.0, 0.0)

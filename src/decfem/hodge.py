@@ -15,13 +15,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .batched import _local_faces
 from .chains import matrices_for
 from .exterior import index_combinations
 from .mesh import (
     AbstractComplex,
     DualVolumes,
     GeometricComplex,
-    _local_faces,
     _unsigned_volumes,
     barycentric_dual_volumes,
 )
@@ -134,7 +134,7 @@ def _diagonal_hodge(
     gc: GeometricComplex, ac: AbstractComplex, p: int, dv: DualVolumes
 ) -> DiscreteHodge:
     # A vertex has unit primal measure and a top simplex unit dual measure.
-    primal = _unsigned_volumes(gc, ac.simplices[p])
+    primal = _unsigned_volumes(gc, ac.simplex_arrays[p])
     dual = 1.0 if p == ac.complex_dim else dv.vol[p]
     mat = sp.diags(dual / primal).tocsr()
     return DiscreteHodge(kind="diagonal", degree=p, matrix=mat)
@@ -142,11 +142,16 @@ def _diagonal_hodge(
 
 def build_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerkin") -> dict:
     """One DiscreteHodge per degree 0..n."""
+    return _hodges(gc, ac, kind, range(ac.complex_dim + 1))
+
+
+def _hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, degrees) -> dict:
+    """One DiscreteHodge of the given kind per listed degree."""
     if kind == "galerkin":
-        return {p: galerkin_mass_matrix(gc, ac, p) for p in range(ac.complex_dim + 1)}
+        return {p: galerkin_mass_matrix(gc, ac, p) for p in degrees}
     if kind == "diagonal":
         dv = barycentric_dual_volumes(gc, ac)
-        return {p: _diagonal_hodge(gc, ac, p, dv) for p in range(ac.complex_dim + 1)}
+        return {p: _diagonal_hodge(gc, ac, p, dv) for p in degrees}
     raise ValueError(f"unknown hodge kind {kind!r}")
 
 

@@ -22,6 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batched import (
+    _chain_ids,
+    _coface_omissions,
+    _face_keys,
+    _level_array,
+    _lex_unique,
+    _local_faces,
+    _permutation_sign,
+    _rows_strictly_increasing,
+    _signed_volumes,
+    _simplex_gradients,
+    _simplex_volumes,
+    _sorted_ids,
+)
+
 __all__ = [
     "MeshError",
     "MeshParseError",
@@ -113,9 +128,9 @@ class GeometricComplex:
         in_range = (tops.min(axis=1) >= 0) & (tops.max(axis=1) < self.num_vertices)
         ordered = np.sort(tops, axis=1)
         repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        ranks = _lex_ranks(ordered)
+        ranks = _lex_unique(ordered)[1]
         first = np.unique(ranks, return_index=True)[1][ranks]  # lowest simplex with this vertex set
-        vols, _, scales = _simplex_volumes(self.vertices[np.where(in_range[:, None], tops, 0)])
+        vols, scales = _signed_volumes(self.vertices[np.where(in_range[:, None], tops, 0)])
         finite = np.isfinite(vols)
         flat = np.abs(vols) * math.factorial(n) <= _DEGENERATE_RTOL * scales**n
         faulty = ~in_range | repeated | (first < np.arange(len(tops))) | ~finite | flat
@@ -182,10 +197,16 @@ def _vertex_indices(tops: np.ndarray) -> np.ndarray:
 class AbstractComplex:
     """Purely combinatorial face data of a simplicial complex.
 
-    ``simplices[p]`` lists the p-simplices as strictly ascending vertex
-    tuples, sorted lexicographically; ``index_of[p]`` inverts that list.
-    ``orientation_signs`` holds one +-1 per top simplex, in the order the
-    top simplices were given geometrically.  Derived data is cached on the
+    ``simplex_arrays[p]`` holds the p-simplices as the rows of a read-only
+    (m_p, p+1) int64 array: each row strictly ascending, the rows sorted
+    lexicographically and distinct.  ``boundary_faces(p)`` gives the
+    incidence of degree p, the id of each p-simplex's face omitting each of
+    its vertices.  ``orientation_signs`` holds one +-1 per top simplex, in
+    the order the top simplices were given geometrically.
+
+    ``simplices[p]`` (a list of vertex tuples) and ``index_of[p]`` (a dict
+    inverting it) are compatibility views, built on first access; the
+    library itself reads the arrays.  Derived data is cached on the
     instance: the face tables of ``top_faces``, the geometry of one
     embedding (``whitney.mesh_geometry``) and the boundary matrices
     (``chains.matrices_for``).
@@ -195,38 +216,81 @@ class AbstractComplex:
         if len(simplices) != complex_dim + 1:
             raise MeshValidationError("need one simplex list per dimension 0..n")
         self.complex_dim = int(complex_dim)
-        self.simplices = [list(map(tuple, level)) for level in simplices]
-        for p, level in enumerate(self.simplices):
-            if any(len(s) != p + 1 or list(s) != sorted(set(s)) for s in level):
+        levels = []
+        for p, level in enumerate(simplices):
+            arr = _level_array(level, p)
+            if arr is None or (arr[:, 1:] <= arr[:, :-1]).any():
                 raise MeshValidationError(f"{p}-simplices must be strictly ascending tuples")
-            if level != sorted(level) or len(set(level)) != len(level):
+            if not _rows_strictly_increasing(arr):
                 raise MeshValidationError(f"{p}-simplex list must be sorted and duplicate-free")
+            arr.setflags(write=False)
+            levels.append(arr)
+        vertices = levels[0][:, 0]
+        self._keys = [vertices]  # face keys by level, see ``_chain_ids``
+        self._boundary_faces = {}
         for p in range(1, self.complex_dim + 1):
-            lower = set(self.simplices[p - 1])
-            for s in self.simplices[p]:
-                for k in range(p + 1):
-                    if s[:k] + s[k + 1:] not in lower:
-                        raise MeshValidationError(f"complex not closed under faces at {s}")
+            ranks = _sorted_ids(vertices, levels[p])
+            # faces[k] omits vertex k; looked up one face kind at a time, the
+            # faces of a sorted level come in long presorted runs.
+            faces = ranks[:, _local_faces(p, p - 1)[::-1]].transpose(1, 0, 2)  # (p+1, m_p, p)
+            ids = _chain_ids(self._keys, faces.reshape(-1, p)).reshape(p + 1, -1).T.copy()
+            open_rows = (ids < 0).any(axis=1)
+            if open_rows.any():
+                s = tuple(levels[p][int(np.argmax(open_rows))].tolist())
+                raise MeshValidationError(f"complex not closed under faces at {s}")
+            ids.setflags(write=False)
+            self._boundary_faces[p] = ids
+            self._keys.append(_face_keys(ids[:, p], ranks[:, p], levels[p - 1], vertices))
         signs = np.array(orientation_signs, dtype=int)
-        if signs.shape != (len(self.simplices[-1]),) or not np.all(np.abs(signs) == 1):
+        if signs.shape != (len(levels[-1]),) or not np.all(np.abs(signs) == 1):
             raise MeshValidationError("orientation signs must be one +-1 per top simplex")
         signs.setflags(write=False)
         self.orientation_signs = signs
-        self.index_of = [
-            {s: i for i, s in enumerate(level)} for level in self.simplices
-        ]
+        self.simplex_arrays = tuple(levels)
+        self._simplices = None  # compatibility views, see ``simplices``
+        self._index_of = None
         self._top_faces: dict = {}
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
         self._matrices = None  # boundary operators, see chains.matrices_for
 
+    @property
+    def simplices(self) -> list:
+        """``simplices[p]``: the p-simplices as a list of ascending vertex tuples."""
+        if self._simplices is None:
+            self._simplices = [list(map(tuple, level.tolist())) for level in self.simplex_arrays]
+        return self._simplices
+
+    @property
+    def index_of(self) -> list:
+        """``index_of[p]``: a dict from vertex tuple to index in ``simplices[p]``."""
+        if self._index_of is None:
+            self._index_of = [{s: i for i, s in enumerate(level)} for level in self.simplices]
+        return self._index_of
+
     def num_simplices(self, p: int) -> int:
-        return len(self.simplices[p])
+        return len(self.simplex_arrays[p])
 
     def face_counts(self):
-        return [len(level) for level in self.simplices]
+        return [len(level) for level in self.simplex_arrays]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
+        return sum((-1) ** p * len(level) for p, level in enumerate(self.simplex_arrays))
+
+    def simplex_ids(self, rows) -> np.ndarray:
+        """Index in ``simplex_arrays[p]`` of each row of p+1 ascending vertex
+        ids, or -1 where the complex has no such simplex."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or not 1 <= rows.shape[1] <= self.complex_dim + 1:
+            raise ValueError(f"expected rows of 1..{self.complex_dim + 1} vertex ids, got shape {rows.shape}")
+        return _chain_ids(self._keys, _sorted_ids(self._keys[0], rows))
+
+    def boundary_faces(self, p: int) -> np.ndarray:
+        """Global (p-1)-face ids of every p-simplex, shape (m_p, p+1), for 1 <= p <= n.
+
+        Column k holds the face omitting the simplex's k-th vertex, so the
+        boundary of p-simplex j is the sum over k of (-1)^k times face [j, k].
+        """
+        return self._boundary_faces[p]
 
     def top_faces(self, p: int) -> np.ndarray:
         """Global p-face ids of every top simplex, shape (num_top, C(n+1, p+1)).
@@ -236,13 +300,13 @@ class AbstractComplex:
         """
         if p not in self._top_faces:
             n = self.complex_dim
-            tops = _simplex_array(self.simplices[n])
-            faces = tops[:, _local_faces(n, p)].reshape(-1, p + 1)
-            level = _simplex_array(self.simplices[p])
-            # ``level`` is sorted, duplicate-free and holds every face, so a
-            # face's rank among the distinct rows is its index in ``level``.
-            ids = _lex_ranks(np.concatenate([level, faces]))[len(level):]
-            table = ids.reshape(len(tops), -1)
+            if p == n:
+                table = np.arange(self.num_simplices(n))[:, None]
+            else:
+                # Each local p-face is read off the boundary of one local
+                # (p+1)-face containing it.
+                cofaces, omitted = _coface_omissions(n, p)
+                table = self._boundary_faces[p + 1][self.top_faces(p + 1)[:, cofaces], omitted]
             table.setflags(write=False)
             self._top_faces[p] = table
         return self._top_faces[p]
@@ -280,68 +344,14 @@ class DualVolumes:
     vol: tuple
 
 
-def _simplex_volumes(coords: np.ndarray):
-    """Signed volumes, unsigned volumes and longest-edge lengths of m k-simplices.
-
-    ``coords`` has shape (m, k+1, d).  The unsigned volume is the Gram
-    volume sqrt(det(E E^T))/k! of the edge rows E = [v1-v0, ..., vk-v0] (1
-    for a vertex).  The signed volume is det(E)/k! when k = d and the Gram
-    volume otherwise; for k = d the two differ only by rounding.
-    """
-    edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
-    k, d = edges.shape[1:]
-    vols = np.sqrt(np.maximum(np.linalg.det(edges @ edges.transpose(0, 2, 1)), 0.0))
-    vols /= math.factorial(k)
-    signed = np.linalg.det(edges) / math.factorial(k) if k == d else vols
-    return signed, vols, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0)
-
-
-def _simplex_gradients(coords: np.ndarray) -> np.ndarray:
-    """Barycentric gradients of m non-degenerate k-simplices, shape (m, k+1, d).
-
-    Row i of a simplex is grad(lambda_i) for its i-th vertex, tangential to
-    the simplex plane when k < d.
-    """
-    edges = coords[:, 1:] - coords[:, :1]
-    rest = np.linalg.solve(edges @ edges.transpose(0, 2, 1), edges)
-    return np.concatenate([-rest.sum(axis=1, keepdims=True), rest], axis=1)
-
-
 def _simplex_array(level) -> np.ndarray:
     """A list of vertex tuples of one size as an (m, size) int array."""
     return np.array(level, dtype=int).reshape(len(level), -1)
 
 
-def _local_faces(n: int, p: int) -> np.ndarray:
-    """Local vertex positions of the p-faces of an n-simplex, in combinations order."""
-    return np.array(list(itertools.combinations(range(n + 1), p + 1)), dtype=int)
-
-
-def _lex_ranks(rows: np.ndarray) -> np.ndarray:
-    """Rank of every row among the distinct rows, in lexicographic order."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
-    ranks = np.empty(len(rows), dtype=int)
-    ranks[order] = np.cumsum(starts) - 1
-    return ranks
-
-
-def _permutation_sign(rows):
-    """Parity (+-1) of the permutation sorting each row of distinct values.
-
-    Takes one sequence or an (m, k) array of rows; the sign is (-1) to the
-    number of inversions.
-    """
-    rows = np.asarray(rows)
-    k = rows.shape[-1]
-    inversions = sum(rows[..., i] > rows[..., j] for i, j in itertools.combinations(range(k), 2))
-    return 1 - 2 * (inversions % 2)
-
-
 def _unsigned_volumes(gc: GeometricComplex, level) -> np.ndarray:
     """Unsigned volumes of simplices given as rows of vertex indices."""
-    return _simplex_volumes(gc.vertices[_simplex_array(level)])[1]
+    return _simplex_volumes(gc.vertices[_simplex_array(level)])
 
 
 def signed_volume(gc: GeometricComplex, simplex) -> float:
@@ -361,7 +371,7 @@ def signed_volume(gc: GeometricComplex, simplex) -> float:
         raise MeshValidationError("repeated vertex in simplex")
     if min(simplex) < 0 or max(simplex) >= gc.num_vertices:
         raise MeshValidationError("vertex index out of range")
-    return float(_simplex_volumes(gc.vertices[_simplex_array([simplex])])[0][0])
+    return float(_signed_volumes(gc.vertices[_simplex_array([simplex])])[0][0])
 
 
 def unsigned_volume(gc: GeometricComplex, simplex) -> float:
@@ -389,14 +399,27 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
     parity relative to ascending order).
     """
     n = gc.complex_dim
-    simplices = [None] * (n + 1)
-    simplices[n] = sorted(tuple(sorted(s.tolist())) for s in gc.top_simplices)
-    for p in range(n, 0, -1):
-        faces = set()
-        for s in simplices[p]:
-            for k in range(p + 1):
-                faces.add(s[:k] + s[k + 1:])
-        simplices[p - 1] = sorted(faces)
+    tops = np.sort(gc.top_simplices, axis=1)
+    # Vertex ids lie below num_vertices, so one table ranks the used ones.
+    used = np.zeros(gc.num_vertices, dtype=bool)
+    used[tops] = True
+    vertices = np.flatnonzero(used)
+    ranks = (np.cumsum(used) - 1)[tops]
+    # ids[t, f]: id of local (p-1)-face f of top t, for the current p.  Each
+    # p-face's key (see ``_face_keys``) comes from the id of its local
+    # prefix face and decodes back to that face and the last vertex.
+    simplices, ids = [vertices[:, None]], ranks
+    for p in range(1, n + 1):
+        lower = _local_faces(n, p - 1).tolist()
+        local = _local_faces(n, p).tolist()
+        prefix = [lower.index(f[:-1]) for f in local]
+        keys = _face_keys(ids[:, prefix], ranks[:, [f[-1] for f in local]], simplices[p - 1], vertices)
+        keys, ids = _lex_unique(keys.T.reshape(-1, 1))  # local face by local face
+        keys = keys[:, 0]
+        ids = ids.reshape(-1, len(tops)).T
+        simplices.append(
+            np.column_stack([simplices[p - 1][keys // len(vertices)], vertices[keys % len(vertices)]])
+        )
     if n == gc.embed_dim:
         signs = np.where(gc.top_volumes > 0, 1, -1)
     else:
@@ -413,7 +436,7 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> DualV
     For p = n the primal volume is recorded.
     """
     n, d = gc.complex_dim, gc.embed_dim
-    coords = gc.vertices[_simplex_array(ac.simplices[n])]  # (m, n+1, d)
+    coords = gc.vertices[ac.simplex_arrays[n]]  # (m, n+1, d)
     vols = []
     for p in range(n):
         # The flags below sigma are the same in every top: one fragment per
@@ -426,10 +449,10 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> DualV
                 owners.append(f)
                 points.append(np.stack([coords[:, members].mean(axis=1) for members in chain], axis=1))
         # points: (m, fragments, n-p+1, d), flattened top by top
-        frags = _simplex_volumes(np.stack(points, axis=1).reshape(-1, n - p + 1, d))[1]
+        frags = _simplex_volumes(np.stack(points, axis=1).reshape(-1, n - p + 1, d))
         ids = ac.top_faces(p)[:, owners].ravel()
         vols.append(np.bincount(ids, weights=frags, minlength=ac.num_simplices(p)))
-    vols.append(_simplex_volumes(coords)[1])
+    vols.append(_simplex_volumes(coords))
     for p in range(n + 1):
         if np.any(vols[p] <= 0):
             raise MeshValidationError(f"non-positive dual volume at degree {p}")

@@ -18,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chains import matrices_for
-from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, _simplex_array, abstr
+from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
 from .quadrature import simplex_rule
 from .whitney import analytic_form, de_rham_map, mesh_geometry
-from .hodge import build_hodges
+from .hodge import _hodges
 
 __all__ = [
     "LinearSystem",
@@ -91,12 +91,8 @@ def affine_solution(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> Manufactu
 
 def boundary_vertex_ids(ac: AbstractComplex) -> list:
     """Vertices lying on some facet with exactly one top coface."""
-    counts = ac.facet_coface_counts()
-    on_boundary = set()
-    for i, facet in enumerate(ac.simplices[ac.complex_dim - 1]):
-        if counts[i] == 1:
-            on_boundary.update(facet)
-    return sorted(on_boundary)
+    facets = ac.simplex_arrays[ac.complex_dim - 1][ac.facet_coface_counts() == 1]
+    return np.unique(facets).tolist()
 
 
 def assemble_poisson(
@@ -117,20 +113,19 @@ def assemble_poisson(
         raise MeshValidationError("mesh has no boundary; Dirichlet problem is not posed")
     cm = matrices_for(ac)
     d0 = cm.coboundary_csr(0)
-    hodges = build_hodges(gc, ac, hodge_kind)
+    hodges = _hodges(gc, ac, hodge_kind, (0, 1))
     stiffness = (d0.T @ hodges[1].matrix @ d0).tocsr()
     src_cochain = de_rham_map(
         gc, ac, analytic_form(0, lambda x: np.array([source(x)])), 0
     )
     rhs = hodges[0].matrix @ src_cochain.values
-    vert_index = {s[0]: i for i, s in enumerate(ac.simplices[0])}
-    constrained = []
-    for v in boundary_ids:
-        value = dirichlet[v] if isinstance(dirichlet, dict) else dirichlet(gc.vertices[v])
-        constrained.append((vert_index[v], float(value)))
+    fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
+    values = np.array([
+        float(dirichlet[v] if isinstance(dirichlet, dict) else dirichlet(gc.vertices[v]))
+        for v in boundary_ids
+    ])
+    constrained = list(zip(fixed.tolist(), values.tolist()))
     size = stiffness.shape[0]
-    fixed = np.array([i for i, _ in constrained], dtype=int)
-    values = np.array([v for _, v in constrained])
     lifted = np.zeros(size)
     lifted[fixed] = values
     rhs = rhs - stiffness @ lifted
@@ -147,8 +142,10 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = No
 
     Returns the solution vector (constrained entries included).  Raises
     SolverError, reporting the achieved relative residual, when max_iter is
-    exhausted.
+    exhausted, and ValueError for a negative or non-finite tolerance.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"CG tolerance must be finite and non-negative, got {tol}")
     a = system.matrix
     b = system.rhs
     n = b.shape[0]
@@ -183,21 +180,23 @@ def uniform_refine(gc: GeometricComplex) -> GeometricComplex:
     if gc.complex_dim != 2:
         raise MeshValidationError("uniform refinement implemented for 2-d complexes only")
     ac = abstr(gc)
-    edges = ac.simplices[1]
-    edge_index = ac.index_of[1]
-    m0 = gc.num_vertices
-    midpoints = np.array([(gc.vertices[a] + gc.vertices[b]) / 2.0 for a, b in edges])
-    new_vertices = np.vstack([gc.vertices, midpoints])
-    new_tris = []
-    for tri in gc.top_simplices:
-        a, b, c = (int(v) for v in tri)
+    edges = ac.simplex_arrays[1]
+    tris = gc.top_simplices
+    midpoints = (gc.vertices[edges[:, 0]] + gc.vertices[edges[:, 1]]) / 2.0
+    # New vertex m0 + e is the midpoint of edge e.  The face table lists the
+    # edges of each canonical triangle by the sorted positions (i, j) of
+    # their ends, in column i + j - 1.
+    mid_ids = gc.num_vertices + ac.top_faces(1)[ac.simplex_ids(np.sort(tris, axis=1))]
+    pos = (tris[:, None, :] < tris[:, :, None]).sum(axis=2)  # sorted position of each vertex
+    rows = np.arange(len(tris))
 
-        def mid(u, v):
-            return m0 + edge_index[(u, v) if u < v else (v, u)]
+    def mid(i, j):
+        return mid_ids[rows, pos[:, i] + pos[:, j] - 1]
 
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris += [[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]]
-    return GeometricComplex(new_vertices, new_tris)
+    a, b, c = tris.T
+    mab, mbc, mca = mid(0, 1), mid(1, 2), mid(2, 0)
+    new_tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
+    return GeometricComplex(np.vstack([gc.vertices, midpoints]), new_tris.reshape(-1, 3))
 
 
 def cotangent_stiffness(gc: GeometricComplex) -> sp.csr_matrix:
@@ -225,8 +224,7 @@ def cotangent_stiffness(gc: GeometricComplex) -> sp.csr_matrix:
             cols += [b, a, a, b]
             data += [-w, -w, w, w]
     full = sp.coo_matrix((data, (rows, cols)), shape=(m0, m0)).tocsr()
-    ac = abstr(gc)
-    order = [s[0] for s in ac.simplices[0]]
+    order = abstr(gc).simplex_arrays[0][:, 0]
     return full[np.ix_(order, order)].tocsr()
 
 
@@ -244,7 +242,7 @@ def l2_and_energy_error(
     geo = mesh_geometry(gc, ac)
     rule = simplex_rule(ac.complex_dim, 5)
     top_values = values[ac.top_faces(0)]  # (m, n+1)
-    coords = gc.vertices[_simplex_array(ac.simplices[ac.complex_dim])]  # (m, n+1, d)
+    coords = gc.vertices[ac.simplex_arrays[ac.complex_dim]]  # (m, n+1, d)
     grad_h = np.einsum("mk,mkd->md", top_values, geo.grads)
     l2 = 0.0
     energy = 0.0
@@ -311,9 +309,10 @@ class ConvergenceReport:
 
 
 def _max_edge_length(gc: GeometricComplex, ac: AbstractComplex) -> float:
-    return max(
-        float(np.linalg.norm(gc.vertices[b] - gc.vertices[a])) for a, b in ac.simplices[1]
-    )
+    edges = ac.simplex_arrays[1]
+    diff = gc.vertices[edges[:, 1]] - gc.vertices[edges[:, 0]]
+    # One dot product per edge, rounded as the 1-d np.linalg.norm rounds it.
+    return math.sqrt(float((diff[:, None, :] @ diff[:, :, None]).max()))
 
 
 def _rates(errors: list, hs: list) -> list:

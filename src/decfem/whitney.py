@@ -21,17 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .batched import _local_faces, _permutation_sign, _simplex_gradients, _simplex_volumes
 from .chains import matrices_for
 from .exterior import index_combinations, num_components, wedge
-from .mesh import (
-    AbstractComplex,
-    GeometricComplex,
-    _local_faces,
-    _permutation_sign,
-    _simplex_array,
-    _simplex_gradients,
-    _simplex_volumes,
-)
+from .mesh import AbstractComplex, GeometricComplex
 from .quadrature import QuadratureRule, simplex_rule
 
 __all__ = [
@@ -109,8 +102,8 @@ class _MeshGeometry:
         # never refers to the complex: dropping the complex frees both.
         self.gc = gc
         self.complex_dim = n = ac.complex_dim
-        coords = gc.vertices[_simplex_array(ac.simplices[n])]
-        self.vols = _simplex_volumes(coords)[1]
+        coords = gc.vertices[ac.simplex_arrays[n]]
+        self.vols = _simplex_volumes(coords)
         self.grads = _simplex_gradients(coords)
         self.origin = coords[:, 0]
         self._tables: dict = {}
@@ -162,7 +155,7 @@ def whitney_basis(
     containing top simplex; returns ambient covector components."""
     n = ac.complex_dim
     sigma = tuple(int(v) for v in sigma)
-    top = ac.simplices[n][int(top_id)]
+    top = tuple(ac.simplex_arrays[n][int(top_id)].tolist())
     if len(set(sigma)) != len(sigma) or not set(sigma) <= set(top):
         raise ValueError(f"{sigma} is not a face of top simplex {top}")
     lam = np.asarray(point, dtype=float)
@@ -205,7 +198,7 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
     """
     geo = mesh_geometry(gc, ac)
     owners = ac.top_containing(p)
-    coords = gc.vertices[_simplex_array(ac.simplices[p])]  # (m, p+1, d)
+    coords = gc.vertices[ac.simplex_arrays[p]]  # (m, p+1, d)
     # One small matrix product per point, rounded as in the single-point
     # ``_MeshGeometry.barycentric``: thin simplices amplify any difference.
     points = (rule.points[:, None, :] @ coords[:, None])[:, :, 0]
@@ -316,9 +309,7 @@ def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:
 
 def complex_fingerprint(ac: AbstractComplex) -> str:
     """Hash of the canonical simplex lists; guards cochain (de)serialization."""
-    payload = json.dumps(
-        [[list(s) for s in level] for level in ac.simplices], separators=(",", ":")
-    )
+    payload = json.dumps([level.tolist() for level in ac.simplex_arrays], separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -58,6 +58,25 @@ def two_tets() -> GeometricComplex:
     )
 
 
+def kuhn_cube(k: int) -> GeometricComplex:
+    """Unit cube cut into k^3 cells of 6 Kuhn tetrahedra each."""
+
+    def vid(i, j, l):
+        return (i * (k + 1) + j) * (k + 1) + l
+
+    verts = [[i / k, j / k, l / k] for i, j, l in itertools.product(range(k + 1), repeat=3)]
+    tets = []
+    for corner in itertools.product(range(k), repeat=3):
+        for order in itertools.permutations(range(3)):
+            walk = list(corner)
+            tet = [vid(*walk)]
+            for axis in order:
+                walk[axis] += 1
+                tet.append(vid(*walk))
+            tets.append(tet)
+    return GeometricComplex(verts, tets)
+
+
 def random_delaunay_mesh(seed: int, npts: int = 30) -> GeometricComplex:
     rng = np.random.default_rng(seed)
     pts = rng.random((npts, 2))

@@ -1,0 +1,330 @@
+"""The array-backed complex against the tuple, set and dict code it replaced.
+
+Each ``old_*`` oracle below is the code the library ran before
+``AbstractComplex`` stored its simplices as sorted int64 arrays and
+``chains`` built its boundaries as int64 CSR matrices: the set closure of
+``abstr``, the ``(row, col)``-dict ``boundary_matrix``, the per-triangle
+``uniform_refine`` loop, ``boundary_vertex_ids``, ``_max_edge_length``, the
+tuple-level ``AbstractComplex`` validation and the Poisson assembly on float
+CSR copies of the dict boundaries.  Face lists, signs, face tables,
+boundaries, refined meshes, boundary vertices and error messages must be
+identical; the Poisson system must agree to 1e-15 relative.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from decfem import abstr, assemble_poisson, boundary_matrix, matrices_for, sin_sin_solution
+from decfem.chains import IntSparseMatrix, complex_matrices
+from decfem.hodge import build_hodges
+from decfem.batched import _permutation_sign
+from decfem.mesh import AbstractComplex, GeometricComplex, MeshValidationError
+from decfem.poisson import _max_edge_length, boundary_vertex_ids, uniform_refine
+from decfem.whitney import analytic_form, de_rham_map
+
+from conftest import FIXTURE_NAMES, kuhn_cube, random_delaunay_mesh, rips_complex, two_tets
+
+
+def old_abstr(gc):
+    """(face lists as sorted tuple lists, orientation signs)."""
+    n = gc.complex_dim
+    simplices = [None] * (n + 1)
+    simplices[n] = sorted(tuple(sorted(s.tolist())) for s in gc.top_simplices)
+    for p in range(n, 0, -1):
+        faces = set()
+        for s in simplices[p]:
+            for k in range(p + 1):
+                faces.add(s[:k] + s[k + 1:])
+        simplices[p - 1] = sorted(faces)
+    if n == gc.embed_dim:
+        signs = np.where(gc.top_volumes > 0, 1, -1)
+    else:
+        signs = _permutation_sign(gc.top_simplices)
+    return simplices, signs
+
+
+def old_boundary_matrix(simplices, p):
+    ent = {}
+    lower = {s: i for i, s in enumerate(simplices[p - 1])}
+    for j, s in enumerate(simplices[p]):
+        for k in range(p + 1):
+            ent[(lower[s[:k] + s[k + 1:]], j)] = (-1) ** k
+    return IntSparseMatrix(len(simplices[p - 1]), len(simplices[p]), ent)
+
+
+def old_complex_matrices(simplices):
+    """(boundary, coboundary) dicts, with dd = 0 checked exactly."""
+    n = len(simplices) - 1
+    boundary = {p: old_boundary_matrix(simplices, p) for p in range(1, n + 1)}
+    coboundary = {p: boundary[p + 1].transpose() for p in range(0, n)}
+    for p in range(1, n):
+        assert (boundary[p] @ boundary[p + 1]).is_zero()
+    return boundary, coboundary
+
+
+def old_top_faces(simplices, p):
+    n = len(simplices) - 1
+    index = {s: i for i, s in enumerate(simplices[p])}
+    positions = list(itertools.combinations(range(n + 1), p + 1))
+    return np.array(
+        [[index[tuple(top[k] for k in pos)] for pos in positions] for top in simplices[n]], dtype=int
+    ).reshape(len(simplices[n]), len(positions))
+
+
+def old_uniform_refine(gc):
+    simplices, _ = old_abstr(gc)
+    edges = simplices[1]
+    edge_index = {s: i for i, s in enumerate(edges)}
+    m0 = gc.num_vertices
+    midpoints = np.array([(gc.vertices[a] + gc.vertices[b]) / 2.0 for a, b in edges])
+    new_vertices = np.vstack([gc.vertices, midpoints])
+    new_tris = []
+    for tri in gc.top_simplices:
+        a, b, c = (int(v) for v in tri)
+
+        def mid(u, v):
+            return m0 + edge_index[(u, v) if u < v else (v, u)]
+
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        new_tris += [[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]]
+    return GeometricComplex(new_vertices, new_tris)
+
+
+def old_boundary_vertex_ids(simplices):
+    n = len(simplices) - 1
+    counts = {}
+    for top in simplices[n]:
+        for k in range(n + 1):
+            facet = top[:k] + top[k + 1:]
+            counts[facet] = counts.get(facet, 0) + 1
+    on_boundary = set()
+    for facet in simplices[n - 1]:
+        if counts[facet] == 1:
+            on_boundary.update(facet)
+    return sorted(on_boundary)
+
+
+def old_max_edge_length(gc, simplices):
+    return max(float(np.linalg.norm(gc.vertices[b] - gc.vertices[a])) for a, b in simplices[1])
+
+
+def old_validate_complex(complex_dim, simplices, orientation_signs):
+    """The message the tuple-level constructor raised, or None."""
+    if len(simplices) != complex_dim + 1:
+        return "need one simplex list per dimension 0..n"
+    levels = [list(map(tuple, level)) for level in simplices]
+    for p, level in enumerate(levels):
+        if any(len(s) != p + 1 or list(s) != sorted(set(s)) for s in level):
+            return f"{p}-simplices must be strictly ascending tuples"
+        if level != sorted(level) or len(set(level)) != len(level):
+            return f"{p}-simplex list must be sorted and duplicate-free"
+    for p in range(1, complex_dim + 1):
+        lower = set(levels[p - 1])
+        for s in levels[p]:
+            for k in range(p + 1):
+                if s[:k] + s[k + 1:] not in lower:
+                    return f"complex not closed under faces at {s}"
+    signs = np.array(orientation_signs, dtype=int)
+    if signs.shape != (len(levels[-1]),) or not np.all(np.abs(signs) == 1):
+        return "orientation signs must be one +-1 per top simplex"
+    return None
+
+
+def old_assemble_poisson(gc, ac, hodge_kind, source, dirichlet):
+    """Poisson assembly on float CSR copies of the dict boundaries (matrix, rhs)."""
+    simplices, _ = old_abstr(gc)
+    boundary_ids = old_boundary_vertex_ids(simplices)
+    d0 = old_boundary_matrix(simplices, 1).transpose().to_csr()
+    hodges = build_hodges(gc, ac, hodge_kind)
+    stiffness = (d0.T @ hodges[1].matrix @ d0).tocsr()
+    src = de_rham_map(gc, ac, analytic_form(0, lambda x: np.array([source(x)])), 0)
+    rhs = hodges[0].matrix @ src.values
+    vert_index = {s[0]: i for i, s in enumerate(simplices[0])}
+    fixed = np.array([vert_index[v] for v in boundary_ids], dtype=int)
+    values = np.array([float(dirichlet(gc.vertices[v])) for v in boundary_ids])
+    lifted = np.zeros(stiffness.shape[0])
+    lifted[fixed] = values
+    rhs = rhs - stiffness @ lifted
+    rhs[fixed] = values
+    free = np.ones(stiffness.shape[0])
+    free[fixed] = 0.0
+    proj = sp.diags(free)
+    return (proj @ stiffness @ proj + sp.diags(1.0 - free)).tocsr(), rhs
+
+
+MESHES = (
+    [("fixture", name) for name in FIXTURE_NAMES]
+    + [("two_tets", None)]
+    + [("kuhn", k) for k in (1, 2)]
+    + [("delaunay", seed) for seed in range(6)]
+)
+
+
+@pytest.fixture(params=MESHES, ids=lambda m: f"{m[0]}-{m[1]}")
+def mesh(request, fixture_set):
+    kind, arg = request.param
+    if kind == "fixture":
+        return fixture_set[arg]
+    if kind == "two_tets":
+        return two_tets()
+    if kind == "kuhn":
+        return kuhn_cube(arg)
+    return random_delaunay_mesh(arg)
+
+
+def test_face_lists_signs_and_face_tables_match(mesh):
+    ac = abstr(mesh)
+    simplices, signs = old_abstr(mesh)
+    assert ac.simplices == simplices
+    for p, level in enumerate(simplices):
+        arr = ac.simplex_arrays[p]
+        assert arr.dtype == np.int64 and arr.shape == (len(level), p + 1)
+        assert arr.tolist() == [list(s) for s in level]
+        assert ac.index_of[p] == {s: i for i, s in enumerate(level)}
+        assert np.array_equal(ac.top_faces(p), old_top_faces(simplices, p))
+    assert np.array_equal(ac.orientation_signs, signs)
+
+
+def assert_boundaries_match(ac, simplices):
+    boundary, coboundary = old_complex_matrices(simplices)
+    cm = matrices_for(ac)
+    for p, old in boundary.items():
+        assert cm.boundary[p] == old
+        assert boundary_matrix(ac, p) == old
+        csr = cm.boundary_csr(p)
+        assert csr.dtype == np.int64 and csr.has_sorted_indices
+        assert np.array_equal(csr.toarray(), old.to_ndarray(dtype=np.int64))
+        faces = ac.boundary_faces(p)
+        for j, s in enumerate(simplices[p]):
+            assert [simplices[p - 1][i] for i in faces[j]] == [s[:k] + s[k + 1:] for k in range(p + 1)]
+    for p, old in coboundary.items():
+        assert cm.coboundary[p] == old
+        assert np.array_equal(cm.coboundary_csr(p).toarray(), old.to_ndarray(dtype=np.int64))
+
+
+def test_boundaries_match(mesh):
+    assert_boundaries_match(abstr(mesh), old_abstr(mesh)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_boundaries_match_on_directly_built_complexes(seed):
+    ac = rips_complex(seed)
+    assert_boundaries_match(ac, [list(map(tuple, level)) for level in ac.simplex_arrays])
+
+
+def test_uniform_refine_boundary_vertices_and_edge_length_match(mesh):
+    ac = abstr(mesh)
+    simplices, _ = old_abstr(mesh)
+    assert boundary_vertex_ids(ac) == old_boundary_vertex_ids(simplices)
+    assert _max_edge_length(mesh, ac) == old_max_edge_length(mesh, simplices)
+    if mesh.complex_dim != 2:
+        return
+    new, old = uniform_refine(mesh), old_uniform_refine(mesh)
+    assert new.vertices.dtype == old.vertices.dtype
+    assert new.vertices.tobytes() == old.vertices.tobytes()
+    assert np.array_equal(new.top_simplices, old.top_simplices)
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+@pytest.mark.parametrize("name", ["square", "disk", "annulus"])
+def test_poisson_system_matches(fixture_set, name, kind):
+    gc = uniform_refine(fixture_set[name])
+    ac = abstr(gc)
+    solution = sin_sin_solution()
+    system = assemble_poisson(gc, ac, kind, solution.source, solution.u)
+    old_matrix, old_rhs = old_assemble_poisson(gc, ac, kind, solution.source, solution.u)
+    scale = abs(old_matrix).max()
+    assert abs(system.matrix - old_matrix).max() <= 1e-15 * scale
+    assert np.abs(system.rhs - old_rhs).max() <= 1e-15 * np.abs(old_rhs).max()
+
+
+def test_large_vertex_ids_match_the_small_complex():
+    """``two_tets`` on ids 60,000..60,004 of 70,000 vertices: packing a
+    tetrahedron's four ids into one int64 key would overflow here."""
+    small = two_tets()
+    shift = 60_000
+    vertices = np.zeros((70_000, 3))
+    vertices[shift : shift + small.num_vertices] = small.vertices
+    big = GeometricComplex(vertices, small.top_simplices + shift)
+    assert 70_000**4 > 2**63
+    ac_small, ac_big = abstr(small), abstr(big)
+    for p in range(4):
+        assert np.array_equal(ac_big.simplex_arrays[p], ac_small.simplex_arrays[p] + shift)
+        assert np.array_equal(ac_big.top_faces(p), ac_small.top_faces(p))
+    assert np.array_equal(ac_big.orientation_signs, ac_small.orientation_signs)
+    cm_small, cm_big = matrices_for(ac_small), matrices_for(ac_big)
+    for p in range(1, 4):
+        assert np.array_equal(ac_big.boundary_faces(p), ac_small.boundary_faces(p))
+        assert (cm_big.boundary_csr(p) != cm_small.boundary_csr(p)).nnz == 0
+        assert cm_big.boundary[p] == cm_small.boundary[p]
+    assert_boundaries_match(ac_big, old_abstr(big)[0])
+
+
+def test_simplex_ids_finds_present_rows_and_flags_absent_ones():
+    ac = abstr(two_tets())
+    for p, level in enumerate(ac.simplex_arrays):
+        assert np.array_equal(ac.simplex_ids(level[::-1]), np.arange(len(level))[::-1])
+    assert ac.simplex_ids([[0, 4], [1, 4], [5, 6], [-1, 0]]).tolist() == [-1, 5, -1, -1]
+    assert ac.simplex_ids([[0, 1, 4], [1, 2, 3]]).tolist() == [-1, 3]
+    for bad in ([0, 1], [[0, 1, 2, 3, 4]], np.empty((2, 0))):
+        with pytest.raises(ValueError, match="vertex ids"):
+            ac.simplex_ids(bad)
+
+
+TRIANGLE = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+BAD_COMPLEXES = [
+    (1, [[(0,), (1,)]], [1]),
+    (1, [[(0,), (1,)], [(1, 0)]], [1]),
+    (1, [[(0,), (1,)], [(0, 1, 2)]], [1]),
+    (1, [[(0,), (1,)], [(0, 0)]], [1]),
+    (1, [[(0,), (1,), (2,)], [(0, 1), (2,)]], [1, 1]),
+    (1, [[(0,), (1,), (2,)], [(0, 2), (0, 1)]], [1, 1]),
+    (1, [[(0,), (1,), (2,)], [(0, 1), (0, 1)]], [1, 1]),
+    (1, [[(1,), (0,)], [(0, 1)]], [1]),
+    (1, [[(0,), (1,)], [(0, 1), (0, 3)]], [1, 1]),
+    (1, [[(0,), (1,), (3,)], [(0, 1), (0, 2), (0, 3)]], [1, 1, 1]),
+    (2, [TRIANGLE[0], [(0, 1), (1, 2)], TRIANGLE[2]], [1]),
+    (2, [TRIANGLE[0], [(0, 1), (0, 2), (1, 2), (1, 5)], TRIANGLE[2]], [1]),
+    (2, [TRIANGLE[0], TRIANGLE[1], [(0, 1, 2), (0, 1, 3)]], [1, 1]),
+    (2, TRIANGLE, [1, 1]),
+    (2, TRIANGLE, [2]),
+    (2, TRIANGLE, [[1]]),
+    (2, [[(0.5,), (1,), (2,)], TRIANGLE[1], TRIANGLE[2]], [1]),
+]
+
+
+@pytest.mark.parametrize("case", BAD_COMPLEXES, ids=range(len(BAD_COMPLEXES)))
+def test_constructor_rejects_what_the_tuple_validation_rejected(case):
+    expected = old_validate_complex(*case)
+    if case[1][0][0] == (0.5,):
+        expected = "0-simplices must be strictly ascending tuples"  # the tuple code let floats pass
+    assert expected is not None
+    with pytest.raises(MeshValidationError) as err:
+        AbstractComplex(*case)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constructor_accepts_what_the_tuple_validation_accepted(seed):
+    ac = rips_complex(seed)
+    levels = [list(map(tuple, level)) for level in ac.simplex_arrays]
+    assert old_validate_complex(2, levels, [1] * len(levels[2])) is None
+    assert AbstractComplex(2, [np.array(level) for level in levels], [1] * len(levels[2])).simplices == levels
+
+
+def test_complex_matrices_reject_a_nonzero_composition():
+    ac = AbstractComplex(2, TRIANGLE, [1])
+    ac._boundary_faces = dict(ac._boundary_faces)
+    ac._boundary_faces[2] = np.array([[2, 0, 0]])  # face (0, 1) twice, (1, 2) missing
+    with pytest.raises(AssertionError, match="degree 1"):
+        complex_matrices(ac)
+
+
+def test_max_edge_length_is_the_longest_edge():
+    gc = GeometricComplex([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [[0, 1, 2]])
+    assert _max_edge_length(gc, abstr(gc)) == 5.0
+    assert math.isclose(old_max_edge_length(gc, old_abstr(gc)[0]), 5.0)

@@ -1,8 +1,8 @@
 """The batched simplex kernel and face tables against the per-simplex loops they replaced.
 
 Each oracle below is the loop the library ran before its geometry was
-computed for all simplices at once (``mesh._simplex_volumes`` and
-``mesh._simplex_gradients``) and read through the per-degree face tables
+computed for all simplices at once (``batched._simplex_volumes`` and
+``batched._simplex_gradients``) and read through the per-degree face tables
 (``AbstractComplex.top_faces``), or before its integrals were batched over
 simplices and quadrature points (``de_rham_map``, ``cup_product``,
 ``l2_and_energy_error`` and the batched ``wedge``).  Geometry results must

@@ -111,6 +111,25 @@ def test_solve_reports_errors(capsys, square_file):
     assert "l2_error" in payload
 
 
+def test_solve_rejects_negative_tolerance(capsys, square_file):
+    code, out, err = run(capsys, "solve", square_file, "--tol", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "tolerance" in err
+    assert "Traceback" not in err
+
+
+def test_solve_sinsin_rejects_a_polyline(capsys, tmp_path):
+    path = tmp_path / "polyline.json"
+    path.write_text(
+        json.dumps({"dimension": 1, "vertices": [[0, 0], [1, 0], [2, 1]], "simplices": [[0, 1], [1, 2]]})
+    )
+    code, out, err = run(capsys, "solve", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "complex dimension 1" in err
+
+
 def test_converge_gate_passes(capsys, square_file):
     code, out, _ = run(capsys, "converge", square_file, "--levels", "3", "--json")
     assert code == 0

@@ -20,6 +20,7 @@ from decfem import (
     sin_sin_solution,
     uniform_refine,
 )
+from decfem import hodge
 from decfem.mesh import MeshValidationError
 from decfem.poisson import LinearSystem, SolverError
 from decfem.whitney import analytic_form, de_rham_map
@@ -98,6 +99,21 @@ class TestAssembly:
         np.testing.assert_allclose(dense, dense.T, atol=1e-14)
         np.linalg.cholesky(dense)
 
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    def test_builds_only_the_hodges_it_reads(self, monkeypatch, kind):
+        degrees = []
+        for name in ("galerkin_mass_matrix", "_diagonal_hodge"):
+            original = getattr(hodge, name)
+
+            def recording(*args, original=original):
+                degrees.append(args[2])
+                return original(*args)
+
+            monkeypatch.setattr(hodge, name, recording)
+        gc = uniform_refine(meshes.split_square())
+        assemble_poisson(gc, abstr(gc), kind, lambda x: 1.0, lambda x: 0.0)
+        assert degrees == [0, 1]
+
     def test_dirichlet_dict_accepted(self):
         gc = meshes.split_square()
         ac = abstr(gc)
@@ -165,6 +181,16 @@ class TestConjugateGradients:
         with pytest.raises(SolverError) as info:
             cg_solve(system, tol=1e-16, max_iter=1)
         assert info.value.residual > 0
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_negative_or_non_finite_tolerance(self, tol):
+        system = LinearSystem(sp.identity(2, format="csr"), np.ones(2), [])
+        with pytest.raises(ValueError, match="tolerance"):
+            cg_solve(system, tol=tol)
+
+    def test_zero_tolerance_accepted(self):
+        system = LinearSystem(sp.identity(2, format="csr"), np.ones(2), [])
+        np.testing.assert_array_equal(cg_solve(system, tol=0.0), np.ones(2))
 
     def test_deterministic(self):
         gc = uniform_refine(meshes.split_square())
