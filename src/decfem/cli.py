@@ -210,22 +210,16 @@ def _cmd_hodge(args) -> int:
 def _cmd_solve(args) -> int:
     gc = _read_mesh(args.mesh)
     ac = abstr(gc)
-    if args.manufactured == "sinsin":
-        if gc.embed_dim != 2:
-            raise MeshError("manufactured sinsin problem needs a planar mesh")
-        if gc.complex_dim != 2:
+    solution, source, boundary = None, (lambda x: 1.0 + 0 * x[0]), (lambda x: 0 * x[0])
+    if args.manufactured != "none":
+        if (gc.embed_dim, gc.complex_dim) != (2, 2):
             raise MeshError(
-                f"manufactured sinsin problem needs a 2-d complex, not complex dimension {gc.complex_dim}"
+                f"manufactured {args.manufactured} problem needs a planar 2-d mesh, not "
+                f"complex dimension {gc.complex_dim} in R^{gc.embed_dim}"
             )
-        solution = sin_sin_solution()
-    elif args.manufactured == "affine":
-        solution = affine_solution(1.0, 0.0, 0.0)
-    else:
-        solution = None
-    if solution is None:
-        system = assemble_poisson(gc, ac, args.hodge, lambda x: 1.0, lambda x: 0.0)
-    else:
-        system = assemble_poisson(gc, ac, args.hodge, solution.source, solution.u)
+        solution = sin_sin_solution() if args.manufactured == "sinsin" else affine_solution()
+        source, boundary = solution.source, solution.u
+    system = assemble_poisson(gc, ac, args.hodge, source, boundary)
     values = cg_solve(system, tol=args.tol)
     payload = {
         "dofs": len(values),

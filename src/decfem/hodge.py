@@ -15,16 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .batched import _local_faces
+from .batched import _local_faces, _simplex_volumes
 from .chains import matrices_for
 from .exterior import index_combinations
-from .mesh import (
-    AbstractComplex,
-    DualVolumes,
-    GeometricComplex,
-    _unsigned_volumes,
-    barycentric_dual_volumes,
-)
+from .mesh import AbstractComplex, DualVolumes, GeometricComplex, barycentric_dual_volumes
 from .quadrature import simplex_rule
 from .whitney import Cochain, coboundary_apply, mesh_geometry
 
@@ -134,7 +128,7 @@ def _diagonal_hodge(
     gc: GeometricComplex, ac: AbstractComplex, p: int, dv: DualVolumes
 ) -> DiscreteHodge:
     # A vertex has unit primal measure and a top simplex unit dual measure.
-    primal = _unsigned_volumes(gc, ac.simplex_arrays[p])
+    primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
     dual = 1.0 if p == ac.complex_dim else dv.vol[p]
     mat = sp.diags(dual / primal).tocsr()
     return DiscreteHodge(kind="diagonal", degree=p, matrix=mat)
@@ -192,7 +186,6 @@ def harmonic_basis(
     p: int,
     kind: str = "galerkin",
     hodges: dict | None = None,
-    rank_tol: float = HARMONIC_RANK_TOL,
 ) -> HarmonicBasis:
     """Orthonormal basis of the harmonic p-cochains.
 
@@ -222,7 +215,7 @@ def harmonic_basis(
     else:
         stacked = np.vstack(blocks)
         _, svals, vt = np.linalg.svd(stacked)
-        cutoff = rank_tol * (svals[0] if svals.size else 1.0)
+        cutoff = HARMONIC_RANK_TOL * (svals[0] if svals.size else 1.0)
         rank = int(np.sum(svals > cutoff))
         vectors = [vt[j] for j in range(rank, size)]
     cochains = [Cochain(ac, p, v) for v in vectors]

@@ -344,14 +344,11 @@ class DualVolumes:
     vol: tuple
 
 
-def _simplex_array(level) -> np.ndarray:
-    """A list of vertex tuples of one size as an (m, size) int array."""
-    return np.array(level, dtype=int).reshape(len(level), -1)
-
-
-def _unsigned_volumes(gc: GeometricComplex, level) -> np.ndarray:
-    """Unsigned volumes of simplices given as rows of vertex indices."""
-    return _simplex_volumes(gc.vertices[_simplex_array(level)])
+def _simplex_coords(gc: GeometricComplex, simplex: tuple) -> np.ndarray:
+    """Coordinates of one simplex as a (1, size, d) stack; ids outside the vertex array raise."""
+    if min(simplex) < 0 or max(simplex) >= gc.num_vertices:
+        raise MeshValidationError("vertex index out of range")
+    return gc.vertices[np.array(simplex)][None]
 
 
 def signed_volume(gc: GeometricComplex, simplex) -> float:
@@ -369,14 +366,12 @@ def signed_volume(gc: GeometricComplex, simplex) -> float:
         )
     if len(set(simplex)) != n + 1:
         raise MeshValidationError("repeated vertex in simplex")
-    if min(simplex) < 0 or max(simplex) >= gc.num_vertices:
-        raise MeshValidationError("vertex index out of range")
-    return float(_signed_volumes(gc.vertices[_simplex_array([simplex])])[0][0])
+    return float(_signed_volumes(_simplex_coords(gc, simplex))[0][0])
 
 
 def unsigned_volume(gc: GeometricComplex, simplex) -> float:
     """Unsigned p-volume of any p-simplex given by vertex indices."""
-    return float(_unsigned_volumes(gc, [tuple(int(v) for v in simplex)])[0])
+    return float(_simplex_volumes(_simplex_coords(gc, tuple(int(v) for v in simplex)))[0])
 
 
 def barycentric_gradients(gc: GeometricComplex, top_simplex_id: int) -> np.ndarray:

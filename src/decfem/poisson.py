@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .chains import matrices_for
 from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
 from .quadrature import simplex_rule
-from .whitney import analytic_form, de_rham_map, mesh_geometry
+from .whitney import _batch_values, mesh_geometry
 from .hodge import _hodges
 
 __all__ = [
@@ -60,7 +60,11 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form solution with matching source and (optionally) gradient."""
+    """Closed-form solution with matching source and (optionally) gradient.
+
+    Each takes points coordinate-first, one (d,) or a batch (d, m), and
+    returns shape (...) (``u``, ``source``) or (d, ...) (``gradient``).
+    """
 
     u: object
     source: object
@@ -70,12 +74,12 @@ class ManufacturedSolution:
 def sin_sin_solution() -> ManufacturedSolution:
     pi = math.pi
     return ManufacturedSolution(
-        u=lambda x: math.sin(pi * x[0]) * math.sin(pi * x[1]),
-        source=lambda x: 2 * pi**2 * math.sin(pi * x[0]) * math.sin(pi * x[1]),
+        u=lambda x: np.sin(pi * x[0]) * np.sin(pi * x[1]),
+        source=lambda x: 2 * pi**2 * np.sin(pi * x[0]) * np.sin(pi * x[1]),
         gradient=lambda x: np.array(
             [
-                pi * math.cos(pi * x[0]) * math.sin(pi * x[1]),
-                pi * math.sin(pi * x[0]) * math.cos(pi * x[1]),
+                pi * np.cos(pi * x[0]) * np.sin(pi * x[1]),
+                pi * np.sin(pi * x[0]) * np.cos(pi * x[1]),
             ]
         ),
     )
@@ -84,8 +88,8 @@ def sin_sin_solution() -> ManufacturedSolution:
 def affine_solution(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> ManufacturedSolution:
     return ManufacturedSolution(
         u=lambda x: a * x[0] + b * x[1] + c,
-        source=lambda x: 0.0,
-        gradient=lambda x: np.array([a, b]),
+        source=lambda x: 0 * x[0],
+        gradient=lambda x: np.array([a + 0 * x[0], b + 0 * x[0]]),
     )
 
 
@@ -104,9 +108,10 @@ def assemble_poisson(
 ) -> LinearSystem:
     """Dirichlet Poisson system on 0-cochains.
 
-    ``source`` and ``dirichlet`` are coordinate functions; the boundary data
-    is imposed at every boundary vertex by symmetric row/column elimination,
-    which keeps the reduced matrix symmetric positive definite.
+    ``source`` (integrated to its vertex values) and ``dirichlet`` are
+    coordinate functions called once on all vertices they need; the boundary
+    data is imposed at every boundary vertex by symmetric row/column
+    elimination, which keeps the reduced matrix symmetric positive definite.
     """
     boundary_ids = boundary_vertex_ids(ac)
     if not boundary_ids:
@@ -115,17 +120,12 @@ def assemble_poisson(
     d0 = cm.coboundary_csr(0)
     hodges = _hodges(gc, ac, hodge_kind, (0, 1))
     stiffness = (d0.T @ hodges[1].matrix @ d0).tocsr()
-    src_cochain = de_rham_map(
-        gc, ac, analytic_form(0, lambda x: np.array([source(x)])), 0
-    )
-    rhs = hodges[0].matrix @ src_cochain.values
-    fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
-    values = np.array([
-        float(dirichlet[v] if isinstance(dirichlet, dict) else dirichlet(gc.vertices[v]))
-        for v in boundary_ids
-    ])
-    constrained = list(zip(fixed.tolist(), values.tolist()))
     size = stiffness.shape[0]
+    x = gc.vertices[ac.simplex_arrays[0][:, 0]].T  # canonical vertices, coordinate-first
+    rhs = hodges[0].matrix @ _batch_values(source(x), (size,), "source")
+    fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
+    values = _batch_values(dirichlet(x[:, fixed]), fixed.shape, "dirichlet")
+    constrained = list(zip(fixed.tolist(), values.tolist()))
     lifted = np.zeros(size)
     lifted[fixed] = values
     rhs = rhs - stiffness @ lifted
@@ -247,13 +247,13 @@ def l2_and_energy_error(
     l2 = 0.0
     energy = 0.0
     m, d = grad_h.shape
+    # One call per quadrature point, each covering every top simplex.
     for w, bary in zip(rule.weights, rule.points):
-        points = np.einsum("k,mkd->md", bary, coords)
-        # fromiter keeps one callable result alive at a time, not m of them.
-        diff = top_values @ bary - np.fromiter(map(solution.u, points), float, m)
+        x = np.einsum("k,mkd->md", bary, coords).T
+        diff = top_values @ bary - _batch_values(solution.u(x), (m,), "u")
         l2 += w * float(geo.vols @ (diff * diff))
         if solution.gradient is not None:
-            gdiff = grad_h - np.fromiter(map(solution.gradient, points), (float, d), m)
+            gdiff = grad_h - _batch_values(solution.gradient(x), (d, m), "gradient").T
             energy += w * float(geo.vols @ np.einsum("md,md->m", gdiff, gdiff))
     return math.sqrt(max(l2, 0.0)), math.sqrt(max(energy, 0.0))
 

@@ -71,9 +71,11 @@ class Cochain:
 class FormField:
     """A degree-p differential form evaluated per top simplex.
 
-    ``evaluate(top_id, x)`` returns the covector components at the ambient
-    point x, with top_id indexing the canonical top-simplex list.  Analytic
-    fields ignore top_id; interpolated fields use it to select the affine
+    ``evaluate(top_ids, x)`` takes ambient points coordinate-first, one
+    point of shape (d,) or a batch of shape (d, m), with top ids indexing
+    the canonical top-simplex list (a scalar or shape (m,)), and returns the
+    covector components, shape (C(d, p),) or (C(d, p), m).  Analytic fields
+    ignore the top ids; interpolated fields use them to select the affine
     chart.
     """
 
@@ -82,8 +84,17 @@ class FormField:
 
 
 def analytic_form(degree: int, component_fn) -> FormField:
-    """Wrap a coordinate function x -> component vector as a form field."""
-    return FormField(degree=degree, evaluate=lambda top_id, x: component_fn(x))
+    """Wrap a coordinate function x (d, ...) -> components (C(d, p), ...) as a form field."""
+    return FormField(degree=degree, evaluate=lambda top_ids, x: component_fn(x))
+
+
+def _batch_values(values, shape: tuple, name: str) -> np.ndarray:
+    """A callable's result on a batch of points, required to have exactly ``shape``:
+    one written for a single point (a scalar, a constant vector) must not broadcast."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} gave shape {values.shape} on a batch of points, expected {shape}")
+    return values
 
 
 class _MeshGeometry:
@@ -108,9 +119,14 @@ class _MeshGeometry:
         self.origin = coords[:, 0]
         self._tables: dict = {}
 
-    def barycentric(self, top_id: int, x: np.ndarray) -> np.ndarray:
-        lam = self.grads[top_id] @ (np.asarray(x, dtype=float) - self.origin[top_id])
-        lam[0] += 1.0
+    def barycentric(self, top_ids, points: np.ndarray) -> np.ndarray:
+        """Barycentric coordinates (..., n+1) of points (..., d) in the tops
+        ``top_ids`` (broadcast against ...), by one small matrix product per
+        point: thin simplices amplify any change of rounding."""
+        top_ids = np.asarray(top_ids)
+        offsets = points - self.origin[top_ids]
+        lam = (self.grads[top_ids] @ offsets[..., None])[..., 0]
+        lam[..., 0] += 1.0
         return lam
 
     def signed_wedge_tables(self, p: int) -> np.ndarray:
@@ -170,19 +186,16 @@ def whitney_basis(
 
 def whitney_interpolate(gc: GeometricComplex, c: Cochain) -> FormField:
     """Piecewise-affine form with the cochain's coefficients on its simplices."""
-    ac = c.complex
+    ac, p = c.complex, c.degree
     geo = mesh_geometry(gc, ac)
-    p = c.degree
     wedges = geo.signed_wedge_tables(p)
     face_pos = _local_faces(ac.complex_dim, p)  # (nloc, p+1)
-    face_ids = ac.top_faces(p)
-    coeffs = c.values
+    top_coeffs = c.values[ac.top_faces(p)]  # (num_top, nloc)
 
-    def evaluate(top_id: int, x) -> np.ndarray:
-        lam = geo.barycentric(top_id, x)
-        lam_local = lam[face_pos]  # (nloc, p+1)
-        basis = np.einsum("fk,fkc->fc", lam_local, wedges[top_id])
-        return coeffs[face_ids[top_id]] @ basis
+    def evaluate(top_ids, x) -> np.ndarray:
+        lam = geo.barycentric(top_ids, np.moveaxis(np.asarray(x, dtype=float), 0, -1))
+        local = (top_coeffs[top_ids], lam[..., face_pos], wedges[top_ids])
+        return np.einsum("...f,...fk,...fkc->c...", *local)
 
     return FormField(degree=p, evaluate=evaluate)
 
@@ -199,12 +212,8 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
     geo = mesh_geometry(gc, ac)
     owners = ac.top_containing(p)
     coords = gc.vertices[ac.simplex_arrays[p]]  # (m, p+1, d)
-    # One small matrix product per point, rounded as in the single-point
-    # ``_MeshGeometry.barycentric``: thin simplices amplify any difference.
     points = (rule.points[:, None, :] @ coords[:, None])[:, :, 0]
-    offsets = points - geo.origin[owners][:, None, :]
-    lam = (geo.grads[owners][:, None] @ offsets[..., None])[..., 0]
-    lam[:, :, 0] += 1.0
+    lam = geo.barycentric(owners[:, None], points)
     # One minor per ambient index combination, taken from the (d, p) edge frame.
     frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)
     combos = np.array(index_combinations(gc.embed_dim, p), dtype=int)
@@ -241,14 +250,11 @@ def de_rham_map(
     if rule.dim != p:
         raise ValueError(f"rule dimension {rule.dim} does not match degree {p}")
     owners, points, _, minors = _simplex_quadrature(gc, ac, p, rule)
-    width = num_components(gc.embed_dim, p)
-    comps = np.empty(points.shape[:2] + (width,))
-    for i, top_id in enumerate(owners.tolist()):
-        for k, x in enumerate(points[i]):
-            value = f.evaluate(top_id, x)
-            if np.shape(value) != (width,):
-                raise ValueError(f"evaluate gave shape {np.shape(value)}, not {width} components")
-            comps[i, k] = value
+    shape = (num_components(gc.embed_dim, p), len(owners))
+    comps = np.empty(points.shape[:2] + shape[:1])
+    # One call per quadrature point, each covering every p-simplex.
+    for k in range(len(rule.weights)):
+        comps[:, k] = _batch_values(f.evaluate(owners, points[:, k].T), shape, "evaluate").T
     return Cochain(ac, p, np.einsum("q,mqc,mc->m", rule.weights, comps, minors))
 
 
@@ -322,9 +328,16 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(ac: AbstractComplex, obj: dict) -> Cochain:
-    if obj.get("fingerprint") != complex_fingerprint(ac):
+    """The cochain of a ``cochain_to_json`` object; malformed input raises ValueError."""
+    if not isinstance(obj, dict) or not {"degree", "values", "fingerprint"} <= obj.keys():
+        raise ValueError("cochain must be a JSON object with keys degree, values and fingerprint")
+    if obj["fingerprint"] != complex_fingerprint(ac):
         raise ValueError("cochain fingerprint does not match this complex")
-    return Cochain(ac, int(obj["degree"]), np.asarray(obj["values"], dtype=float))
+    degree, values = obj["degree"], obj["values"]
+    numbers = isinstance(values, list) and {type(v) for v in values} <= {int, float}
+    if type(degree) is not int or not numbers:
+        raise ValueError("cochain degree must be an integer and its values a list of numbers")
+    return Cochain(ac, degree, values)
 
 
 def standard_test_forms(embed_dim: int) -> list:
@@ -344,16 +357,16 @@ def standard_test_forms(embed_dim: int) -> list:
             (
                 "x^3",
                 analytic_form(0, lambda x: np.array([x[0] ** 3])),
-                analytic_form(1, lambda x: np.array([3 * x[0] ** 2, 0.0])),
+                analytic_form(1, lambda x: np.array([3 * x[0] ** 2, 0 * x[0]])),
             ),
             (
                 "y^3 dx",
-                analytic_form(1, lambda x: np.array([x[1] ** 3, 0.0])),
+                analytic_form(1, lambda x: np.array([x[1] ** 3, 0 * x[0]])),
                 analytic_form(2, lambda x: np.array([-3 * x[1] ** 2])),
             ),
             (
                 "x^2 y dy",
-                analytic_form(1, lambda x: np.array([0.0, x[0] ** 2 * x[1]])),
+                analytic_form(1, lambda x: np.array([0 * x[0], x[0] ** 2 * x[1]])),
                 analytic_form(2, lambda x: np.array([2 * x[0] * x[1]])),
             ),
             (
@@ -367,7 +380,7 @@ def standard_test_forms(embed_dim: int) -> list:
             (
                 "x^2 z",
                 analytic_form(0, lambda x: np.array([x[0] ** 2 * x[2]])),
-                analytic_form(1, lambda x: np.array([2 * x[0] * x[2], 0.0, x[0] ** 2])),
+                analytic_form(1, lambda x: np.array([2 * x[0] * x[2], 0 * x[0], x[0] ** 2])),
             ),
             (
                 "xyz",
@@ -382,7 +395,7 @@ def standard_test_forms(embed_dim: int) -> list:
             ),
             (
                 "x^2 dy^dz",
-                analytic_form(2, lambda x: np.array([0.0, 0.0, x[0] ** 2])),
+                analytic_form(2, lambda x: np.array([0 * x[0], 0 * x[0], x[0] ** 2])),
                 analytic_form(3, lambda x: np.array([2 * x[0]])),
             ),
         ]

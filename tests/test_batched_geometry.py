@@ -3,9 +3,11 @@
 Each oracle below is the loop the library ran before its geometry was
 computed for all simplices at once (``batched._simplex_volumes`` and
 ``batched._simplex_gradients``) and read through the per-degree face tables
-(``AbstractComplex.top_faces``), or before its integrals were batched over
+(``AbstractComplex.top_faces``), before its integrals were batched over
 simplices and quadrature points (``de_rham_map``, ``cup_product``,
-``l2_and_energy_error`` and the batched ``wedge``).  Geometry results must
+``l2_and_energy_error`` and the batched ``wedge``), or before fields took
+all their points at once (the ``whitney_interpolate`` closure, the source
+and boundary values of ``assemble_poisson``).  Geometry results must
 agree to 1e-14 relative to the largest oracle entry, integrals to 1e-14
 times max(1, largest oracle entry); integer tables, owners, counts, signs
 and error messages must be identical.
@@ -20,8 +22,11 @@ import scipy.sparse as sp
 
 from decfem import (
     abstr,
+    assemble_poisson,
     barycentric_dual_volumes,
     barycentric_gradients,
+    boundary_vertex_ids,
+    build_hodges,
     cup_product,
     de_rham_map,
     diagonal_hodge,
@@ -33,11 +38,14 @@ from decfem import (
     whitney_basis,
     whitney_interpolate,
 )
+from decfem.batched import _local_faces
+from decfem.chains import matrices_for
 from decfem.exterior import _shuffle_table, index_combinations, num_components, wedge
 from decfem.mesh import GeometricComplex, MeshValidationError
-from decfem.poisson import ManufacturedSolution
+from decfem.meshes import split_square
+from decfem.poisson import ManufacturedSolution, uniform_refine
 from decfem.quadrature import simplex_rule
-from decfem.whitney import Cochain, FormField, mesh_geometry
+from decfem.whitney import Cochain, FormField, analytic_form, mesh_geometry
 
 from conftest import FIXTURE_NAMES, random_delaunay_mesh, two_tets
 
@@ -309,6 +317,41 @@ def old_cup_product(gc, a, b):
     return old_de_rham_map(gc, a.complex, field, p + q, simplex_rule(p + q, 2))
 
 
+def old_whitney_evaluate(gc, c, top_id, x):
+    """The per-point closure body of ``whitney_interpolate``."""
+    ac, p = c.complex, c.degree
+    geo = mesh_geometry(gc, ac)
+    lam = geo.grads[top_id] @ (np.asarray(x, dtype=float) - geo.origin[top_id])
+    lam[0] += 1.0
+    lam_local = lam[_local_faces(ac.complex_dim, p)]
+    basis = np.einsum("fk,fkc->fc", lam_local, geo.signed_wedge_tables(p)[top_id])
+    return c.values[ac.top_faces(p)[top_id]] @ basis
+
+
+def old_assemble_poisson(gc, ac, hodge_kind, source, dirichlet):
+    """The source through the per-point de Rham map, boundary values one vertex at a time."""
+    boundary_ids = boundary_vertex_ids(ac)
+    if not boundary_ids:
+        raise MeshValidationError("mesh has no boundary; Dirichlet problem is not posed")
+    d0 = matrices_for(ac).coboundary_csr(0)
+    hodges = build_hodges(gc, ac, hodge_kind)
+    stiffness = (d0.T @ hodges[1].matrix @ d0).tocsr()
+    field = analytic_form(0, lambda x: np.array([source(x)]))
+    rhs = hodges[0].matrix @ old_de_rham_map(gc, ac, field, 0, simplex_rule(0, 2))
+    fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
+    values = np.array([float(dirichlet(gc.vertices[v])) for v in boundary_ids])
+    size = stiffness.shape[0]
+    lifted = np.zeros(size)
+    lifted[fixed] = values
+    rhs = rhs - stiffness @ lifted
+    rhs[fixed] = values
+    free = np.ones(size)
+    free[fixed] = 0.0
+    proj = sp.diags(free)
+    matrix = (proj @ stiffness @ proj + sp.diags(1.0 - free)).tocsr()
+    return matrix, rhs, list(zip(fixed.tolist(), values.tolist()))
+
+
 def old_l2_and_energy_error(gc, ac, vertex_values, solution):
     """One top simplex and one quadrature point at a time."""
     geo = mesh_geometry(gc, ac)
@@ -514,18 +557,86 @@ def test_cup_product_matches(mesh):
             assert_integrals_close(cup_product(gc, a, b).values, old_cup_product(gc, a, b))
 
 
+# Callables that read the same on one point (d,) and on a batch (d, m).
+CUBIC = ManufacturedSolution(
+    u=lambda x: np.sum(x, axis=0) ** 3,
+    source=lambda x: np.sin(x[0]) * np.cos(x[-1]) + 2.0,
+    gradient=lambda x: 3.0 * np.sum(x, axis=0) ** 2 * np.ones_like(x),
+)
+
+
 def test_l2_and_energy_error_matches(mesh):
     gc, ac = mesh
-    solution = ManufacturedSolution(
-        u=lambda x: float(np.sum(x)) ** 3,
-        source=lambda x: 0.0,
-        gradient=lambda x: 3.0 * float(np.sum(x)) ** 2 * np.ones(len(x)),
-    )
     values = np.random.default_rng(23).standard_normal(ac.num_simplices(0))
     assert_integrals_close(
-        l2_and_energy_error(gc, ac, values, solution),
-        old_l2_and_energy_error(gc, ac, values, solution),
+        l2_and_energy_error(gc, ac, values, CUBIC),
+        old_l2_and_energy_error(gc, ac, values, CUBIC),
     )
+
+
+def test_whitney_interpolate_matches_per_point_closure(mesh):
+    gc, ac = mesh
+    n = ac.complex_dim
+    rng = np.random.default_rng(31)
+    coords = gc.vertices[ac.simplex_arrays[n]]
+    for p in range(n + 1):
+        c = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
+        field = whitney_interpolate(gc, c)
+        tops = rng.integers(0, len(coords), size=200)
+        lam = rng.exponential(size=(200, n + 1))
+        lam /= lam.sum(axis=1, keepdims=True)
+        points = np.einsum("mk,mkd->md", lam, coords[tops])
+        old = np.array([old_whitney_evaluate(gc, c, t, x) for t, x in zip(tops.tolist(), points)])
+        assert_integrals_close(field.evaluate(tops, points.T), old.T)
+        for t, x, value in list(zip(tops.tolist(), points, old))[:5]:
+            assert_integrals_close(field.evaluate(t, x), value)
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+def test_assemble_poisson_matches(mesh, kind):
+    gc, ac = mesh
+    try:
+        old = old_assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u)
+    except MeshValidationError as exc:
+        with pytest.raises(MeshValidationError, match=str(exc)):
+            assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u)
+        return
+    system = assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u)
+    assert_integrals_close(system.matrix.toarray(), old[0].toarray())
+    assert_integrals_close(system.rhs, old[1])
+    assert [i for i, _ in system.constrained] == [i for i, _ in old[2]]
+    assert_integrals_close([v for _, v in system.constrained], [v for _, v in old[2]])
+
+
+# Written for one point: on a batch they give a scalar or a constant vector,
+# which broadcasting would spread silently over every point.
+PER_POINT_ONLY = {
+    "sum": lambda x: float(np.sum(x)),
+    "constant": lambda x: 1.0,
+    "covector": lambda x: np.array([1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_POINT_ONLY))
+def test_per_point_callables_rejected(name):
+    # 8 triangles, 9 vertices, 8 boundary vertices and 16 edges: no batch
+    # has the length of the covector, so its shape cannot pass by accident.
+    gc = uniform_refine(split_square())
+    ac = abstr(gc)
+    fn = PER_POINT_ONLY[name]
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="on a batch of points"):
+            de_rham_map(gc, ac, analytic_form(p, fn), p)
+    values = np.zeros(ac.num_simplices(0))
+    for solution in (
+        ManufacturedSolution(u=fn, source=CUBIC.source, gradient=CUBIC.gradient),
+        ManufacturedSolution(u=CUBIC.u, source=CUBIC.source, gradient=fn),
+    ):
+        with pytest.raises(ValueError, match="on a batch of points"):
+            l2_and_energy_error(gc, ac, values, solution)
+    for source, dirichlet in ((fn, CUBIC.u), (CUBIC.source, fn)):
+        with pytest.raises(ValueError, match="on a batch of points"):
+            assemble_poisson(gc, ac, "galerkin", source, dirichlet)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -130,6 +130,33 @@ def test_solve_sinsin_rejects_a_polyline(capsys, tmp_path):
     assert err.startswith("error: ") and "complex dimension 1" in err
 
 
+@pytest.mark.parametrize(
+    "mesh, where",
+    [
+        (
+            {"dimension": 1, "vertices": [[0], [1], [2]], "simplices": [[0, 1], [1, 2]]},
+            "complex dimension 1 in R^1",
+        ),
+        (
+            {
+                "dimension": 2,
+                "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]],
+                "simplices": [[0, 1, 2], [0, 2, 3]],
+            },
+            "complex dimension 2 in R^3",
+        ),
+    ],
+    ids=["segments-in-R1", "triangles-in-R3"],
+)
+def test_solve_affine_rejects_a_non_planar_mesh(capsys, tmp_path, mesh, where):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(mesh))
+    code, out, err = run(capsys, "solve", path, "--manufactured", "affine")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: manufactured affine problem needs a planar 2-d mesh, not {where}\n"
+
+
 def test_converge_gate_passes(capsys, square_file):
     code, out, _ = run(capsys, "converge", square_file, "--levels", "3", "--json")
     assert code == 0
@@ -198,3 +225,25 @@ def test_verify_text_format_mesh(capsys, tmp_path):
     code, out, _ = run(capsys, "info", path)
     assert code == 0
     assert "2-simplices: 1" in out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda good: [1.0, 2.0], "must be a JSON object with keys degree, values and"),
+        (lambda good: {"degree": 0, "fingerprint": "x"}, "must be a JSON object with keys"),
+        (lambda good: dict(good, degree="zero"), "degree must be an integer"),
+        (lambda good: dict(good, values=[None] * 4), "values a list of numbers"),
+    ],
+    ids=["list", "missing-key", "bad-degree", "null-values"],
+)
+def test_cup_rejects_a_malformed_cochain_file(capsys, tmp_path, square_file, edit, message):
+    good = cochain_to_json(Cochain(abstr(meshes.split_square()), 0, np.zeros(4)))
+    bad_path, good_path = tmp_path / "bad.json", tmp_path / "good.json"
+    bad_path.write_text(json.dumps(edit(good)))
+    good_path.write_text(json.dumps(good))
+    code, out, err = run(capsys, "cup", square_file, bad_path, good_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -284,6 +284,12 @@ class TestSignedVolume:
         gc = meshes.split_square()
         assert unsigned_volume(gc, (0, 2)) == pytest.approx(math.sqrt(2))
 
+    @pytest.mark.parametrize("simplex", [(-1, 0), (0, 4)])
+    def test_unsigned_volume_rejects_out_of_range_ids(self, simplex):
+        # A negative id must not wrap around to the last vertex.
+        with pytest.raises(MeshValidationError, match="vertex index out of range"):
+            unsigned_volume(meshes.split_square(), simplex)
+
 
 class TestAbstr:
     def test_single_triangle_faces_and_sign(self):

@@ -94,7 +94,7 @@ class TestAssembly:
     def test_system_matrix_is_symmetric(self):
         gc = uniform_refine(meshes.split_square())
         ac = abstr(gc)
-        system = assemble_poisson(gc, ac, "galerkin", lambda x: 1.0, lambda x: 0.0)
+        system = assemble_poisson(gc, ac, "galerkin", lambda x: 1.0 + 0 * x[0], lambda x: 0 * x[0])
         dense = system.matrix.toarray()
         np.testing.assert_allclose(dense, dense.T, atol=1e-14)
         np.linalg.cholesky(dense)
@@ -111,14 +111,16 @@ class TestAssembly:
 
             monkeypatch.setattr(hodge, name, recording)
         gc = uniform_refine(meshes.split_square())
-        assemble_poisson(gc, abstr(gc), kind, lambda x: 1.0, lambda x: 0.0)
+        assemble_poisson(gc, abstr(gc), kind, lambda x: 1.0 + 0 * x[0], lambda x: 0 * x[0])
         assert degrees == [0, 1]
 
     def test_dirichlet_dict_accepted(self):
         gc = meshes.split_square()
         ac = abstr(gc)
-        values = {v: float(v) for v in range(4)}
-        system = assemble_poisson(gc, ac, "galerkin", lambda x: 0.0, values)
+        # Vertex v of the square gets the value v, as the former dict form
+        # {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0} prescribed.
+        values = lambda x: x[0] + 3 * x[1] - 2 * x[0] * x[1]  # noqa: E731
+        system = assemble_poisson(gc, ac, "galerkin", lambda x: 0 * x[0], values)
         out = cg_solve(system, tol=1e-13)
         np.testing.assert_allclose(out, [0.0, 1.0, 2.0, 3.0], atol=1e-12)
 
@@ -145,7 +147,7 @@ class TestAssembly:
         gc = fixture_set["disk"]
         ac = abstr(gc)
         g = lambda x: x[0] - 0.25 * x[1]  # noqa: E731
-        system = assemble_poisson(gc, ac, "galerkin", lambda x: 0.0, g)
+        system = assemble_poisson(gc, ac, "galerkin", lambda x: 0 * x[0], g)
         values = cg_solve(system, tol=1e-12)
         boundary_values = [g(gc.vertices[v]) for v in boundary_vertex_ids(ac)]
         assert values.max() <= max(boundary_values) + 1e-10
