@@ -217,8 +217,10 @@ class ComplexMatrices:
     matrices exactly, since every entry is +-1.  ``boundary`` and
     ``coboundary`` hold the same operators as IntSparseMatrix objects keyed
     by degree, for Smith normal forms and exact checks; they are built
-    from the CSR matrices on first access.  ``_snf_cache`` holds rank-only
-    Smith normal forms keyed by ("b" or "d", degree); ``homology`` fills it.
+    from the CSR matrices on first access.  ``homology`` fills two caches:
+    ``_reduction`` holds the Betti numbers and torsion of every degree,
+    read off the coreduced complex, and ``_snf_cache`` holds rank-only
+    Smith normal forms of the coboundaries keyed by degree.
     """
 
     complex_dim: int
@@ -226,6 +228,7 @@ class ComplexMatrices:
     _boundary: dict = field(repr=False)
     _exact_views: dict = field(default_factory=dict, repr=False)
     _snf_cache: dict = field(default_factory=dict, repr=False)
+    _reduction: object = field(default=None, repr=False)
 
     def boundary_csr(self, p: int) -> sp.csr_matrix:
         return self._boundary[p]

@@ -50,11 +50,13 @@ class _Eliminator:
 
     Every operation records the rows and columns in which an entry value, a
     row length or a column count changed; ``_select_pivot`` re-keys only the
-    cells of those rows and columns into ``heap``.
+    cells of those rows and columns into ``heap``.  ``nnz`` counts the
+    nonzero entries of the working matrix.
     """
 
     def __init__(self, mat: IntSparseMatrix, with_transforms: bool):
         self.m, self.n = mat.rows, mat.cols
+        self.nnz = len(mat.entries)
         self.rows: dict = {}
         self.colrows: dict = {}
         for (r, c), v in mat.entries.items():
@@ -104,11 +106,13 @@ class _Eliminator:
                 if c not in drow:
                     self.colrows.setdefault(c, set()).add(i)
                     self.dirty_cols.add(c)
+                    self.nnz += 1
                 drow[c] = nv
             else:
                 drow.pop(c, None)
                 self.colrows.get(c, set()).discard(i)
                 self.dirty_cols.add(c)
+                self.nnz -= 1
         if not drow:
             self.rows.pop(i, None)
         if self.with_transforms:
@@ -126,11 +130,13 @@ class _Eliminator:
                 if j not in row:
                     self.colrows.setdefault(j, set()).add(r)
                     self.dirty_rows.add(r)
+                    self.nnz += 1
                 row[j] = nv
             else:
                 row.pop(j, None)
                 self.colrows.get(j, set()).discard(r)
                 self.dirty_rows.add(r)
+                self.nnz -= 1
         if self.with_transforms:
             self._axpy(self.VT, j, t, q)
             self._axpy(self.Vinv, t, j, -q)
@@ -194,7 +200,9 @@ def _select_pivot(elim: _Eliminator, t: int):
     columns changed since the last call are pushed with their current keys,
     so every live cell's current key is in the heap; popping until the top
     key matches its cell's current key therefore yields the exact minimum.
-    Rows and columns below t hold only finished pivots and are skipped.
+    Rows and columns below t hold only finished pivots and are skipped, so
+    nnz - t cells are live; once stale keys outnumber them the heap is
+    rebuilt from the live cells' current keys, which keeps the minimum.
     """
     m, n = elim.m, elim.n
     mn = m * n
@@ -216,6 +224,14 @@ def _select_pivot(elim: _Eliminator, t: int):
             heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
     elim.dirty_rows.clear()
     elim.dirty_cols.clear()
+    if len(heap) > 2 * (elim.nnz - t):
+        heap[:] = [
+            ((abs(v) * mn + (len(row) - 1) * (len(colrows[c]) - 1)) * m + r) * n + c
+            for r, row in rows.items()
+            if r >= t
+            for c, v in row.items()
+        ]
+        heapq.heapify(heap)
     while heap:
         key = heapq.heappop(heap)
         rest, c = divmod(key, n)
@@ -305,11 +321,14 @@ def smith_normal_form(mat: IntSparseMatrix, with_transforms: bool = True) -> Snf
         return SnfResult(diag, rank, None, None, None, None)
 
     def build(table: dict, size: int, transposed: bool = False) -> IntSparseMatrix:
-        ent = {}
-        for r, row in table.items():
-            for c, v in row.items():
-                ent[(c, r) if transposed else (r, c)] = v
-        return IntSparseMatrix(size, size, ent)
+        # Rows leave the table as they are copied, and the entries (nonzero,
+        # in range, unique) bypass the constructor's checking copy, so no
+        # transform is held twice.
+        out = IntSparseMatrix(size, size)
+        for r in list(table):
+            for c, v in table.pop(r).items():
+                out.entries[(c, r) if transposed else (r, c)] = v
+        return out
 
     return SnfResult(
         diag,
@@ -321,37 +340,52 @@ def smith_normal_form(mat: IntSparseMatrix, with_transforms: bool = True) -> Snf
     )
 
 
-def _rank_only_snf(cm: ComplexMatrices, kind: str, p: int) -> SnfResult:
-    """Cached rank-only SNF of boundary[p] (kind "b") or coboundary[p] ("d")."""
-    key = (kind, p)
-    if key not in cm._snf_cache:
-        mat = cm.boundary[p] if kind == "b" else cm.coboundary[p]
-        cm._snf_cache[key] = smith_normal_form(mat, with_transforms=False)
-    return cm._snf_cache[key]
+@dataclass
+class _Reduction:
+    """Integer homology read off the coreduced complex (``coreduce``).
+
+    ``starts`` vertices were removed as roots of their components and
+    ``live[p]`` lists the degree-p cells of the residual complex;
+    ``betti`` and ``torsion`` hold every degree.
+    """
+
+    starts: int
+    live: list
+    betti: list
+    torsion: list
 
 
-def _boundary_rank(cm: ComplexMatrices, p: int) -> int:
-    """Integer rank of the degree-p boundary operator (0 outside 1..n)."""
-    if p < 1 or p > cm.complex_dim:
-        return 0
-    return _rank_only_snf(cm, "b", p).rank
+def _reduction(cm: ComplexMatrices) -> _Reduction:
+    """Homology from rank-only SNFs of the coreduced complex, cached in
+    ``cm._reduction``; invariant factors are unique, so they are those of
+    the full boundaries."""
+    if cm._reduction is None:
+        # Imported on first use: runs that compute no homology do not load
+        # it, which keeps their import memory as it was.
+        from .coreduction import coreduce
+
+        n = cm.complex_dim
+        starts, live, residual = coreduce(cm)
+        diags = [[]] * (n + 2)  # diags[p]: invariant factors of the residual degree-p boundary
+        for p, mat in residual.items():
+            diags[p] = smith_normal_form(mat, with_transforms=False).diag
+        betti = [len(live[p]) - len(diags[p]) - len(diags[p + 1]) for p in range(n + 1)]
+        betti[0] += starts
+        torsion = [[d for d in diags[p + 1] if d > 1] for p in range(n + 1)]
+        cm._reduction = _Reduction(starts, live, betti, torsion)
+    return cm._reduction
 
 
 def betti_numbers(cm: ComplexMatrices) -> list:
     """Betti numbers beta_0..beta_n from exact integer ranks."""
-    return [
-        cm.counts[p] - _boundary_rank(cm, p) - _boundary_rank(cm, p + 1)
-        for p in range(cm.complex_dim + 1)
-    ]
+    return list(_reduction(cm).betti)
 
 
 def torsion_coefficients(cm: ComplexMatrices, p: int) -> list:
     """Invariant factors > 1 of the degree-p homology group."""
     if not 0 <= p <= cm.complex_dim:
         raise ValueError(f"degree {p} outside 0..{cm.complex_dim}")
-    if p == cm.complex_dim:
-        return []
-    return [d for d in _rank_only_snf(cm, "b", p + 1).diag if d > 1]
+    return list(_reduction(cm).torsion[p])
 
 
 def cohomology_betti(cm: ComplexMatrices, p: int) -> int:
@@ -362,7 +396,9 @@ def cohomology_betti(cm: ComplexMatrices, p: int) -> int:
     def d_rank(q: int) -> int:
         if q < 0 or q > cm.complex_dim - 1:
             return 0
-        return _rank_only_snf(cm, "d", q).rank
+        if q not in cm._snf_cache:
+            cm._snf_cache[q] = smith_normal_form(cm.coboundary[q], with_transforms=False)
+        return cm._snf_cache[q].rank
 
     return cm.counts[p] - d_rank(p) - d_rank(p - 1)
 

@@ -177,9 +177,13 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = No
 
 def uniform_refine(gc: GeometricComplex) -> GeometricComplex:
     """Split every triangle into four via edge midpoints (2-d complexes only)."""
+    return _refine(gc, abstr(gc))
+
+
+def _refine(gc: GeometricComplex, ac: AbstractComplex) -> GeometricComplex:
+    """uniform_refine of gc, reading edges and faces from ac = abstr(gc)."""
     if gc.complex_dim != 2:
         raise MeshValidationError("uniform refinement implemented for 2-d complexes only")
-    ac = abstr(gc)
     edges = ac.simplex_arrays[1]
     tris = gc.top_simplices
     midpoints = (gc.vertices[edges[:, 0]] + gc.vertices[edges[:, 1]]) / 2.0
@@ -337,9 +341,9 @@ def convergence_study(
     if levels < 3:
         raise ValueError("a convergence study needs at least 3 levels")
     report_levels = []
-    mesh = gc
+    mesh, ac = gc, abstr(gc)
     for _ in range(levels):
-        mesh = uniform_refine(mesh)
+        mesh = _refine(mesh, ac)
         ac = abstr(mesh)
         system = assemble_poisson(mesh, ac, hodge_kind, solution.source, solution.u)
         values = cg_solve(system, tol=tol)

@@ -1,5 +1,7 @@
 """Smith normal form and the integer homology pipeline."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,15 +14,19 @@ from decfem import (
     homology_generators,
     homology_summary,
     matrices_for,
+    meshes,
     smith_normal_form,
     torsion_coefficients,
+    uniform_refine,
 )
 from decfem import homology
 from decfem.chains import IntSparseMatrix
+from decfem.mesh import AbstractComplex
 
 from conftest import (
     FIXTURE_NAMES,
     exact_determinant,
+    kuhn_cube,
     random_delaunay_mesh,
     rips_complex,
     two_tets,
@@ -69,6 +75,15 @@ class TestSmithNormalForm:
             assert d.entries == expected
             assert (res.left @ res.left_inv) == IntSparseMatrix.identity(a.rows)
             assert (res.right @ res.right_inv) == IntSparseMatrix.identity(a.cols)
+
+    @pytest.mark.parametrize("name", ["annulus", "projective_plane", "tetrahedron_boundary"])
+    def test_transforms_are_valid_matrices(self, abstract_set, name):
+        cm = matrices_for(abstract_set[name])
+        for mat in cm.boundary.values():
+            res = smith_normal_form(mat)
+            for transform in snf_fields(res)[2:]:
+                assert all(type(v) is int and v for v in transform.entries.values())
+                assert transform == IntSparseMatrix(transform.rows, transform.cols, transform.entries)
 
     def test_determinism(self):
         dense = [[3, 1, -4], [2, -7, 0], [5, 5, 5]]
@@ -375,3 +390,184 @@ class TestAgainstFullScanPivot:
         mat = IntSparseMatrix.from_dense(dense)
         assert_same_as_full_scan(mat)
         assert_heap_invariant(mat)
+
+
+def pivot_without_compaction(elim, t):
+    """The heap pivot search before heap compaction: stale keys leave the
+    heap only when they reach its top."""
+    m, n = elim.m, elim.n
+    mn = m * n
+    rows, colrows, heap = elim.rows, elim.colrows, elim.heap
+    for r in elim.dirty_rows:
+        row = rows.get(r)
+        if r < t or not row:
+            continue
+        rfill = len(row) - 1
+        for c, v in row.items():
+            heapq.heappush(heap, ((abs(v) * mn + rfill * (len(colrows[c]) - 1)) * m + r) * n + c)
+    for c in elim.dirty_cols:
+        members = colrows.get(c)
+        if c < t or not members:
+            continue
+        cfill = len(members) - 1
+        for r in members - elim.dirty_rows:
+            row = rows[r]
+            heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
+    elim.dirty_rows.clear()
+    elim.dirty_cols.clear()
+    while heap:
+        key = heapq.heappop(heap)
+        rest, c = divmod(key, n)
+        rest, r = divmod(rest, m)
+        absv, fill = divmod(rest, mn)
+        if r < t or c < t:
+            continue
+        row = rows.get(r)
+        v = row.get(c) if row else None
+        if (
+            v is not None
+            and abs(v) == absv
+            and (len(row) - 1) * (len(colrows[c]) - 1) == fill
+        ):
+            return r, c
+    return None
+
+
+def refined_projective_plane(times: int):
+    gc = meshes.projective_plane_minimal()
+    for _ in range(times):
+        gc = uniform_refine(gc)
+    return gc
+
+
+class TestHeapCompaction:
+    """Rebuilding the pivot heap from live keys keeps every pivot."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["torus_16", "rp2_refined_2"])
+    def test_same_snf_as_without_compaction(self, abstract_set, name):
+        if name == "torus_16":
+            ac = abstr(meshes.torus_grid(16, 16))
+        elif name == "rp2_refined_2":
+            ac = abstr(refined_projective_plane(2))
+        else:
+            ac = abstract_set[name]
+        compacting = homology._select_pivot
+        peaks = []
+
+        def bounded(elim, t):
+            pivot = compacting(elim, t)
+            live = sum(len(row) for r, row in elim.rows.items() if r >= t)
+            assert len(elim.heap) <= 2 * live
+            peaks.append(len(elim.heap))
+            return pivot
+
+        for mat in matrices_for(ac).boundary.values():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(homology, "_select_pivot", bounded)
+                compacted = snf_fields(smith_normal_form(mat))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(homology, "_select_pivot", pivot_without_compaction)
+                reference = snf_fields(smith_normal_form(mat))
+            assert compacted == reference
+        assert peaks
+
+
+def full_operator_homology(cm):
+    """Betti numbers and torsion from rank-only SNFs of the full boundaries."""
+    n = cm.complex_dim
+    diags = [[]] * (n + 2)
+    for p, mat in cm.boundary.items():
+        diags[p] = smith_normal_form(mat, with_transforms=False).diag
+    betti = [cm.counts[p] - len(diags[p]) - len(diags[p + 1]) for p in range(n + 1)]
+    return betti, [[d for d in diags[p + 1] if d > 1] for p in range(n + 1)]
+
+
+def disconnected_complex() -> AbstractComplex:
+    """RP², the minimal torus, an isolated vertex and an isolated edge."""
+    levels, offset = [[], [], []], 0
+    for gc in (meshes.projective_plane_minimal(), meshes.torus_minimal()):
+        ac = abstr(gc)
+        for p in range(3):
+            levels[p] += [tuple(offset + v for v in s) for s in ac.simplices[p]]
+        offset += ac.num_simplices(0)
+    levels[0] += [(offset,), (offset + 1,), (offset + 2,)]
+    levels[1].append((offset + 1, offset + 2))
+    return AbstractComplex(2, levels, [1] * len(levels[2]))
+
+
+REDUCTION_INPUTS = {
+    **{f"rp2_refined_{k}": (lambda k=k: abstr(refined_projective_plane(k))) for k in range(3)},
+    **{f"rips_{seed}": (lambda seed=seed: rips_complex(seed)) for seed in range(12)},
+    **{
+        f"delaunay_{seed}": (lambda seed=seed: abstr(random_delaunay_mesh(seed)))
+        for seed in range(12)
+    },
+    "two_tets": lambda: abstr(two_tets()),
+    "kuhn_1": lambda: abstr(kuhn_cube(1)),
+    "kuhn_2": lambda: abstr(kuhn_cube(2)),
+    "disconnected": disconnected_complex,
+    "three_points": lambda: AbstractComplex(0, [[(0,), (1,), (2,)]], [1, 1, 1]),
+    "torus_16": lambda: abstr(meshes.torus_grid(16, 16)),
+}
+
+
+def reduction_input(abstract_set, name):
+    build = REDUCTION_INPUTS.get(name)
+    return abstract_set[name] if build is None else build()
+
+
+class TestCoreduction:
+    """Betti numbers and torsion of the coreduced complex equal the full ones."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(REDUCTION_INPUTS))
+    def test_matches_full_operator_snf(self, abstract_set, name):
+        ac = reduction_input(abstract_set, name)
+        cm = matrices_for(ac)
+        torsion = [torsion_coefficients(cm, p) for p in range(cm.complex_dim + 1)]
+        assert (betti_numbers(cm), torsion) == full_operator_homology(cm)
+        red = cm._reduction
+        euler = sum((-1) ** p * len(cells) for p, cells in enumerate(red.live)) + red.starts
+        assert euler == ac.euler_characteristic()
+
+    # torus_16 is too large for sympy's dense elimination.
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(REDUCTION_INPUTS)[:-1])
+    def test_matches_sympy(self, abstract_set, name):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        cm = matrices_for(reduction_input(abstract_set, name))
+        n = cm.complex_dim
+        diags = [[]] * (n + 2)
+        for p, mat in cm.boundary.items():
+            factors = invariant_factors(sympy.Matrix(mat.to_dense()), domain=sympy.ZZ)
+            diags[p] = [abs(int(d)) for d in factors if d != 0]
+        assert betti_numbers(cm) == [
+            cm.counts[p] - len(diags[p]) - len(diags[p + 1]) for p in range(n + 1)
+        ]
+        for p in range(n + 1):
+            assert torsion_coefficients(cm, p) == sorted(d for d in diags[p + 1] if d > 1)
+
+    def test_disconnected_complex(self):
+        cm = matrices_for(disconnected_complex())
+        assert betti_numbers(cm) == [4, 2, 1]
+        assert [torsion_coefficients(cm, p) for p in range(3)] == [[], [2], []]
+        assert cm._reduction.starts == 4
+
+    def test_deterministic_and_cached(self, monkeypatch):
+        first = homology._reduction(matrices_for(abstr(refined_projective_plane(1))))
+        cm = matrices_for(abstr(refined_projective_plane(1)))
+        assert homology._reduction(cm) == first
+        calls = []
+        snf = homology.smith_normal_form
+        monkeypatch.setattr(
+            homology, "smith_normal_form", lambda *a, **kw: calls.append(1) or snf(*a, **kw)
+        )
+        betti_numbers(cm)
+        torsion_coefficients(cm, 1)
+        assert calls == []
+        assert homology._reduction(cm) is cm._reduction
+
+    def test_residual_of_large_torus_is_small(self):
+        cm = matrices_for(abstr(meshes.torus_grid(32, 32)))
+        assert betti_numbers(cm) == [1, 2, 1]
+        assert sum(len(cells) for cells in cm._reduction.live) < 0.05 * sum(cm.counts)

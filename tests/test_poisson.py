@@ -20,7 +20,7 @@ from decfem import (
     sin_sin_solution,
     uniform_refine,
 )
-from decfem import hodge
+from decfem import hodge, poisson
 from decfem.mesh import MeshValidationError
 from decfem.poisson import LinearSystem, SolverError
 from decfem.whitney import analytic_form, de_rham_map
@@ -269,6 +269,24 @@ class TestConvergence:
         errors = [lv.l2_error for lv in report.levels]
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert report.l2_rates[0] >= 1.4
+
+    def test_each_mesh_reduced_once_with_unchanged_report(self, monkeypatch):
+        # Reference: refine through the public uniform_refine, which reduces
+        # the mesh it refines a second time.
+        solution = sin_sin_solution()
+        mesh, expected = meshes.split_square(), []
+        for _ in range(4):
+            mesh = uniform_refine(mesh)
+            ac = abstr(mesh)
+            system = assemble_poisson(mesh, ac, "galerkin", solution.source, solution.u)
+            values = cg_solve(system, tol=1e-10)
+            l2, energy = l2_and_energy_error(mesh, ac, values, solution)
+            expected.append((poisson._max_edge_length(mesh, ac), len(values), l2, energy))
+        calls = []
+        monkeypatch.setattr(poisson, "abstr", lambda gc: calls.append(gc) or abstr(gc))
+        report = convergence_study(meshes.split_square(), 4, solution)
+        assert [(lv.h, lv.dofs, lv.l2_error, lv.energy_error) for lv in report.levels] == expected
+        assert len(calls) == 5 and len({id(gc) for gc in calls}) == 5
 
     def test_report_serialization(self):
         report = convergence_study(meshes.split_square(), 3, sin_sin_solution())
