@@ -3,11 +3,11 @@
 Boundary columns follow the canonical ascending-vertex convention: the
 column of a p-simplex (i0 < ... < ip) carries (-1)^k in the row of the face
 omitting i_k.  Coboundaries are boundary transposes.  Operators are built
-as int64 CSR matrices; ``IntSparseMatrix`` (arbitrary-precision entries)
-serves Smith normal forms, their transforms and the exact chain-map
-checks.  The complex property (boundary of boundary vanishes) is
-machine-checked in integer arithmetic whenever a full operator family is
-built.
+as int64 CSR matrices, exact for the checks since every entry is +-1;
+``IntSparseMatrix`` (arbitrary-precision entries) serves Smith normal
+forms and their transforms.  The complex property (boundary of boundary
+vanishes) is machine-checked in integer arithmetic whenever a full
+operator family is built.
 """
 
 from __future__ import annotations
@@ -121,10 +121,6 @@ class IntSparseMatrix:
             and self.entries == other.entries
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return id(self)
 
@@ -214,10 +210,10 @@ class ComplexMatrices:
     ``boundary_csr(p)`` is the degree-p boundary as an int64 CSR matrix,
     the primary form; ``coboundary_csr(p)`` is the transpose of
     ``boundary_csr(p + 1)``.  Integer data mixes with float vectors and
-    matrices exactly, since every entry is +-1.  ``boundary`` and
-    ``coboundary`` hold the same operators as IntSparseMatrix objects keyed
-    by degree, for Smith normal forms and exact checks; they are built
-    from the CSR matrices on first access.  ``homology`` fills two caches:
+    matrices exactly, since every entry is +-1.  ``boundary`` holds the
+    same boundaries as IntSparseMatrix objects keyed by degree, for the
+    Smith normal forms of ``homology_generators``; it is built from the
+    CSR matrices on first access.  ``homology`` fills two caches:
     ``_reduction`` holds the Betti numbers and torsion of every degree,
     read off the coreduced complex, and ``_snf_cache`` holds rank-only
     Smith normal forms of the coboundaries keyed by degree.
@@ -226,7 +222,7 @@ class ComplexMatrices:
     complex_dim: int
     counts: list
     _boundary: dict = field(repr=False)
-    _exact_views: dict = field(default_factory=dict, repr=False)
+    _exact_views: dict = field(default=None, repr=False)
     _snf_cache: dict = field(default_factory=dict, repr=False)
     _reduction: object = field(default=None, repr=False)
 
@@ -238,15 +234,9 @@ class ComplexMatrices:
 
     @property
     def boundary(self) -> dict:
-        if "b" not in self._exact_views:
-            self._exact_views["b"] = {p: _exact(b) for p, b in self._boundary.items()}
-        return self._exact_views["b"]
-
-    @property
-    def coboundary(self) -> dict:
-        if "d" not in self._exact_views:
-            self._exact_views["d"] = {p - 1: b.transpose() for p, b in self.boundary.items()}
-        return self._exact_views["d"]
+        if self._exact_views is None:
+            self._exact_views = {p: _exact(b) for p, b in self._boundary.items()}
+        return self._exact_views
 
 
 def complex_matrices(ac: AbstractComplex) -> ComplexMatrices:
@@ -267,40 +257,49 @@ def matrices_for(ac: AbstractComplex) -> ComplexMatrices:
     return ac._matrices
 
 
-def _induced_map(source: AbstractComplex, target: AbstractComplex, fmap, p: int) -> IntSparseMatrix:
+def _induced_map(source: AbstractComplex, target: AbstractComplex, images, p: int) -> sp.csr_matrix:
+    """The degree-p chain map of a vertex image table, as an int64 CSR matrix."""
+    mapped = images[source.simplex_arrays[p]]
+    ordered = np.sort(mapped, axis=1)
+    # Simplices with a repeated image vertex map to zero.
+    cols = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).all(axis=1))
     rows = target.num_simplices(p) if p <= target.complex_dim else 0
-    ent = {}
-    for j, s in enumerate(source.simplices[p]):
-        image = [fmap[v] for v in s]
-        if len(set(image)) != p + 1:
-            continue  # degenerate image contributes zero
-        key = tuple(sorted(image))
-        if p > target.complex_dim or key not in target.index_of[p]:
-            raise ChainMapError(f"image of simplex {s} is not a simplex of the target")
-        ent[(target.index_of[p][key], j)] = int(_permutation_sign(image))
-    return IntSparseMatrix(rows, source.num_simplices(p), ent)
+    ids = target.simplex_ids(ordered[cols]) if rows else np.full(len(cols), -1)
+    if (ids < 0).any():
+        s = tuple(source.simplex_arrays[p][cols[np.argmax(ids < 0)]].tolist())
+        raise ChainMapError(f"image of simplex {s} is not a simplex of the target")
+    signs = np.broadcast_to(_permutation_sign(mapped[cols]), cols.shape)  # a scalar at p = 0
+    return sp.csr_matrix((signs, (ids, cols)), shape=(rows, source.num_simplices(p)), dtype=np.int64)
 
 
 def apply_chain_map_check(source: AbstractComplex, target: AbstractComplex, vertex_map) -> bool:
     """Check that the chain maps induced by a vertex map commute with boundaries.
 
-    ``vertex_map`` maps vertex ids of the source complex to vertex ids of
-    the target; simplices with repeated image vertices are sent to zero.
-    Returns True iff the induced maps satisfy f(boundary(c)) =
-    boundary(f(c)) for every degree, in exact integer arithmetic.  Raises
-    ChainMapError when a non-degenerate image is not a target simplex.
+    ``vertex_map`` (a sequence or a dict) maps vertex ids of the source
+    complex to integer vertex ids of the target; simplices with repeated
+    image vertices are sent to zero.  Returns True iff the induced maps
+    satisfy f(boundary(c)) = boundary(f(c)) for every degree, in exact
+    integer arithmetic.  Raises ChainMapError when a source vertex has no
+    integer image or a non-degenerate image is not a target simplex.
     """
-    fmap = dict(enumerate(vertex_map)) if not isinstance(vertex_map, dict) else vertex_map
+    fmap = vertex_map if isinstance(vertex_map, dict) else dict(enumerate(vertex_map))
+    vertices = source.simplex_arrays[0][:, 0].tolist()
+    images = np.zeros(max(vertices, default=-1) + 1, dtype=np.int64)  # images[v]: image of vertex v
+    for v in vertices:
+        if v not in fmap:
+            raise ChainMapError(f"vertex {v} has no image")
+        if isinstance(fmap[v], (bool, np.bool_)) or not isinstance(fmap[v], (int, np.integer)):
+            raise ChainMapError(f"image {fmap[v]!r} of vertex {v} is not an integer")
+        images[v] = fmap[v]
     n = source.complex_dim
-    induced = [_induced_map(source, target, fmap, p) for p in range(n + 1)]
+    induced = [_induced_map(source, target, images, p) for p in range(n + 1)]
     src = matrices_for(source)
     tgt = matrices_for(target)
     for p in range(1, n + 1):
-        lhs = induced[p - 1] @ src.boundary[p]
+        # Exact in int64: each entry sums at most p + 1 products of +-1.
+        diff = induced[p - 1] @ src.boundary_csr(p)
         if p <= target.complex_dim:
-            rhs = tgt.boundary[p] @ induced[p]
-        else:
-            rhs = IntSparseMatrix(induced[p - 1].rows, induced[p].cols)
-        if lhs != rhs:
+            diff = diff - tgt.boundary_csr(p) @ induced[p]
+        if diff.count_nonzero():
             return False
     return True

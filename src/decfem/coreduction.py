@@ -2,8 +2,8 @@
 
 Mrozek & Batko, "Coreduction homology algorithm", DCG 2009; Kaczynski,
 Mischaikow & Mrozek, *Computational Homology*, 2004.  Plain Python over
-the exact boundary operators, so a Smith normal form need only see the
-small residual complex.
+the faces and cofaces read off the int64 CSR boundaries, so a Smith
+normal form need only see the small residual complex.
 """
 
 from __future__ import annotations
@@ -31,14 +31,20 @@ def coreduce(cm: ComplexMatrices) -> tuple:
     ``residual[p]`` (p = 1..n) is the boundary among them.
     """
     n = cm.complex_dim
-    coeffs = [None] + [cm.boundary[p].entries for p in range(1, n + 1)]
-    faces = [None] + [[[] for _ in range(cm.counts[p])] for p in range(1, n + 1)]
-    cofaces = [[[] for _ in range(cm.counts[p])] for p in range(n)] + [None]
+    # cols[p]: the CSC columns of the degree-p boundary (each a cell's p + 1
+    # faces, rows ascending); rows[p]: its CSR rows (each a face's cofaces).
+    # Flat lists leave the garbage collector no per-cell lists to scan.
+    cols, rows = [None], [None]
     for p in range(1, n + 1):
-        fp, cp = faces[p], cofaces[p - 1]
-        for r, c in coeffs[p]:
-            fp[c].append(r)
-            cp[r].append(c)
+        b = cm.boundary_csr(p)
+        csc = b.tocsc()
+        cols.append((csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()))
+        rows.append((b.indptr.tolist(), b.indices.tolist()))
+
+    def cofaces(p: int, cell: int) -> list:
+        ptr, ids = rows[p + 1]
+        return ids[ptr[cell] : ptr[cell + 1]]
+
     alive = [[True] * cm.counts[p] for p in range(n + 1)]
     queue = deque()  # (p, list of degree-p cells), in removal order
     starts = 0
@@ -48,29 +54,33 @@ def coreduce(cm: ComplexMatrices) -> tuple:
         starts += 1
         alive[0][vertex] = False
         if n:
-            queue.append((1, cofaces[0][vertex]))
+            queue.append((1, cofaces(0, vertex)))
         while queue:
             p, cells = queue.popleft()
-            here, below, up, down = alive[p], alive[p - 1], cofaces[p], cofaces[p - 1]
+            here, below = alive[p], alive[p - 1]
+            ptr, faces, coeffs = cols[p]
             for cell in cells:
                 if not here[cell]:
                     continue
-                live_faces = [f for f in faces[p][cell] if below[f]]
-                if len(live_faces) == 1 and abs(coeffs[p][live_faces[0], cell]) == 1:
-                    face = live_faces[0]
+                live_faces = [k for k in range(ptr[cell], ptr[cell + 1]) if below[faces[k]]]
+                if len(live_faces) == 1 and abs(coeffs[live_faces[0]]) == 1:
+                    face = faces[live_faces[0]]
                     here[cell] = below[face] = False
-                    if up:
-                        queue.append((p + 1, up[cell]))
-                    queue.append((p, down[face]))
+                    if p < n:
+                        queue.append((p + 1, cofaces(p, cell)))
+                    queue.append((p, cofaces(p - 1, face)))
     live = [[i for i, a in enumerate(alive[p]) if a] for p in range(n + 1)]
+    # Read off the lists above: scipy fancy indexing would load code that no
+    # other homology path runs, which costs more memory than it saves time.
     residual = {}
     for p in range(1, n + 1):
         row_of = {f: i for i, f in enumerate(live[p - 1])}
+        ptr, faces, coeffs = cols[p]
         entries = {
-            (row_of[f], j): coeffs[p][f, cell]
+            (row_of[faces[k]], j): coeffs[k]
             for j, cell in enumerate(live[p])
-            for f in faces[p][cell]
-            if alive[p - 1][f]
+            for k in range(ptr[cell], ptr[cell + 1])
+            if alive[p - 1][faces[k]]
         }
         residual[p] = IntSparseMatrix(len(live[p - 1]), len(live[p]), entries)
     return starts, live, residual

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .chains import ComplexMatrices, IntSparseMatrix
+from .chains import ComplexMatrices, IntSparseMatrix, _exact
 
 __all__ = [
     "SnfResult",
@@ -397,7 +397,7 @@ def cohomology_betti(cm: ComplexMatrices, p: int) -> int:
         if q < 0 or q > cm.complex_dim - 1:
             return 0
         if q not in cm._snf_cache:
-            cm._snf_cache[q] = smith_normal_form(cm.coboundary[q], with_transforms=False)
+            cm._snf_cache[q] = smith_normal_form(_exact(cm.coboundary_csr(q)), with_transforms=False)
         return cm._snf_cache[q].rank
 
     return cm.counts[p] - d_rank(p) - d_rank(p - 1)

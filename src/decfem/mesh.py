@@ -201,14 +201,11 @@ class AbstractComplex:
     (m_p, p+1) int64 array: each row strictly ascending, the rows sorted
     lexicographically and distinct.  ``boundary_faces(p)`` gives the
     incidence of degree p, the id of each p-simplex's face omitting each of
-    its vertices.  ``orientation_signs`` holds one +-1 per top simplex, in
-    the order the top simplices were given geometrically.
-
-    ``simplices[p]`` (a list of vertex tuples) and ``index_of[p]`` (a dict
-    inverting it) are compatibility views, built on first access; the
-    library itself reads the arrays.  Derived data is cached on the
-    instance: the face tables of ``top_faces``, the geometry of one
-    embedding (``whitney.mesh_geometry``) and the boundary matrices
+    its vertices, and ``simplex_ids`` finds rows of vertex ids among the
+    simplices.  ``orientation_signs`` holds one +-1 per top simplex, in the
+    order the top simplices were given geometrically.  Derived data is
+    cached on the instance: the face tables of ``top_faces``, the geometry
+    of one embedding (``whitney.mesh_geometry``) and the boundary matrices
     (``chains.matrices_for``).
     """
 
@@ -247,25 +244,9 @@ class AbstractComplex:
         signs.setflags(write=False)
         self.orientation_signs = signs
         self.simplex_arrays = tuple(levels)
-        self._simplices = None  # compatibility views, see ``simplices``
-        self._index_of = None
         self._top_faces: dict = {}
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
         self._matrices = None  # boundary operators, see chains.matrices_for
-
-    @property
-    def simplices(self) -> list:
-        """``simplices[p]``: the p-simplices as a list of ascending vertex tuples."""
-        if self._simplices is None:
-            self._simplices = [list(map(tuple, level.tolist())) for level in self.simplex_arrays]
-        return self._simplices
-
-    @property
-    def index_of(self) -> list:
-        """``index_of[p]``: a dict from vertex tuple to index in ``simplices[p]``."""
-        if self._index_of is None:
-            self._index_of = [{s: i for i, s in enumerate(level)} for level in self.simplices]
-        return self._index_of
 
     def num_simplices(self, p: int) -> int:
         return len(self.simplex_arrays[p])
@@ -312,8 +293,8 @@ class AbstractComplex:
         return self._top_faces[p]
 
     def top_containing(self, p: int) -> np.ndarray:
-        """For each p-simplex, the index (into simplices[n]) of the first top
-        simplex containing it, or -1 when none does."""
+        """For each p-simplex, the index (into simplex_arrays[n]) of the first
+        top simplex containing it, or -1 when none does."""
         table = self.top_faces(p)
         owner = np.full(self.num_simplices(p), -1, dtype=int)
         faces, first = np.unique(table, return_index=True)

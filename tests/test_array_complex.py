@@ -9,17 +9,28 @@ tuple-level ``AbstractComplex`` validation and the Poisson assembly on float
 CSR copies of the dict boundaries.  Face lists, signs, face tables,
 boundaries, refined meshes, boundary vertices and error messages must be
 identical; the Poisson system must agree to 1e-15 relative.
+
+The later ``old_*`` oracles are the code that read the tuple lists, the
+index dicts and the ``IntSparseMatrix`` boundary and coboundary views
+before the int64 CSR boundaries became the only form outside the Smith
+normal form: the dict-entry coreduction, the tuple/dict chain-map check
+and the exact dd = 0 and transpose checks of ``verify``.  Their results
+must be identical.
 """
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decfem import abstr, assemble_poisson, boundary_matrix, matrices_for, sin_sin_solution
-from decfem.chains import IntSparseMatrix, complex_matrices
+from decfem import abstr, assemble_poisson, boundary_matrix, matrices_for, meshes, sin_sin_solution
+from decfem import apply_chain_map_check
+from decfem.chains import ChainMapError, ComplexMatrices, IntSparseMatrix, _exact, complex_matrices
+from decfem.cli import _exact_checks
+from decfem.coreduction import coreduce
 from decfem.hodge import build_hodges
 from decfem.batched import _permutation_sign
 from decfem.mesh import AbstractComplex, GeometricComplex, MeshValidationError
@@ -164,27 +175,31 @@ MESHES = (
 )
 
 
-@pytest.fixture(params=MESHES, ids=lambda m: f"{m[0]}-{m[1]}")
-def mesh(request, fixture_set):
-    kind, arg = request.param
+def build(kind, arg, fixture_set):
     if kind == "fixture":
         return fixture_set[arg]
     if kind == "two_tets":
         return two_tets()
     if kind == "kuhn":
         return kuhn_cube(arg)
+    if kind == "rips":
+        return rips_complex(arg)
     return random_delaunay_mesh(arg)
+
+
+@pytest.fixture(params=MESHES, ids=lambda m: f"{m[0]}-{m[1]}")
+def mesh(request, fixture_set):
+    return build(*request.param, fixture_set)
 
 
 def test_face_lists_signs_and_face_tables_match(mesh):
     ac = abstr(mesh)
     simplices, signs = old_abstr(mesh)
-    assert ac.simplices == simplices
+    assert [list(map(tuple, level.tolist())) for level in ac.simplex_arrays] == simplices
     for p, level in enumerate(simplices):
         arr = ac.simplex_arrays[p]
         assert arr.dtype == np.int64 and arr.shape == (len(level), p + 1)
         assert arr.tolist() == [list(s) for s in level]
-        assert ac.index_of[p] == {s: i for i, s in enumerate(level)}
         assert np.array_equal(ac.top_faces(p), old_top_faces(simplices, p))
     assert np.array_equal(ac.orientation_signs, signs)
 
@@ -202,7 +217,7 @@ def assert_boundaries_match(ac, simplices):
         for j, s in enumerate(simplices[p]):
             assert [simplices[p - 1][i] for i in faces[j]] == [s[:k] + s[k + 1:] for k in range(p + 1)]
     for p, old in coboundary.items():
-        assert cm.coboundary[p] == old
+        assert _exact(cm.coboundary_csr(p)) == old
         assert np.array_equal(cm.coboundary_csr(p).toarray(), old.to_ndarray(dtype=np.int64))
 
 
@@ -313,7 +328,8 @@ def test_constructor_accepts_what_the_tuple_validation_accepted(seed):
     ac = rips_complex(seed)
     levels = [list(map(tuple, level)) for level in ac.simplex_arrays]
     assert old_validate_complex(2, levels, [1] * len(levels[2])) is None
-    assert AbstractComplex(2, [np.array(level) for level in levels], [1] * len(levels[2])).simplices == levels
+    ac = AbstractComplex(2, [np.array(level) for level in levels], [1] * len(levels[2]))
+    assert [list(map(tuple, level.tolist())) for level in ac.simplex_arrays] == levels
 
 
 def test_complex_matrices_reject_a_nonzero_composition():
@@ -328,3 +344,188 @@ def test_max_edge_length_is_the_longest_edge():
     gc = GeometricComplex([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [[0, 1, 2]])
     assert _max_edge_length(gc, abstr(gc)) == 5.0
     assert math.isclose(old_max_edge_length(gc, old_abstr(gc)[0]), 5.0)
+
+
+def old_views(ac):
+    """(tuple lists, tuple-to-index dicts): the complex's former compatibility views."""
+    simplices = [list(map(tuple, level.tolist())) for level in ac.simplex_arrays]
+    return simplices, [{s: i for i, s in enumerate(level)} for level in simplices]
+
+
+def old_coreduce(cm):
+    """Coreduction over the (row, col) entries of the IntSparseMatrix boundaries."""
+    n = cm.complex_dim
+    coeffs = [None] + [cm.boundary[p].entries for p in range(1, n + 1)]
+    faces = [None] + [[[] for _ in range(cm.counts[p])] for p in range(1, n + 1)]
+    cofaces = [[[] for _ in range(cm.counts[p])] for p in range(n)] + [None]
+    for p in range(1, n + 1):
+        fp, cp = faces[p], cofaces[p - 1]
+        for r, c in coeffs[p]:
+            fp[c].append(r)
+            cp[r].append(c)
+    alive = [[True] * cm.counts[p] for p in range(n + 1)]
+    queue = deque()
+    starts = 0
+    for vertex in range(cm.counts[0]):
+        if not alive[0][vertex]:
+            continue
+        starts += 1
+        alive[0][vertex] = False
+        if n:
+            queue.append((1, cofaces[0][vertex]))
+        while queue:
+            p, cells = queue.popleft()
+            here, below, up, down = alive[p], alive[p - 1], cofaces[p], cofaces[p - 1]
+            for cell in cells:
+                if not here[cell]:
+                    continue
+                live_faces = [f for f in faces[p][cell] if below[f]]
+                if len(live_faces) == 1 and abs(coeffs[p][live_faces[0], cell]) == 1:
+                    face = live_faces[0]
+                    here[cell] = below[face] = False
+                    if up:
+                        queue.append((p + 1, up[cell]))
+                    queue.append((p, down[face]))
+    live = [[i for i, a in enumerate(alive[p]) if a] for p in range(n + 1)]
+    residual = {}
+    for p in range(1, n + 1):
+        row_of = {f: i for i, f in enumerate(live[p - 1])}
+        entries = {
+            (row_of[f], j): coeffs[p][f, cell]
+            for j, cell in enumerate(live[p])
+            for f in faces[p][cell]
+            if alive[p - 1][f]
+        }
+        residual[p] = IntSparseMatrix(len(live[p - 1]), len(live[p]), entries)
+    return starts, live, residual
+
+
+def old_induced_map(source, target, fmap, p):
+    simplices, _ = old_views(source)
+    _, index_of = old_views(target)
+    rows = target.num_simplices(p) if p <= target.complex_dim else 0
+    ent = {}
+    for j, s in enumerate(simplices[p]):
+        image = [fmap[v] for v in s]
+        if len(set(image)) != p + 1:
+            continue
+        key = tuple(sorted(image))
+        if p > target.complex_dim or key not in index_of[p]:
+            raise ChainMapError(f"image of simplex {s} is not a simplex of the target")
+        ent[(index_of[p][key], j)] = int(_permutation_sign(image))
+    return IntSparseMatrix(rows, source.num_simplices(p), ent)
+
+
+def old_apply_chain_map_check(source, target, vertex_map):
+    fmap = dict(enumerate(vertex_map)) if not isinstance(vertex_map, dict) else vertex_map
+    n = source.complex_dim
+    induced = [old_induced_map(source, target, fmap, p) for p in range(n + 1)]
+    src, tgt = matrices_for(source), matrices_for(target)
+    for p in range(1, n + 1):
+        lhs = induced[p - 1] @ src.boundary[p]
+        if p <= target.complex_dim:
+            rhs = tgt.boundary[p] @ induced[p]
+        else:
+            rhs = IntSparseMatrix(induced[p - 1].rows, induced[p].cols)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def old_exact_checks(cm):
+    """``verify``'s dd = 0 and transpose checks on the IntSparseMatrix views."""
+    n = cm.complex_dim
+    coboundary = {p - 1: b.transpose() for p, b in cm.boundary.items()}
+    return [
+        (
+            "boundary.boundary = 0 (exact)",
+            all((cm.boundary[p] @ cm.boundary[p + 1]).is_zero() for p in range(1, n)),
+            "",
+        ),
+        (
+            "coboundary = boundary transpose (exact)",
+            all(coboundary[p] == cm.boundary[p + 1].transpose() for p in range(n)),
+            "",
+        ),
+    ]
+
+
+COMPLEXES = MESHES + [("rips", seed) for seed in range(6)]
+
+
+@pytest.fixture(params=COMPLEXES, ids=lambda m: f"{m[0]}-{m[1]}")
+def complex_(request, fixture_set):
+    built = build(*request.param, fixture_set)
+    return built if isinstance(built, AbstractComplex) else abstr(built)
+
+
+def test_coreduction_matches(complex_):
+    cm = matrices_for(complex_)
+    starts, live, residual = coreduce(cm)
+    old_starts, old_live, old_residual = old_coreduce(cm)
+    assert (starts, live) == (old_starts, old_live)
+    assert residual.keys() == old_residual.keys()
+    for p, mat in residual.items():
+        assert mat == old_residual[p]
+
+
+def test_exact_checks_match(complex_):
+    cm = matrices_for(complex_)
+    assert _exact_checks(cm) == old_exact_checks(cm)
+    assert all(ok for _name, ok, _detail in _exact_checks(cm))
+    if cm.complex_dim >= 2:
+        broken = cm.boundary_csr(2).copy()
+        broken.data[0] *= -1  # one flipped sign breaks dd = 0
+        bad = ComplexMatrices(cm.complex_dim, cm.counts, {**cm._boundary, 2: broken})
+        assert _exact_checks(bad) == old_exact_checks(bad)
+        assert not _exact_checks(bad)[0][1]
+
+
+def chain_map_outcome(check, source, target, vertex_map):
+    """True / False, or the ChainMapError message."""
+    try:
+        return check(source, target, vertex_map)
+    except ChainMapError as err:
+        return str(err)
+
+
+def assert_chain_map_checks_match(source, target, vertex_map):
+    new = chain_map_outcome(apply_chain_map_check, source, target, vertex_map)
+    assert new == chain_map_outcome(old_apply_chain_map_check, source, target, vertex_map)
+    return new
+
+
+def test_chain_map_check_matches_on_the_chain_map_tests(fixture_set):
+    tri = abstr(meshes.reference_triangle())
+    square = abstr(meshes.split_square())
+    disk = abstr(meshes.disk())
+    tets = abstr(two_tets())
+    sphere = abstr(fixture_set["tetrahedron_boundary"])
+    assert assert_chain_map_checks_match(tri, square, [0, 1, 2]) is True
+    assert assert_chain_map_checks_match(tri, tri, [0, 0, 2]) is True
+    assert "(1, 2)" in assert_chain_map_checks_match(square, square, [0, 1, 3, 2])
+    assert assert_chain_map_checks_match(tri, disk, [0, 1, 2]) is True
+    # Above the target's dimension: degenerate images vanish, others raise.
+    assert assert_chain_map_checks_match(tets, tri, [0, 1, 2, 0, 1]) is True
+    assert "(0, 1, 2, 3)" in assert_chain_map_checks_match(tets, sphere, [0, 1, 2, 3, 0])
+    for gc in fixture_set.values():
+        ac = abstr(gc)
+        vertices = ac.simplex_arrays[0][:, 0].tolist()
+        assert assert_chain_map_checks_match(ac, ac, {v: v for v in vertices}) is True
+
+
+def test_chain_map_check_matches_on_random_maps(complex_, fixture_set):
+    """Maps onto any target vertices (mostly not simplicial) and onto the
+    vertices of one target simplex (always simplicial)."""
+    rng = np.random.default_rng(5)
+    vertices = complex_.simplex_arrays[0][:, 0]
+    targets = [abstr(gc) for gc in fixture_set.values()] + [abstr(two_tets()), complex_]
+    seen = set()
+    for target in targets:
+        levels = target.simplex_arrays
+        for choices in (levels[0][:, 0], levels[-1][0], levels[1][-1]):
+            images = rng.choice(choices, size=len(vertices))
+            vertex_map = dict(zip(vertices.tolist(), images))
+            outcome = assert_chain_map_checks_match(complex_, target, vertex_map)
+            seen.add(outcome if isinstance(outcome, bool) else "error")
+    assert seen == {True, "error"}

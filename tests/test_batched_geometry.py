@@ -125,7 +125,7 @@ def old_top_geometry(gc, ac):
     """Gradients, volumes and origins of the canonical top simplices."""
     n = ac.complex_dim
     grads, vols, origin = [], [], []
-    for top in ac.simplices[n]:
+    for top in ac.simplex_arrays[n].tolist():
         coords = gc.vertices[list(top)]
         grads.append(old_affine_gradients(coords))
         vols.append(old_unsigned_volume(gc, top))
@@ -137,12 +137,12 @@ def old_wedge_tables(gc, ac, grads, p):
     """(global face ids, sign-folded gradient wedges) by iterated wedge products."""
     n, d = ac.complex_dim, gc.embed_dim
     faces = tuple(itertools.combinations(range(n + 1), p + 1))
-    tops = ac.simplices[n]
+    tops = ac.simplex_arrays[n].tolist()
     globals_ = np.empty((len(tops), len(faces)), dtype=int)
     wedges = np.zeros((len(tops), len(faces), p + 1, num_components(d, p)))
     for t, top in enumerate(tops):
         for f, pos in enumerate(faces):
-            globals_[t, f] = ac.index_of[p][tuple(top[k] for k in pos)]
+            globals_[t, f] = ac.simplex_ids([[top[k] for k in pos]])[0]
             for k in range(p + 1):
                 if p == 0:
                     w = np.ones(1)
@@ -156,7 +156,7 @@ def old_wedge_tables(gc, ac, grads, p):
 
 
 def old_whitney_basis(grads, ac, sigma, top_id, lam, d):
-    top = ac.simplices[ac.complex_dim][top_id]
+    top = ac.simplex_arrays[ac.complex_dim][top_id].tolist()
     pos = [top.index(v) for v in sigma]
     p = len(sigma) - 1
     if p == 0:
@@ -208,13 +208,13 @@ def old_galerkin(gc, ac, p, material=None):
 def old_dual_volumes(gc, ac):
     n = gc.complex_dim
     vols = [np.zeros(ac.num_simplices(p)) for p in range(n + 1)]
-    for top in ac.simplices[n]:
+    for top in ac.simplex_arrays[n].tolist():
         coords = gc.vertices[list(top)]
         for p in range(n):
             for face_pos in itertools.combinations(range(n + 1), p + 1):
                 rest = [k for k in range(n + 1) if k not in face_pos]
                 base = coords[list(face_pos)].mean(axis=0)
-                idx = ac.index_of[p][tuple(top[k] for k in face_pos)]
+                idx = ac.simplex_ids([[top[k] for k in face_pos]])[0]
                 for order in itertools.permutations(rest):
                     pts = [base]
                     members = list(face_pos)
@@ -224,7 +224,7 @@ def old_dual_volumes(gc, ac):
                     edges = np.array(pts[1:]) - pts[0]
                     frag = math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0))
                     vols[p][idx] += frag / math.factorial(n - p)
-    for i, top in enumerate(ac.simplices[n]):
+    for i, top in enumerate(ac.simplex_arrays[n].tolist()):
         vols[n][i] = old_unsigned_volume(gc, top)
     return vols
 
@@ -233,7 +233,7 @@ def old_diagonal_hodge(gc, ac, p):
     n = ac.complex_dim
     dual_vols = old_dual_volumes(gc, ac)
     diag = np.empty(ac.num_simplices(p))
-    for i, sigma in enumerate(ac.simplices[p]):
+    for i, sigma in enumerate(ac.simplex_arrays[p].tolist()):
         dual = 1.0 if p == n else dual_vols[p][i]
         primal = 1.0 if p == 0 else old_unsigned_volume(gc, sigma)
         diag[i] = dual / primal
@@ -243,9 +243,9 @@ def old_diagonal_hodge(gc, ac, p):
 def old_top_containing(ac, p):
     n = ac.complex_dim
     owner = np.full(ac.num_simplices(p), -1, dtype=int)
-    for t, top in enumerate(ac.simplices[n]):
+    for t, top in enumerate(ac.simplex_arrays[n].tolist()):
         for face in itertools.combinations(top, p + 1):
-            j = ac.index_of[p][face]
+            j = ac.simplex_ids([face])[0]
             if owner[j] < 0:
                 owner[j] = t
     return owner
@@ -254,9 +254,9 @@ def old_top_containing(ac, p):
 def old_facet_coface_counts(ac):
     n = ac.complex_dim
     counts = np.zeros(ac.num_simplices(n - 1), dtype=int)
-    for top in ac.simplices[n]:
+    for top in ac.simplex_arrays[n].tolist():
         for face in itertools.combinations(top, n):
-            counts[ac.index_of[n - 1][face]] += 1
+            counts[ac.simplex_ids([face])[0]] += 1
     return counts
 
 
@@ -291,7 +291,7 @@ def old_de_rham_map(gc, ac, f, p, rule):
     """One simplex and one quadrature point at a time."""
     owners = ac.top_containing(p)
     values = np.empty(ac.num_simplices(p))
-    for idx, sigma in enumerate(ac.simplices[p]):
+    for idx, sigma in enumerate(ac.simplex_arrays[p].tolist()):
         top_id = int(owners[idx])
         coords = gc.vertices[list(sigma)]
         if p == 0:
@@ -358,7 +358,7 @@ def old_l2_and_energy_error(gc, ac, vertex_values, solution):
     rule = simplex_rule(ac.complex_dim, 5)
     top_values = np.asarray(vertex_values, dtype=float)[ac.top_faces(0)]
     l2 = energy = 0.0
-    for t, top in enumerate(ac.simplices[ac.complex_dim]):
+    for t, top in enumerate(ac.simplex_arrays[ac.complex_dim].tolist()):
         coords = gc.vertices[list(top)]
         local = top_values[t]
         grad_h = local @ geo.grads[t]
@@ -420,8 +420,8 @@ def test_volume_functions_match(mesh):
     )
     for p in range(ac.complex_dim + 1):
         assert_close(
-            [unsigned_volume(gc, s) for s in ac.simplices[p]],
-            [old_unsigned_volume(gc, s) for s in ac.simplices[p]],
+            [unsigned_volume(gc, s) for s in ac.simplex_arrays[p].tolist()],
+            [old_unsigned_volume(gc, s) for s in ac.simplex_arrays[p].tolist()],
         )
 
 
@@ -463,7 +463,7 @@ def test_whitney_basis_matches(mesh):
     rng = np.random.default_rng(3)
     grads, _, _ = old_top_geometry(gc, ac)
     for top_id in range(0, ac.num_simplices(n), 3):
-        top = ac.simplices[n][top_id]
+        top = ac.simplex_arrays[n][top_id].tolist()
         lam = rng.exponential(size=n + 1)
         lam /= lam.sum()
         for p in range(n + 1):

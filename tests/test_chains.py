@@ -12,7 +12,7 @@ from decfem import (
     matrices_for,
     meshes,
 )
-from decfem.chains import ChainMapError, IntSparseMatrix
+from decfem.chains import ChainMapError, IntSparseMatrix, _exact
 
 from conftest import FIXTURE_NAMES, random_delaunay_mesh, rips_complex, two_tets
 
@@ -122,7 +122,7 @@ class TestComplexProperty:
         cm = matrices_for(ac)
         for p in range(ac.complex_dim):
             assert coboundary_matrix(ac, p) == cm.boundary[p + 1].transpose()
-            assert cm.coboundary[p].entries == {
+            assert _exact(cm.coboundary_csr(p)).entries == {
                 (c, r): v for (r, c), v in cm.boundary[p + 1].entries.items()
             }
 
@@ -141,7 +141,7 @@ class TestComplexProperty:
 class TestChainMaps:
     def test_identity_map(self, abstract_set):
         for ac in abstract_set.values():
-            vertex_ids = [s[0] for s in ac.simplices[0]]
+            vertex_ids = [s[0] for s in ac.simplex_arrays[0].tolist()]
             fmap = {v: v for v in vertex_ids}
             assert apply_chain_map_check(ac, ac, fmap)
 
@@ -167,3 +167,22 @@ class TestChainMaps:
         disk = abstr(meshes.disk())
         # the disk's first fan triangle is (0, 1, 2)
         assert apply_chain_map_check(tri, disk, [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "vertex_map, vertex",
+        [
+            ([0, 1], 2),
+            ({0: 0, 2: 2}, 1),
+            ([True, 1, 2], 0),
+            ([0, np.True_, 2], 1),
+            ([0, 1.0, 2], 1),
+            ([0, 1, np.float64(2.0)], 2),
+            ([0, 1, "2"], 2),
+            ({0: 0, 1: None, 2: 2}, 1),
+        ],
+    )
+    def test_bad_vertex_map_raises(self, vertex_map, vertex):
+        tri = abstr(meshes.reference_triangle())
+        with pytest.raises(ChainMapError, match=rf"\bvertex {vertex}\b") as err:
+            apply_chain_map_check(tri, tri, vertex_map)
+        assert isinstance(err.value, ValueError)

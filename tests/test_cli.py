@@ -77,6 +77,35 @@ def test_generators_json(capsys, torus_file):
     assert len(payload["1"]) == 2
 
 
+# `decfem generators` text as recorded before the vertex tuples were read
+# off `simplex_arrays`; a vertex prints as a one-tuple, `(18,)`.
+GENERATORS_TEXT = {
+    ("annulus.json",): (
+        "degree 0: 1 generator(s)\n"
+        "  1 (18,)\n"
+        "degree 1: 1 generator(s)\n"
+        "  -1 (0, 1)  1 (0, 10)  -1 (1, 2)  -1 (2, 3)  -1 (3, 4)  -1 (4, 5)"
+        "  -1 (5, 6)  -1 (6, 7)  -1 (7, 8)  -1 (8, 18)  1 (10, 20)  -1 (18, 29)"
+        "  1 (20, 29)\n"
+        "degree 2: 0 generator(s)\n"
+    ),
+    ("torus.json", "--degree", "1"): (
+        "degree 1: 2 generator(s)\n"
+        "  -1 (1, 2)  1 (1, 7)  -1 (2, 3)  -1 (3, 4)  -1 (4, 34)  1 (7, 14)"
+        "  1 (14, 21)  1 (21, 28)  1 (28, 34)\n"
+        "  1 (0, 1)  -1 (0, 5)  1 (1, 2)  1 (2, 3)  1 (3, 4)  1 (4, 34)"
+        "  -1 (5, 35)  1 (34, 35)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", GENERATORS_TEXT, ids=lambda argv: " ".join(argv))
+def test_generators_text(capsys, argv):
+    code, out, _ = run(capsys, "generators", FIXTURES / argv[0], *argv[1:])
+    assert code == 0
+    assert out == GENERATORS_TEXT[argv]
+
+
 def test_harmonic_export(capsys, tmp_path, torus_file):
     out_path = tmp_path / "basis.json"
     code, out, _ = run(

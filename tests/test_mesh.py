@@ -294,18 +294,18 @@ class TestSignedVolume:
 class TestAbstr:
     def test_single_triangle_faces_and_sign(self):
         ac = abstr(meshes.reference_triangle())
-        assert ac.simplices[1] == [(0, 1), (0, 2), (1, 2)]
+        assert ac.simplex_arrays[1].tolist() == [[0, 1], [0, 2], [1, 2]]
         assert ac.orientation_signs.tolist() == [1]
 
     def test_reversed_triangle_sign(self):
         gc = GeometricComplex([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
         ac = abstr(gc)
         assert ac.orientation_signs.tolist() == [-1]
-        assert ac.simplices[1] == [(0, 1), (0, 2), (1, 2)]
+        assert ac.simplex_arrays[1].tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_square_edge_enumeration(self):
         ac = abstr(meshes.split_square())
-        assert ac.simplices[1] == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        assert ac.simplex_arrays[1].tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
 
     def test_idempotent_on_face_structure(self):
         gc = meshes.disk()
@@ -314,7 +314,8 @@ class TestAbstr:
             gc.vertices, np.sort(gc.top_simplices, axis=1)
         )
         ac2 = abstr(sorted_tops)
-        assert ac.simplices == ac2.simplices
+        for level, level2 in zip(ac.simplex_arrays, ac2.simplex_arrays, strict=True):
+            assert np.array_equal(level, level2)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_relabeling_commutes(self, fixture_set, name):
@@ -324,20 +325,21 @@ class TestAbstr:
         relabeled = abstr(relabel_vertices(gc, perm))
         direct = abstr(gc)
         for p in range(direct.complex_dim + 1):
-            mapped = sorted(tuple(sorted(perm[list(s)])) for s in direct.simplices[p])
-            assert mapped == relabeled.simplices[p]
+            mapped = np.sort(perm[direct.simplex_arrays[p]], axis=1)
+            assert sorted(mapped.tolist()) == relabeled.simplex_arrays[p].tolist()
         if gc.complex_dim == gc.embed_dim:
             assert np.array_equal(direct.orientation_signs, relabeled.orientation_signs)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_closure_and_ordering_invariants(self, abstract_set, name):
         ac = abstract_set[name]
-        for p, level in enumerate(ac.simplices):
+        levels = [list(map(tuple, level.tolist())) for level in ac.simplex_arrays]
+        for p, level in enumerate(levels):
             assert level == sorted(level)
             assert all(list(s) == sorted(set(s)) for s in level)
         for p in range(1, ac.complex_dim + 1):
-            lower = set(ac.simplices[p - 1])
-            for s in ac.simplices[p]:
+            lower = set(levels[p - 1])
+            for s in levels[p]:
                 for k in range(p + 1):
                     assert s[:k] + s[k + 1 :] in lower
 

@@ -78,7 +78,7 @@ class TestAssembly:
         solution = affine_solution(1.0, 0.0, 0.0)
         system = assemble_poisson(gc, ac, "galerkin", solution.source, solution.u)
         values = cg_solve(system, tol=1e-13)
-        exact = np.array([solution.u(gc.vertices[s[0]]) for s in ac.simplices[0]])
+        exact = np.array([solution.u(gc.vertices[s[0]]) for s in ac.simplex_arrays[0].tolist()])
         assert np.abs(values - exact).max() <= 1e-12
 
     def test_closed_mesh_rejected(self, fixture_set):
@@ -300,7 +300,7 @@ def test_l2_error_of_exact_interpolant_is_small():
     gc = meshes.split_square()
     ac = abstr(gc)
     solution = affine_solution(1.0, 2.0, 3.0)
-    vertex_values = np.array([solution.u(gc.vertices[s[0]]) for s in ac.simplices[0]])
+    vertex_values = np.array([solution.u(gc.vertices[s[0]]) for s in ac.simplex_arrays[0].tolist()])
     l2, energy = l2_and_energy_error(gc, ac, vertex_values, solution)
     assert l2 <= 1e-13
     assert energy <= 1e-13

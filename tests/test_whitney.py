@@ -102,7 +102,7 @@ class TestInterpolateIntegrateIdentity:
         combo = whitney_interpolate(gc, Cochain(ac, 1, 2.0 * a - 3.0 * b))
         fa = whitney_interpolate(gc, Cochain(ac, 1, a))
         fb = whitney_interpolate(gc, Cochain(ac, 1, b))
-        x = gc.vertices[list(ac.simplices[2][4])].mean(axis=0)
+        x = gc.vertices[ac.simplex_arrays[2][4]].mean(axis=0)
         np.testing.assert_allclose(
             combo.evaluate(4, x),
             2.0 * fa.evaluate(4, x) - 3.0 * fb.evaluate(4, x),
@@ -192,7 +192,7 @@ class TestPartitionOfUnity:
         for _ in range(100):
             t = int(rng.integers(0, ac.num_simplices(n)))
             lam = random_barycentric(rng, n)
-            x = lam @ gc.vertices[list(ac.simplices[n][t])]
+            x = lam @ gc.vertices[ac.simplex_arrays[n][t]]
             assert field.evaluate(t, x)[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -206,8 +206,8 @@ class TestTangentialContinuity:
         c = Cochain(ac, 1, rng.standard_normal(ac.num_simplices(1)))
         field = whitney_interpolate(gc, c)
         counts = ac.facet_coface_counts()
-        tops = ac.simplices[n]
-        for f_idx, facet in enumerate(ac.simplices[n - 1]):
+        tops = ac.simplex_arrays[n].tolist()
+        for f_idx, facet in enumerate(ac.simplex_arrays[n - 1].tolist()):
             if counts[f_idx] != 2:
                 continue
             owners = [t for t, top in enumerate(tops) if set(facet) <= set(top)]
@@ -259,7 +259,7 @@ class TestDeRhamMap:
         ac = abstr(gc)
         f = analytic_form(0, lambda x: np.array([x[0]]))
         values = de_rham_map(gc, ac, f, 0).values
-        expected = [gc.vertices[s[0]][0] for s in ac.simplices[0]]
+        expected = [gc.vertices[s[0]][0] for s in ac.simplex_arrays[0].tolist()]
         np.testing.assert_allclose(values, expected, atol=1e-14)
 
     def test_degree_mismatch(self):
