@@ -16,7 +16,6 @@ from .mesh import (
     MeshValidationError,
     GeometricComplex,
     AbstractComplex,
-    DualVolumes,
     load_mesh,
     signed_volume,
     unsigned_volume,
@@ -29,8 +28,6 @@ from .chains import (
     IntSparseMatrix,
     ComplexMatrices,
     ChainMapError,
-    boundary_matrix,
-    coboundary_matrix,
     complex_matrices,
     matrices_for,
     apply_chain_map_check,
@@ -62,7 +59,6 @@ from .whitney import (
     standard_test_forms,
 )
 from .hodge import (
-    DiscreteHodge,
     HarmonicBasis,
     galerkin_mass_matrix,
     diagonal_hodge,

@@ -24,8 +24,6 @@ __all__ = [
     "IntSparseMatrix",
     "ComplexMatrices",
     "ChainMapError",
-    "boundary_matrix",
-    "coboundary_matrix",
     "complex_matrices",
     "matrices_for",
     "apply_chain_map_check",
@@ -81,9 +79,6 @@ class IntSparseMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def get(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
-
     def transpose(self) -> "IntSparseMatrix":
         return IntSparseMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
@@ -121,49 +116,11 @@ class IntSparseMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return id(self)
-
     def to_dense(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def to_ndarray(self, dtype=float) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=dtype)
-        for (r, c), v in self.entries.items():
-            out[r, c] = v
-        return out
-
-    def to_csr(self) -> sp.csr_matrix:
-        if not self.entries:
-            return sp.csr_matrix((self.rows, self.cols))
-        keys = sorted(self.entries)
-        data = [float(self.entries[k]) for k in keys]
-        ij = np.array(keys).T
-        return sp.csr_matrix(
-            (data, (ij[0], ij[1])), shape=(self.rows, self.cols)
-        )
-
-    def to_coordinate_text(self) -> str:
-        """Serialize as 'rows cols nnz' header plus sorted 'row col value' lines."""
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for (r, c) in sorted(self.entries):
-            lines.append(f"{r} {c} {self.entries[(r, c)]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_coordinate_text(cls, text: str) -> "IntSparseMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows, cols, nnz = (int(tok) for tok in lines[0].split())
-        if len(lines) - 1 != nnz:
-            raise ValueError(f"expected {nnz} entry lines, got {len(lines) - 1}")
-        ent = {}
-        for ln in lines[1:]:
-            r, c, v = ln.split()
-            ent[(int(r), int(c))] = int(v)
-        return cls(rows, cols, ent)
 
     def __repr__(self):
         return f"IntSparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -187,20 +144,6 @@ def _boundary_csr(ac: AbstractComplex, p: int) -> sp.csr_matrix:
     np.cumsum(np.bincount(faces, minlength=rows), out=indptr[1:])
     signs = 1 - 2 * (order % (p + 1) % 2)  # (-1)^k
     return sp.csr_matrix((signs, order // (p + 1), indptr), shape=(rows, ac.num_simplices(p)))
-
-
-def boundary_matrix(ac: AbstractComplex, p: int) -> IntSparseMatrix:
-    """Boundary operator from p-chains to (p-1)-chains, exact integers."""
-    if not 1 <= p <= ac.complex_dim:
-        raise ValueError(f"boundary degree {p} outside 1..{ac.complex_dim}")
-    return _exact(_boundary_csr(ac, p))
-
-
-def coboundary_matrix(ac: AbstractComplex, p: int) -> IntSparseMatrix:
-    """Coboundary operator from p-cochains to (p+1)-cochains (boundary transpose)."""
-    if not 0 <= p <= ac.complex_dim - 1:
-        raise ValueError(f"coboundary degree {p} outside 0..{ac.complex_dim - 1}")
-    return boundary_matrix(ac, p + 1).transpose()
 
 
 @dataclass(eq=False)

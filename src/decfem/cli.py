@@ -106,6 +106,13 @@ def _read_mesh(path_str: str):
     return load_mesh(text, fmt=fmt)
 
 
+def _write_out(path: Path, text: str):
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise MeshError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload: dict, text: str):
     print(json.dumps(payload, indent=2) if args.json else text)
 
@@ -185,7 +192,7 @@ def _cmd_harmonic(args) -> int:
         }
         lines.append(f"degree {p}: harmonic dimension {basis.dimension}")
     if args.out is not None:
-        args.out.write_text(json.dumps(payload, indent=2))
+        _write_out(args.out, json.dumps(payload, indent=2))
         lines.append(f"basis written to {args.out}")
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -200,9 +207,9 @@ def _cmd_hodge(args) -> int:
         if args.hodge == "galerkin"
         else diagonal_hodge(gc, ac, p)
     )
-    text = matrix_to_coordinate_text(hodge.matrix)
+    text = matrix_to_coordinate_text(hodge)
     if args.out is not None:
-        args.out.write_text(text)
+        _write_out(args.out, text)
         print(f"degree-{p} {args.hodge} Hodge written to {args.out}")
     else:
         print(text, end="")
@@ -286,7 +293,7 @@ def _cmd_cup(args) -> int:
     result = cup_product(gc, a, b)
     payload = cochain_to_json(result)
     if args.out is not None:
-        args.out.write_text(json.dumps(payload, indent=2))
+        _write_out(args.out, json.dumps(payload, indent=2))
         print(f"degree-{result.degree} cup product written to {args.out}")
     else:
         _emit(args, payload, json.dumps(payload))
@@ -351,7 +358,7 @@ def _cmd_verify(args) -> int:
     # Whitney stiffness equals the cotangent-formula stiffness.
     if n == 2:
         d0 = cm.coboundary_csr(0)
-        m1 = galerkin_mass_matrix(gc, ac, 1).matrix
+        m1 = galerkin_mass_matrix(gc, ac, 1)
         whitney_route = (d0.T @ m1 @ d0).toarray()
         cotan_route = cotangent_stiffness(gc).toarray()
         dev = float(np.abs(whitney_route - cotan_route).max())

@@ -18,12 +18,11 @@ import scipy.sparse.linalg as spla
 from .batched import _local_faces, _simplex_volumes
 from .chains import matrices_for
 from .exterior import index_combinations
-from .mesh import AbstractComplex, DualVolumes, GeometricComplex, barycentric_dual_volumes
+from .mesh import AbstractComplex, GeometricComplex, barycentric_dual_volumes
 from .quadrature import simplex_rule
 from .whitney import Cochain, coboundary_apply, mesh_geometry
 
 __all__ = [
-    "DiscreteHodge",
     "HarmonicBasis",
     "galerkin_mass_matrix",
     "diagonal_hodge",
@@ -35,15 +34,6 @@ __all__ = [
 ]
 
 HARMONIC_RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteHodge:
-    """Symmetric degree-p inner-product matrix on cochains."""
-
-    kind: str
-    degree: int
-    matrix: sp.csr_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +69,7 @@ def galerkin_mass_matrix(
     ac: AbstractComplex,
     p: int,
     material=None,
-) -> DiscreteHodge:
+) -> sp.csr_matrix:
     """Mass matrix of Whitney p-forms under the pointwise Euclidean product.
 
     Entry (sigma, tau) sums exact integrals of the product of the two basis
@@ -108,11 +98,10 @@ def galerkin_mass_matrix(
     rows = np.repeat(ids, nloc, axis=1).ravel()
     cols = np.tile(ids, nloc).ravel()
     size = ac.num_simplices(p)
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
-    return DiscreteHodge(kind="galerkin", degree=p, matrix=mat)
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
 
 
-def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> DiscreteHodge:
+def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
     """Dual-volume over primal-volume diagonal operator.
 
     Barycentric dual cells supply the dual measures; the dual cell of a top
@@ -125,34 +114,27 @@ def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> Discret
 
 
 def _diagonal_hodge(
-    gc: GeometricComplex, ac: AbstractComplex, p: int, dv: DualVolumes
-) -> DiscreteHodge:
+    gc: GeometricComplex, ac: AbstractComplex, p: int, dv: tuple
+) -> sp.csr_matrix:
     # A vertex has unit primal measure and a top simplex unit dual measure.
     primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
-    dual = 1.0 if p == ac.complex_dim else dv.vol[p]
-    mat = sp.diags(dual / primal).tocsr()
-    return DiscreteHodge(kind="diagonal", degree=p, matrix=mat)
+    dual = 1.0 if p == ac.complex_dim else dv[p]
+    return sp.diags(dual / primal).tocsr()
 
 
 def build_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerkin") -> dict:
-    """One DiscreteHodge per degree 0..n."""
+    """One Hodge CSR matrix per degree 0..n, keyed by degree."""
     return _hodges(gc, ac, kind, range(ac.complex_dim + 1))
 
 
 def _hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, degrees) -> dict:
-    """One DiscreteHodge of the given kind per listed degree."""
+    """One Hodge CSR matrix of the given kind per listed degree."""
     if kind == "galerkin":
         return {p: galerkin_mass_matrix(gc, ac, p) for p in degrees}
     if kind == "diagonal":
         dv = barycentric_dual_volumes(gc, ac)
         return {p: _diagonal_hodge(gc, ac, p, dv) for p in degrees}
     raise ValueError(f"unknown hodge kind {kind!r}")
-
-
-def _solve_spd(hodge: DiscreteHodge, rhs: np.ndarray) -> np.ndarray:
-    if hodge.kind == "diagonal":
-        return rhs / hodge.matrix.diagonal()
-    return spla.spsolve(hodge.matrix.tocsc(), rhs)
 
 
 def codifferential(c: Cochain, hodges: dict) -> Cochain:
@@ -163,8 +145,8 @@ def codifferential(c: Cochain, hodges: dict) -> Cochain:
         raise ValueError("codifferential undefined on 0-cochains")
     cm = matrices_for(c.complex)
     boundary = cm.boundary_csr(p)  # transpose of the degree p-1 coboundary
-    rhs = boundary @ (hodges[p].matrix @ c.values)
-    return Cochain(c.complex, p - 1, _solve_spd(hodges[p - 1], rhs))
+    rhs = boundary @ (hodges[p] @ c.values)
+    return Cochain(c.complex, p - 1, spla.spsolve(hodges[p - 1].tocsc(), rhs))
 
 
 def hodge_laplacian_apply(c: Cochain, hodges: dict) -> Cochain:
@@ -202,28 +184,24 @@ def harmonic_basis(
     cm = matrices_for(ac)
     blocks = []
     if p < ac.complex_dim:
-        d_block = cm.coboundary_csr(p).toarray()
-        scale = np.abs(d_block).max() or 1.0
-        blocks.append(d_block / scale)
+        blocks.append(cm.coboundary_csr(p).toarray())  # entries +-1: already unit scale
     if p > 0:
-        co_block = (cm.boundary_csr(p) @ hodges[p].matrix).toarray()
+        co_block = (cm.boundary_csr(p) @ hodges[p]).toarray()
         scale = np.abs(co_block).max() or 1.0
         blocks.append(co_block / scale)
     size = ac.num_simplices(p)
     if not blocks:
-        vectors = [np.eye(size)[:, j] for j in range(size)]
+        basis = np.eye(size)
     else:
         stacked = np.vstack(blocks)
         _, svals, vt = np.linalg.svd(stacked)
         cutoff = HARMONIC_RANK_TOL * (svals[0] if svals.size else 1.0)
         rank = int(np.sum(svals > cutoff))
-        vectors = [vt[j] for j in range(rank, size)]
-    cochains = [Cochain(ac, p, v) for v in vectors]
-    basis = np.array([c.values for c in cochains]).reshape(len(cochains), size)
-    gram = basis @ (hodges[p].matrix @ basis.T)
-    if cochains and abs(np.linalg.det(gram)) < 1e-300:
+        basis = vt[rank:]
+    gram = basis @ (hodges[p] @ basis.T)
+    if len(basis) and abs(np.linalg.det(gram)) < 1e-300:
         raise AssertionError("harmonic Gram matrix is singular")
-    return HarmonicBasis(degree=p, vectors=cochains, gram=gram)
+    return HarmonicBasis(degree=p, vectors=[Cochain(ac, p, v) for v in basis], gram=gram)
 
 
 def matrix_to_coordinate_text(matrix) -> str:

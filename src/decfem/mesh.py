@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "MeshValidationError",
     "GeometricComplex",
     "AbstractComplex",
-    "DualVolumes",
     "load_mesh",
     "signed_volume",
     "unsigned_volume",
@@ -313,18 +311,6 @@ class AbstractComplex:
         return f"AbstractComplex(n={self.complex_dim}, counts={self.face_counts()})"
 
 
-@dataclass(frozen=True)
-class DualVolumes:
-    """Barycentric dual cell volumes, one array per primal degree.
-
-    ``vol[p][i]`` is the total unsigned (n-p)-volume of the barycentric dual
-    cell fragments around p-simplex i; for p = n the primal volume itself is
-    stored.
-    """
-
-    vol: tuple
-
-
 def _simplex_coords(gc: GeometricComplex, simplex: tuple) -> np.ndarray:
     """Coordinates of one simplex as a (1, size, d) stack; ids outside the vertex array raise."""
     if min(simplex) < 0 or max(simplex) >= gc.num_vertices:
@@ -403,13 +389,16 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
     return AbstractComplex(n, simplices, signs)
 
 
-def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> DualVolumes:
-    """Volumes of the barycentric dual cells of every simplex.
+def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple:
+    """Volumes of the barycentric dual cells of every simplex, one read-only
+    array per primal degree.
 
-    The dual cell of a p-simplex sigma is swept out, inside each top simplex
-    T containing sigma, by the simplices spanned by the barycenters of the
-    strictly increasing face chains sigma = s_p < s_{p+1} < ... < s_n = T.
-    For p = n the primal volume is recorded.
+    Entry i of array p is the total unsigned (n-p)-volume of the barycentric
+    dual cell fragments around p-simplex i.  The dual cell of a p-simplex
+    sigma is swept out, inside each top simplex T containing sigma, by the
+    simplices spanned by the barycenters of the strictly increasing face
+    chains sigma = s_p < s_{p+1} < ... < s_n = T.  For p = n the primal
+    volume is recorded.
     """
     n, d = gc.complex_dim, gc.embed_dim
     coords = gc.vertices[ac.simplex_arrays[n]]  # (m, n+1, d)
@@ -433,7 +422,7 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> DualV
         if np.any(vols[p] <= 0):
             raise MeshValidationError(f"non-positive dual volume at degree {p}")
         vols[p].setflags(write=False)
-    return DualVolumes(vol=tuple(vols))
+    return tuple(vols)
 
 
 def relabel_vertices(gc: GeometricComplex, permutation) -> GeometricComplex:

@@ -10,7 +10,6 @@ cross-checking.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -119,10 +118,10 @@ def assemble_poisson(
     cm = matrices_for(ac)
     d0 = cm.coboundary_csr(0)
     hodges = _hodges(gc, ac, hodge_kind, (0, 1))
-    stiffness = (d0.T @ hodges[1].matrix @ d0).tocsr()
+    stiffness = (d0.T @ hodges[1] @ d0).tocsr()
     size = stiffness.shape[0]
     x = gc.vertices[ac.simplex_arrays[0][:, 0]].T  # canonical vertices, coordinate-first
-    rhs = hodges[0].matrix @ _batch_values(source(x), (size,), "source")
+    rhs = hodges[0] @ _batch_values(source(x), (size,), "source")
     fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
     values = _batch_values(dirichlet(x[:, fixed]), fixed.shape, "dirichlet")
     constrained = list(zip(fixed.tolist(), values.tolist()))
@@ -307,9 +306,6 @@ class ConvergenceReport:
             "l2_rates": self.l2_rates,
             "energy_rates": self.energy_rates,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _max_edge_length(gc: GeometricComplex, ac: AbstractComplex) -> float:

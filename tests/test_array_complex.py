@@ -3,7 +3,7 @@
 Each ``old_*`` oracle below is the code the library ran before
 ``AbstractComplex`` stored its simplices as sorted int64 arrays and
 ``chains`` built its boundaries as int64 CSR matrices: the set closure of
-``abstr``, the ``(row, col)``-dict ``boundary_matrix``, the per-triangle
+``abstr``, the ``(row, col)``-dict boundary builder, the per-triangle
 ``uniform_refine`` loop, ``boundary_vertex_ids``, ``_max_edge_length``, the
 tuple-level ``AbstractComplex`` validation and the Poisson assembly on float
 CSR copies of the dict boundaries.  Face lists, signs, face tables,
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decfem import abstr, assemble_poisson, boundary_matrix, matrices_for, meshes, sin_sin_solution
+from decfem import abstr, assemble_poisson, matrices_for, meshes, sin_sin_solution
 from decfem import apply_chain_map_check
 from decfem.chains import ChainMapError, ComplexMatrices, IntSparseMatrix, _exact, complex_matrices
 from decfem.cli import _exact_checks
@@ -149,11 +149,11 @@ def old_assemble_poisson(gc, ac, hodge_kind, source, dirichlet):
     """Poisson assembly on float CSR copies of the dict boundaries (matrix, rhs)."""
     simplices, _ = old_abstr(gc)
     boundary_ids = old_boundary_vertex_ids(simplices)
-    d0 = old_boundary_matrix(simplices, 1).transpose().to_csr()
+    d0 = sp.csr_matrix(np.array(old_boundary_matrix(simplices, 1).transpose().to_dense(), dtype=float))
     hodges = build_hodges(gc, ac, hodge_kind)
-    stiffness = (d0.T @ hodges[1].matrix @ d0).tocsr()
+    stiffness = (d0.T @ hodges[1] @ d0).tocsr()
     src = de_rham_map(gc, ac, analytic_form(0, lambda x: np.array([source(x)])), 0)
-    rhs = hodges[0].matrix @ src.values
+    rhs = hodges[0] @ src.values
     vert_index = {s[0]: i for i, s in enumerate(simplices[0])}
     fixed = np.array([vert_index[v] for v in boundary_ids], dtype=int)
     values = np.array([float(dirichlet(gc.vertices[v])) for v in boundary_ids])
@@ -209,16 +209,15 @@ def assert_boundaries_match(ac, simplices):
     cm = matrices_for(ac)
     for p, old in boundary.items():
         assert cm.boundary[p] == old
-        assert boundary_matrix(ac, p) == old
         csr = cm.boundary_csr(p)
         assert csr.dtype == np.int64 and csr.has_sorted_indices
-        assert np.array_equal(csr.toarray(), old.to_ndarray(dtype=np.int64))
+        assert np.array_equal(csr.toarray(), old.to_dense())
         faces = ac.boundary_faces(p)
         for j, s in enumerate(simplices[p]):
             assert [simplices[p - 1][i] for i in faces[j]] == [s[:k] + s[k + 1:] for k in range(p + 1)]
     for p, old in coboundary.items():
         assert _exact(cm.coboundary_csr(p)) == old
-        assert np.array_equal(cm.coboundary_csr(p).toarray(), old.to_ndarray(dtype=np.int64))
+        assert np.array_equal(cm.coboundary_csr(p).toarray(), old.to_dense())
 
 
 def test_boundaries_match(mesh):

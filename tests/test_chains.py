@@ -6,8 +6,6 @@ import pytest
 from decfem import (
     abstr,
     apply_chain_map_check,
-    boundary_matrix,
-    coboundary_matrix,
     complex_matrices,
     matrices_for,
     meshes,
@@ -34,12 +32,6 @@ class TestIntSparseMatrix:
         a = IntSparseMatrix.from_dense([[big]])
         assert (a @ a).to_dense() == [[big * big]]
 
-    def test_coordinate_text_round_trip(self):
-        a = IntSparseMatrix.from_dense([[0, -2], [3, 0], [0, 7]])
-        text = a.to_coordinate_text()
-        assert text.splitlines()[0] == "3 2 3"
-        assert IntSparseMatrix.from_coordinate_text(text) == a
-
     def test_transpose(self):
         a = IntSparseMatrix.from_dense([[1, 0, 2]])
         assert a.transpose().to_dense() == [[1], [0], [2]]
@@ -47,37 +39,30 @@ class TestIntSparseMatrix:
     def test_empty_matrix_operations(self):
         z = IntSparseMatrix(3, 2)
         assert z.is_zero()
-        assert z.to_csr().nnz == 0
+        assert z.nnz == 0
         assert (z.transpose() @ z).to_dense() == [[0, 0], [0, 0]]
 
 
 class TestBoundaryMatrix:
     def test_triangle_edge_boundary(self):
         ac = abstr(meshes.reference_triangle())
-        b1 = boundary_matrix(ac, 1)
+        b1 = matrices_for(ac).boundary[1]
         # column of edge (0,1) over vertices (0,1,2)
-        col = [b1.get(r, 0) for r in range(3)]
+        col = [row[0] for row in b1.to_dense()]
         assert col == [-1, 1, 0]
 
     def test_triangle_face_boundary(self):
         ac = abstr(meshes.reference_triangle())
-        b2 = boundary_matrix(ac, 2)
+        b2 = matrices_for(ac).boundary[2]
         # edges ordered (0,1),(0,2),(1,2): d(0,1,2) = (1,2) - (0,2) + (0,1)
-        col = [b2.get(r, 0) for r in range(3)]
+        col = [row[0] for row in b2.to_dense()]
         assert col == [1, -1, 1]
-
-    def test_degree_out_of_range(self):
-        ac = abstr(meshes.reference_triangle())
-        with pytest.raises(ValueError):
-            boundary_matrix(ac, 0)
-        with pytest.raises(ValueError):
-            boundary_matrix(ac, 3)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_column_structure(self, abstract_set, name):
         ac = abstract_set[name]
         for p in range(1, ac.complex_dim + 1):
-            bp = boundary_matrix(ac, p)
+            bp = matrices_for(ac).boundary[p]
             per_col = {}
             for (r, c), v in bp.entries.items():
                 per_col.setdefault(c, []).append(v)
@@ -87,7 +72,7 @@ class TestBoundaryMatrix:
 
     def test_edge_columns_sum_to_zero(self, abstract_set):
         for ac in abstract_set.values():
-            b1 = boundary_matrix(ac, 1)
+            b1 = matrices_for(ac).boundary[1]
             sums = [0] * b1.cols
             for (r, c), v in b1.entries.items():
                 sums[c] += v
@@ -121,20 +106,21 @@ class TestComplexProperty:
         ac = abstract_set[name]
         cm = matrices_for(ac)
         for p in range(ac.complex_dim):
-            assert coboundary_matrix(ac, p) == cm.boundary[p + 1].transpose()
+            assert _exact(cm.coboundary_csr(p)) == cm.boundary[p + 1].transpose()
             assert _exact(cm.coboundary_csr(p)).entries == {
                 (c, r): v for (r, c), v in cm.boundary[p + 1].entries.items()
             }
 
     def test_coboundary_composition_vanishes(self):
         ac = abstr(meshes.split_square())
-        d0 = coboundary_matrix(ac, 0)
-        d1 = coboundary_matrix(ac, 1)
+        cm = matrices_for(ac)
+        d0 = cm.boundary[1].transpose()
+        d1 = cm.boundary[2].transpose()
         assert (d1 @ d0).is_zero()
 
     def test_circle_coboundary_rank(self):
         ac = abstr(meshes.hollow_triangle())
-        d0 = coboundary_matrix(ac, 0).to_ndarray()
+        d0 = matrices_for(ac).coboundary_csr(0).toarray()
         assert np.linalg.matrix_rank(d0) == 2
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decfem import abstr, cup_product, meshes
+from decfem import abstr, cup_product, diagonal_hodge, load_mesh, matrix_to_coordinate_text, meshes
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
@@ -130,6 +130,36 @@ def test_hodge_export_round_trip(capsys, tmp_path, square_file):
     rows, cols, nnz = (int(tok) for tok in lines[0].split())
     assert rows == cols == 5
     assert len(lines) - 1 == nnz
+
+
+def test_hodge_diagonal_on_stdout(capsys):
+    path = FIXTURES / "square.json"
+    code, out, _ = run(capsys, "hodge", path, "--degree", "1", "--hodge", "diagonal")
+    assert code == 0
+    gc = load_mesh(path.read_text())
+    assert out == matrix_to_coordinate_text(diagonal_hodge(gc, abstr(gc), 1))
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+@pytest.mark.parametrize("degree", ["-1", "3"])
+def test_hodge_rejects_a_degree_outside_the_complex(capsys, kind, degree):
+    code, out, err = run(capsys, "hodge", FIXTURES / "square.json", "--degree", degree, "--hodge", kind)
+    assert code == 1
+    assert out == ""
+    assert "outside 0..2" in err
+
+
+@pytest.mark.parametrize("command", ["hodge", "harmonic", "cup"])
+def test_unwritable_out_exits_one(capsys, tmp_path, square_file, command):
+    out_path = tmp_path / "missing" / "out.txt"
+    inputs = []
+    if command == "cup":
+        a_path = tmp_path / "a.json"
+        a_path.write_text(json.dumps(cochain_to_json(Cochain(abstr(meshes.split_square()), 0, np.ones(4)))))
+        inputs = [a_path, a_path]
+    code, _, err = run(capsys, command, square_file, *inputs, "--out", out_path)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 def test_solve_reports_errors(capsys, square_file):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from decfem import (
     abstr,
@@ -21,28 +22,28 @@ from decfem import (
 )
 from decfem.whitney import Cochain
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, kuhn_cube, two_tets
 
 
 class TestGalerkinMass:
     def test_degree_zero_reference_triangle(self):
         gc = meshes.reference_triangle()
         ac = abstr(gc)
-        mass = galerkin_mass_matrix(gc, ac, 0).matrix.toarray()
+        mass = galerkin_mass_matrix(gc, ac, 0).toarray()
         expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
         np.testing.assert_allclose(mass, expected, atol=1e-15)
 
     def test_top_degree_reference_triangle(self):
         gc = meshes.reference_triangle()
         ac = abstr(gc)
-        mass = galerkin_mass_matrix(gc, ac, 2).matrix.toarray()
+        mass = galerkin_mass_matrix(gc, ac, 2).toarray()
         np.testing.assert_allclose(mass, [[2.0]], atol=1e-14)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_all_ones_quadratic_form_is_total_volume(self, fixture_set, name):
         gc = fixture_set[name]
         ac = abstr(gc)
-        mass = galerkin_mass_matrix(gc, ac, 0).matrix
+        mass = galerkin_mass_matrix(gc, ac, 0)
         ones = np.ones(ac.num_simplices(0))
         total = float(np.abs(gc.top_volumes).sum())
         assert float(ones @ (mass @ ones)) == pytest.approx(total, rel=1e-12)
@@ -53,7 +54,7 @@ class TestGalerkinMass:
         ac = abstr(gc)
         rng = np.random.default_rng(17)
         for p in range(ac.complex_dim + 1):
-            mass = galerkin_mass_matrix(gc, ac, p).matrix
+            mass = galerkin_mass_matrix(gc, ac, p)
             dense = mass.toarray()
             np.testing.assert_allclose(dense, dense.T, atol=1e-13)
             np.linalg.cholesky(dense)  # raises if not positive definite
@@ -65,16 +66,16 @@ class TestGalerkinMass:
         gc = meshes.split_square()
         ac = abstr(gc)
         eye = np.eye(2)
-        plain = galerkin_mass_matrix(gc, ac, 1).matrix.toarray()
-        tensored = galerkin_mass_matrix(gc, ac, 1, material=lambda t: eye).matrix.toarray()
+        plain = galerkin_mass_matrix(gc, ac, 1).toarray()
+        tensored = galerkin_mass_matrix(gc, ac, 1, material=lambda t: eye).toarray()
         np.testing.assert_allclose(plain, tensored, atol=1e-15)
 
     def test_material_tensor_accepts_per_simplex_array(self):
         gc = meshes.split_square()
         ac = abstr(gc)
         stacked = np.stack([np.eye(2)] * gc.num_top)
-        plain = galerkin_mass_matrix(gc, ac, 1).matrix.toarray()
-        arr = galerkin_mass_matrix(gc, ac, 1, material=stacked).matrix.toarray()
+        plain = galerkin_mass_matrix(gc, ac, 1).toarray()
+        arr = galerkin_mass_matrix(gc, ac, 1, material=stacked).toarray()
         np.testing.assert_array_equal(plain, arr)
         with pytest.raises(ValueError, match="material tensor"):
             galerkin_mass_matrix(gc, ac, 1, material=lambda t: np.eye(3))
@@ -90,12 +91,12 @@ class TestGalerkinMass:
         ac = abstr(gc)
         aniso = np.array([[3.0, 0.5], [0.5, 1.0]])
         for p in (0, 1, 2):
-            mass = galerkin_mass_matrix(gc, ac, p, material=lambda t: aniso).matrix
+            mass = galerkin_mass_matrix(gc, ac, p, material=lambda t: aniso)
             dense = mass.toarray()
             np.testing.assert_allclose(dense, dense.T, atol=1e-12)
             np.linalg.cholesky(dense)
-        plain = galerkin_mass_matrix(gc, ac, 1).matrix.toarray()
-        changed = galerkin_mass_matrix(gc, ac, 1, material=lambda t: aniso).matrix.toarray()
+        plain = galerkin_mass_matrix(gc, ac, 1).toarray()
+        changed = galerkin_mass_matrix(gc, ac, 1, material=lambda t: aniso).toarray()
         assert np.abs(plain - changed).max() > 1e-3
 
     def test_inverse_is_dense(self):
@@ -108,7 +109,7 @@ class TestGalerkinMass:
 
         gc = random_delaunay_mesh(0, npts=24)
         ac = abstr(gc)
-        mass = galerkin_mass_matrix(gc, ac, 1).matrix
+        mass = galerkin_mass_matrix(gc, ac, 1)
         inv = np.linalg.inv(mass.toarray())
         kept = np.sum(np.abs(inv) > 1e-12 * np.abs(inv).max())
         assert kept > mass.nnz
@@ -118,13 +119,13 @@ class TestDiagonalHodge:
     def test_degree_zero_triangle(self):
         gc = meshes.reference_triangle()
         ac = abstr(gc)
-        diag = diagonal_hodge(gc, ac, 0).matrix.diagonal()
+        diag = diagonal_hodge(gc, ac, 0).diagonal()
         np.testing.assert_allclose(diag, 1 / 6, atol=1e-14)
 
     def test_top_degree_triangle(self):
         gc = meshes.reference_triangle()
         ac = abstr(gc)
-        diag = diagonal_hodge(gc, ac, 2).matrix.diagonal()
+        diag = diagonal_hodge(gc, ac, 2).diagonal()
         np.testing.assert_allclose(diag, 2.0, atol=1e-14)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -132,7 +133,7 @@ class TestDiagonalHodge:
         gc = fixture_set[name]
         ac = abstr(gc)
         for p in range(ac.complex_dim + 1):
-            diag = diagonal_hodge(gc, ac, p).matrix.diagonal()
+            diag = diagonal_hodge(gc, ac, p).diagonal()
             assert np.all(diag > 0)
 
 
@@ -166,7 +167,7 @@ class TestHarmonicBasis:
         basis = harmonic_basis(gc, ac, 1, "galerkin", hodges)
         for v in basis.vectors:
             np.testing.assert_allclose(coboundary_apply(v).values, 0.0, atol=1e-9)
-            coclosed = cm.boundary_csr(1) @ (hodges[1].matrix @ v.values)
+            coclosed = cm.boundary_csr(1) @ (hodges[1] @ v.values)
             np.testing.assert_allclose(coclosed, 0.0, atol=1e-9)
 
     def test_gram_matrix_nonsingular(self, fixture_set):
@@ -226,9 +227,9 @@ class TestCodifferential:
                 c = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
                 w = Cochain(ac, p - 1, rng.standard_normal(ac.num_simplices(p - 1)))
                 lhs = float(
-                    codifferential(c, hodges).values @ (hodges[p - 1].matrix @ w.values)
+                    codifferential(c, hodges).values @ (hodges[p - 1] @ w.values)
                 )
-                rhs = float(c.values @ (hodges[p].matrix @ coboundary_apply(w).values))
+                rhs = float(c.values @ (hodges[p] @ coboundary_apply(w).values))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -249,7 +250,7 @@ class TestHodgeLaplacian:
         basis = harmonic_basis(gc, ac, 1, "galerkin", hodges)
         for v in basis.vectors:
             lap = hodge_laplacian_apply(v, hodges)
-            m_norm = float(np.sqrt(lap.values @ (hodges[1].matrix @ lap.values)))
+            m_norm = float(np.sqrt(lap.values @ (hodges[1] @ lap.values)))
             assert m_norm <= 1e-9
 
     def test_induced_form_is_symmetric(self, fixture_set):
@@ -263,12 +264,55 @@ class TestHodgeLaplacian:
                 a = Cochain(ac, p, rng.standard_normal(count))
                 b = Cochain(ac, p, rng.standard_normal(count))
                 lhs = float(
-                    hodge_laplacian_apply(a, hodges).values @ (hodges[p].matrix @ b.values)
+                    hodge_laplacian_apply(a, hodges).values @ (hodges[p] @ b.values)
                 )
                 rhs = float(
-                    a.values @ (hodges[p].matrix @ hodge_laplacian_apply(b, hodges).values)
+                    a.values @ (hodges[p] @ hodge_laplacian_apply(b, hodges).values)
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def old_codifferential(c, hodges, kind):
+    """The codifferential before both Hodge kinds shared one sparse solve:
+    the diagonal kind divided by the diagonal instead."""
+    p = c.degree
+    rhs = matrices_for(c.complex).boundary_csr(p) @ (hodges[p] @ c.values)
+    if kind == "diagonal":
+        values = rhs / hodges[p - 1].diagonal()
+    else:
+        values = spla.spsolve(hodges[p - 1].tocsc(), rhs)
+    return Cochain(c.complex, p - 1, values)
+
+
+def old_hodge_laplacian_apply(c, hodges, kind):
+    ac, p = c.complex, c.degree
+    total = np.zeros_like(c.values)
+    if p < ac.complex_dim:
+        total += old_codifferential(coboundary_apply(c), hodges, kind).values
+    if p > 0:
+        total += coboundary_apply(old_codifferential(c, hodges, kind)).values
+    return total
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["two_tets", "kuhn_cube"])
+def test_codifferential_solve_matches_the_per_kind_solve(fixture_set, name, kind):
+    if name == "two_tets":
+        gc = two_tets()
+    elif name == "kuhn_cube":
+        gc = kuhn_cube(1)
+    else:
+        gc = fixture_set[name]
+    ac = abstr(gc)
+    hodges = build_hodges(gc, ac, kind)
+    rng = np.random.default_rng(5)
+    for p in range(ac.complex_dim + 1):
+        c = Cochain(ac, p, rng.standard_normal(ac.num_simplices(p)))
+        if p >= 1:
+            new = codifferential(c, hodges).values
+            assert new.tobytes() == old_codifferential(c, hodges, kind).values.tobytes()
+        lap = hodge_laplacian_apply(c, hodges).values
+        assert lap.tobytes() == old_hodge_laplacian_apply(c, hodges, kind).tobytes()
 
 
 def test_matrix_coordinate_text_round_trip():

@@ -379,12 +379,12 @@ class TestDualVolumes:
     def test_single_triangle_vertex_duals(self):
         gc = meshes.reference_triangle()
         dv = barycentric_dual_volumes(gc, abstr(gc))
-        np.testing.assert_allclose(dv.vol[0], 1 / 6, atol=1e-14)
+        np.testing.assert_allclose(dv[0], 1 / 6, atol=1e-14)
 
     def test_top_degree_stores_primal_volume(self):
         gc = meshes.reference_triangle()
         dv = barycentric_dual_volumes(gc, abstr(gc))
-        assert dv.vol[2][0] == pytest.approx(0.5)
+        assert dv[2][0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_vertex_duals_partition_total_volume(self, fixture_set, name):
@@ -392,16 +392,16 @@ class TestDualVolumes:
         ac = abstr(gc)
         dv = barycentric_dual_volumes(gc, ac)
         total = float(np.abs(gc.top_volumes).sum())
-        assert dv.vol[0].sum() == pytest.approx(total, rel=1e-12)
+        assert dv[0].sum() == pytest.approx(total, rel=1e-12)
         for p in range(ac.complex_dim + 1):
-            assert np.all(dv.vol[p] > 0)
+            assert np.all(dv[p] > 0)
 
     def test_tetrahedron_edge_duals(self):
         gc = meshes.solid_tetrahedron()
         ac = abstr(gc)
         dv = barycentric_dual_volumes(gc, ac)
-        assert all(v > 0 for v in dv.vol[1])
-        assert dv.vol[3][0] == pytest.approx(1 / 6)
+        assert all(v > 0 for v in dv[1])
+        assert dv[3][0] == pytest.approx(1 / 6)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

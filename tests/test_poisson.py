@@ -31,7 +31,7 @@ from conftest import FIXTURE_NAMES, random_delaunay_mesh
 def whitney_stiffness(gc, ac):
     cm = matrices_for(ac)
     d0 = cm.coboundary_csr(0)
-    m1 = galerkin_mass_matrix(gc, ac, 1).matrix
+    m1 = galerkin_mass_matrix(gc, ac, 1)
     return (d0.T @ m1 @ d0).tocsr()
 
 
@@ -137,7 +137,7 @@ class TestAssembly:
         source = de_rham_map(
             gc, ac, analytic_form(0, lambda x: np.array([solution.source(x)])), 0
         )
-        rhs = galerkin_mass_matrix(gc, ac, 0).matrix @ source.values
+        rhs = galerkin_mass_matrix(gc, ac, 0) @ source.values
         residual = rhs - stiffness @ values
         fixed = {i for i, _ in system.constrained}
         interior = [i for i in range(len(values)) if i not in fixed]
