@@ -34,13 +34,10 @@ from .chains import (
 )
 from .homology import (
     SnfResult,
-    HomologySummary,
     smith_normal_form,
     betti_numbers,
     torsion_coefficients,
     homology_generators,
-    cohomology_betti,
-    homology_summary,
 )
 from .quadrature import QuadratureRule, simplex_rule
 from .whitney import (

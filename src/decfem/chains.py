@@ -154,19 +154,16 @@ class ComplexMatrices:
     the primary form; ``coboundary_csr(p)`` is the transpose of
     ``boundary_csr(p + 1)``.  Integer data mixes with float vectors and
     matrices exactly, since every entry is +-1.  ``boundary`` holds the
-    same boundaries as IntSparseMatrix objects keyed by degree, for the
-    Smith normal forms of ``homology_generators``; it is built from the
-    CSR matrices on first access.  ``homology`` fills two caches:
-    ``_reduction`` holds the Betti numbers and torsion of every degree,
-    read off the coreduced complex, and ``_snf_cache`` holds rank-only
-    Smith normal forms of the coboundaries keyed by degree.
+    same boundaries as IntSparseMatrix objects keyed by degree, built from
+    the CSR matrices on first access.  ``homology`` fills ``_reduction``
+    with the coreduced complex and the Betti numbers and torsion of every
+    degree read off it.
     """
 
     complex_dim: int
     counts: list
     _boundary: dict = field(repr=False)
     _exact_views: dict = field(default=None, repr=False)
-    _snf_cache: dict = field(default_factory=dict, repr=False)
     _reduction: object = field(default=None, repr=False)
 
     def boundary_csr(self, p: int) -> sp.csr_matrix:

@@ -16,7 +16,7 @@ __all__ = ["coreduce"]
 
 
 def coreduce(cm: ComplexMatrices) -> tuple:
-    """Return (starts, live, residual) for the coreduced complex of cm.
+    """Return (starts, pairs, live, residual) for the coreduced complex of cm.
 
     The lowest live vertex of each component untouched so far is removed,
     which splits off one copy of Z in degree 0; then every pair (cell,
@@ -25,10 +25,12 @@ def coreduce(cm: ComplexMatrices) -> tuple:
     queued first in, first out.  Such a pair needs no boundary correction,
     so the residual boundary is the restriction of the boundary to the
     live cells and has the same homology in every degree, degree 0 up to
-    the ``starts`` removed vertices.  The cascade from one vertex removes
-    every vertex of its component, so each start is a new component.
-    ``live[p]`` lists the ascending ids of the degree-p cells left and
-    ``residual[p]`` (p = 1..n) is the boundary among them.
+    the removed vertices listed in ``starts``.  The cascade from one
+    vertex removes every vertex of its component, so each start is a new
+    component.  ``pairs[p]`` lists the removed pairs with a degree-p cell
+    in removal order, flat as cell, face, cell, face, ...; ``live[p]``
+    lists the ascending ids of the degree-p cells left and ``residual[p]``
+    (p = 1..n) is the boundary among them.
     """
     n = cm.complex_dim
     # cols[p]: the CSC columns of the degree-p boundary (each a cell's p + 1
@@ -47,11 +49,12 @@ def coreduce(cm: ComplexMatrices) -> tuple:
 
     alive = [[True] * cm.counts[p] for p in range(n + 1)]
     queue = deque()  # (p, list of degree-p cells), in removal order
-    starts = 0
+    starts = []
+    pairs = [[] for _ in range(n + 1)]
     for vertex in range(cm.counts[0]):
         if not alive[0][vertex]:
             continue
-        starts += 1
+        starts.append(vertex)
         alive[0][vertex] = False
         if n:
             queue.append((1, cofaces(0, vertex)))
@@ -66,6 +69,7 @@ def coreduce(cm: ComplexMatrices) -> tuple:
                 if len(live_faces) == 1 and abs(coeffs[live_faces[0]]) == 1:
                     face = faces[live_faces[0]]
                     here[cell] = below[face] = False
+                    pairs[p] += (cell, face)
                     if p < n:
                         queue.append((p + 1, cofaces(p, cell)))
                     queue.append((p, cofaces(p - 1, face)))
@@ -83,4 +87,4 @@ def coreduce(cm: ComplexMatrices) -> tuple:
             if alive[p - 1][faces[k]]
         }
         residual[p] = IntSparseMatrix(len(live[p - 1]), len(live[p]), entries)
-    return starts, live, residual
+    return starts, pairs, live, residual

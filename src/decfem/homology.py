@@ -9,17 +9,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .chains import ComplexMatrices, IntSparseMatrix, _exact
+from .chains import ComplexMatrices, IntSparseMatrix
 
 __all__ = [
     "SnfResult",
-    "HomologySummary",
     "smith_normal_form",
     "betti_numbers",
     "torsion_coefficients",
     "homology_generators",
-    "cohomology_betti",
-    "homology_summary",
 ]
 
 
@@ -344,13 +341,17 @@ def smith_normal_form(mat: IntSparseMatrix, with_transforms: bool = True) -> Snf
 class _Reduction:
     """Integer homology read off the coreduced complex (``coreduce``).
 
-    ``starts`` vertices were removed as roots of their components and
-    ``live[p]`` lists the degree-p cells of the residual complex;
-    ``betti`` and ``torsion`` hold every degree.
+    ``starts`` lists the vertices removed as roots of their components,
+    ``pairs[p]`` the removed (cell, face) pairs with a degree-p cell, flat
+    and in removal order, ``live[p]`` the degree-p cells of the residual
+    complex and ``residual[p]`` its degree-p boundary; ``betti`` and
+    ``torsion`` hold every degree.
     """
 
-    starts: int
+    starts: list
+    pairs: list
     live: list
+    residual: dict
     betti: list
     torsion: list
 
@@ -365,14 +366,14 @@ def _reduction(cm: ComplexMatrices) -> _Reduction:
         from .coreduction import coreduce
 
         n = cm.complex_dim
-        starts, live, residual = coreduce(cm)
+        starts, pairs, live, residual = coreduce(cm)
         diags = [[]] * (n + 2)  # diags[p]: invariant factors of the residual degree-p boundary
         for p, mat in residual.items():
             diags[p] = smith_normal_form(mat, with_transforms=False).diag
         betti = [len(live[p]) - len(diags[p]) - len(diags[p + 1]) for p in range(n + 1)]
-        betti[0] += starts
+        betti[0] += len(starts)
         torsion = [[d for d in diags[p + 1] if d > 1] for p in range(n + 1)]
-        cm._reduction = _Reduction(starts, live, betti, torsion)
+        cm._reduction = _Reduction(starts, pairs, live, residual, betti, torsion)
     return cm._reduction
 
 
@@ -388,21 +389,6 @@ def torsion_coefficients(cm: ComplexMatrices, p: int) -> list:
     return list(_reduction(cm).torsion[p])
 
 
-def cohomology_betti(cm: ComplexMatrices, p: int) -> int:
-    """Real Betti number from coboundary ranks (torsion is invisible here)."""
-    if not 0 <= p <= cm.complex_dim:
-        raise ValueError(f"degree {p} outside 0..{cm.complex_dim}")
-
-    def d_rank(q: int) -> int:
-        if q < 0 or q > cm.complex_dim - 1:
-            return 0
-        if q not in cm._snf_cache:
-            cm._snf_cache[q] = smith_normal_form(_exact(cm.coboundary_csr(q)), with_transforms=False)
-        return cm._snf_cache[q].rank
-
-    return cm.counts[p] - d_rank(p) - d_rank(p - 1)
-
-
 def _columns(mat: IntSparseMatrix, first: int) -> list:
     """Columns first..cols-1 of mat as sparse {row: value} dicts, in one pass."""
     cols = [{} for _ in range(first, mat.cols)]
@@ -413,64 +399,69 @@ def _columns(mat: IntSparseMatrix, first: int) -> list:
 
 
 def homology_generators(cm: ComplexMatrices, p: int) -> list:
-    """Integer cycle representatives of the free part of degree-p homology.
+    """Integer cycles whose classes form a basis of degree-p homology modulo torsion.
 
-    Columns of V beyond the rank of the degree-p boundary span its cycle
-    lattice; the boundary lattice of degree p+1, rewritten in those
-    coordinates, is diagonalized once more to separate free generators from
-    torsion and boundaries.  Each returned chain is an exact cycle and no
-    integer combination of the returned chains is a boundary.
+    Degree 0 has one vertex per component, the coreduction's ``starts``.
+    In degree p >= 1 the columns of V beyond the rank of the residual
+    degree-p boundary span the residual cycle lattice; the residual
+    boundary lattice of degree p+1, rewritten in those coordinates, is
+    diagonalized once more to separate free generators from torsion and
+    boundaries.  Each residual cycle c is lifted by walking the removed
+    degree-p pairs (a, b) from last to first: c <- c - <dc, b> <da, b> a.
+
+    Each step is the inclusion i(c) = c - <dc, b> / <da, b> a of the
+    reduction pair (a, b).  As da = +-b in the current complex, the
+    reduced boundary is exactly the restriction, so i is a chain homotopy
+    equivalence.  Removing a start vertex v gives the relative complex
+    (K, v), whose cycles of degree p >= 2 are those of K.  In degree 1 the
+    boundary of a lifted chain lies on the starts, one per component, and
+    sums to zero on each component since the augmentation kills every
+    boundary, so it is zero.  The lifts are therefore exact cycles, and
+    their classes form a basis of H_p modulo torsion.
     """
     if not 0 <= p <= cm.complex_dim:
         raise ValueError(f"degree {p} outside 0..{cm.complex_dim}")
-    n_p = cm.counts[p]
-    if p >= 1:
-        snf_a = smith_normal_form(cm.boundary[p])
-        r = snf_a.rank
-        vmat, vinv = snf_a.right, snf_a.right_inv
-    else:
-        r = 0
-        vmat = vinv = IntSparseMatrix.identity(n_p)
-    z = n_p - r
+    red = _reduction(cm)
+    if p == 0:
+        gens = []
+        for vertex in red.starts:
+            chain = [0] * cm.counts[0]
+            chain[vertex] = 1
+            gens.append(chain)
+        return gens
+    live = red.live[p]
+    snf_a = smith_normal_form(red.residual[p])
+    r = snf_a.rank
+    z = len(live) - r
     if z == 0:
         return []
-    kernel_cols = _columns(vmat, r)
-    if p == cm.complex_dim:
-        coords_gens = [{j: 1} for j in range(z)]
-    else:
-        bmat = cm.boundary[p + 1]
-        coeff = vinv @ bmat
-        if any(rr < r for (rr, _cc) in coeff.entries):
-            raise AssertionError("boundary chain escaped the cycle lattice")
-        ymat = IntSparseMatrix(
-            z,
-            bmat.cols,
-            {(rr - r, cc): v for (rr, cc), v in coeff.entries.items()},
-        )
-        snf_y = smith_normal_form(ymat)
-        coords_gens = _columns(snf_y.left_inv, snf_y.rank)
+    kernel_cols = _columns(snf_a.right, r)
+    # In the top degree there are no boundaries: an empty matrix keeps every cycle.
+    bmat = red.residual.get(p + 1, IntSparseMatrix(len(live), 0))
+    coeff = snf_a.right_inv @ bmat
+    if any(rr < r for (rr, _cc) in coeff.entries):
+        raise AssertionError("boundary chain escaped the cycle lattice")
+    ymat = IntSparseMatrix(
+        z,
+        bmat.cols,
+        {(rr - r, cc): v for (rr, cc), v in coeff.entries.items()},
+    )
+    snf_y = smith_normal_form(ymat)
+    coords_gens = _columns(snf_y.left_inv, snf_y.rank)
+    csr = cm.boundary_csr(p)
+    ptr, cells, coeffs = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+    pairs = red.pairs[p]
     gens = []
     for coord in coords_gens:
-        chain = [0] * n_p
+        chain = [0] * cm.counts[p]
         for j, c in coord.items():
             for i, v in kernel_cols[j].items():
-                chain[i] += c * v
+                chain[live[i]] += c * v
+        for k in range(len(pairs) - 2, -1, -2):
+            a, b = pairs[k], pairs[k + 1]
+            row = range(ptr[b], ptr[b + 1])
+            dc = sum(coeffs[t] * chain[cells[t]] for t in row)  # <dc, b>
+            if dc:
+                chain[a] -= dc * next(coeffs[t] for t in row if cells[t] == a)
         gens.append(chain)
     return gens
-
-
-@dataclass
-class HomologySummary:
-    """Betti numbers, torsion lists and generator chains for every degree."""
-
-    betti: list
-    torsion: list
-    generators: list
-
-
-def homology_summary(cm: ComplexMatrices) -> HomologySummary:
-    return HomologySummary(
-        betti=betti_numbers(cm),
-        torsion=[torsion_coefficients(cm, p) for p in range(cm.complex_dim + 1)],
-        generators=[homology_generators(cm, p) for p in range(cm.complex_dim + 1)],
-    )

@@ -77,24 +77,22 @@ def test_generators_json(capsys, torus_file):
     assert len(payload["1"]) == 2
 
 
-# `decfem generators` text as recorded before the vertex tuples were read
-# off `simplex_arrays`; a vertex prints as a one-tuple, `(18,)`.
+# `decfem generators` text; a vertex prints as a one-tuple, `(0,)`.  The
+# chains come from the coreduced complex, lifted back through its pairs.
 GENERATORS_TEXT = {
     ("annulus.json",): (
         "degree 0: 1 generator(s)\n"
-        "  1 (18,)\n"
+        "  1 (0,)\n"
         "degree 1: 1 generator(s)\n"
-        "  -1 (0, 1)  1 (0, 10)  -1 (1, 2)  -1 (2, 3)  -1 (3, 4)  -1 (4, 5)"
-        "  -1 (5, 6)  -1 (6, 7)  -1 (7, 8)  -1 (8, 18)  1 (10, 20)  -1 (18, 29)"
-        "  1 (20, 29)\n"
+        "  1 (0, 1)  -1 (0, 9)  1 (1, 2)  1 (2, 3)  1 (3, 4)  1 (4, 15)  1 (7, 8)"
+        "  -1 (7, 17)  1 (8, 9)  1 (15, 26)  -1 (17, 27)  1 (26, 27)\n"
         "degree 2: 0 generator(s)\n"
     ),
     ("torus.json", "--degree", "1"): (
         "degree 1: 2 generator(s)\n"
-        "  -1 (1, 2)  1 (1, 7)  -1 (2, 3)  -1 (3, 4)  -1 (4, 34)  1 (7, 14)"
-        "  1 (14, 21)  1 (21, 28)  1 (28, 34)\n"
-        "  1 (0, 1)  -1 (0, 5)  1 (1, 2)  1 (2, 3)  1 (3, 4)  1 (4, 34)"
-        "  -1 (5, 35)  1 (34, 35)\n"
+        "  1 (0, 7)  -1 (0, 35)  1 (7, 14)  1 (14, 21)  1 (21, 28)  1 (28, 35)\n"
+        "  1 (0, 1)  -1 (0, 5)  1 (1, 2)  1 (2, 32)  1 (4, 5)  -1 (4, 33)"
+        "  1 (32, 33)\n"
     ),
 }
 

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from decfem import (
     abstr,
     betti_numbers,
-    cohomology_betti,
+    complex_matrices,
     homology_generators,
-    homology_summary,
     matrices_for,
     meshes,
     smith_normal_form,
@@ -201,6 +200,17 @@ class TestTorsion:
                 assert torsion_coefficients(cm, p) == []
 
 
+def cohomology_betti(cm, p):
+    """Real Betti number from rank-only SNFs of the coboundaries (torsion is invisible here)."""
+
+    def d_rank(q):
+        if q < 0 or q > cm.complex_dim - 1:
+            return 0
+        return smith_normal_form(_exact(cm.coboundary_csr(q)), with_transforms=False).rank
+
+    return cm.counts[p] - d_rank(p) - d_rank(p - 1)
+
+
 class TestCohomology:
     @pytest.mark.parametrize("name", sorted(EXPECTED_BETTI))
     def test_real_cohomology_matches_betti(self, abstract_set, name):
@@ -220,8 +230,8 @@ def _is_cycle(cm, p, chain):
     return all(v == 0 for v in cm.boundary[p].matvec(chain))
 
 
-def _augmented_rank_gain(cm, p, chains):
-    """Rank increase of the boundary image after appending the chains."""
+def _augmented_snf(cm, p, chains):
+    """Rank of the degree-(p+1) boundary, and the rank-only SNF of [boundary | chains]."""
     bmat = cm.boundary[p + 1] if p < cm.complex_dim else IntSparseMatrix(cm.counts[p], 0)
     base_rank = smith_normal_form(bmat, with_transforms=False).rank
     ent = dict(bmat.entries)
@@ -230,7 +240,32 @@ def _augmented_rank_gain(cm, p, chains):
             if v:
                 ent[(i, bmat.cols + k)] = v
     augmented = IntSparseMatrix(cm.counts[p], bmat.cols + len(chains), ent)
-    return smith_normal_form(augmented, with_transforms=False).rank - base_rank
+    return base_rank, smith_normal_form(augmented, with_transforms=False)
+
+
+def _augmented_rank_gain(cm, p, chains):
+    """Rank increase of the boundary image after appending the chains."""
+    base_rank, augmented = _augmented_snf(cm, p, chains)
+    return augmented.rank - base_rank
+
+
+def assert_homology_basis(cm, p, chains):
+    """The chains are exact integer cycles whose classes form a basis of H_p / T_p.
+
+    Let L be the span of the degree-(p+1) boundaries and the chains, inside
+    the cycles Z_p.  The rank gain makes the classes independent and
+    beta_p in number, so Z_p / L is the torsion of Z^n / L, whose order is
+    |T_p| times the index of the classes' span in H_p / T_p.  Invariant
+    factors > 1 equal to the torsion coefficients force index 1.
+    """
+    assert len(chains) == betti_numbers(cm)[p]
+    for chain in chains:
+        assert len(chain) == cm.counts[p]
+        assert all(type(v) is int for v in chain)
+        assert _is_cycle(cm, p, chain)
+    base_rank, augmented = _augmented_snf(cm, p, chains)
+    assert augmented.rank - base_rank == len(chains)
+    assert [d for d in augmented.diag if d > 1] == torsion_coefficients(cm, p)
 
 
 class TestGenerators:
@@ -264,13 +299,6 @@ class TestGenerators:
                 assert any(v != 0 for v in g)
             if gens:
                 assert _augmented_rank_gain(cm, p, gens) == len(gens)
-
-    def test_summary_is_consistent(self, abstract_set):
-        cm = matrices_for(abstract_set["torus_minimal"])
-        summary = homology_summary(cm)
-        assert summary.betti == [1, 2, 1]
-        assert summary.torsion == [[], [], []]
-        assert [len(g) for g in summary.generators] == summary.betti
 
 
 def full_scan_pivot(elim, t):
@@ -483,6 +511,49 @@ def full_operator_homology(cm):
     return betti, [[d for d in diags[p + 1] if d > 1] for p in range(n + 1)]
 
 
+def full_snf_generators(cm, p):
+    """Generators from Smith normal forms, with transforms, of the full boundaries.
+
+    Columns of V beyond the rank of the degree-p boundary span its cycle
+    lattice; the boundary lattice of degree p+1, rewritten in those
+    coordinates, is diagonalized once more to separate free generators from
+    torsion and boundaries.
+    """
+    n_p = cm.counts[p]
+    if p >= 1:
+        snf_a = smith_normal_form(cm.boundary[p])
+        r = snf_a.rank
+        vmat, vinv = snf_a.right, snf_a.right_inv
+    else:
+        r = 0
+        vmat = vinv = IntSparseMatrix.identity(n_p)
+    z = n_p - r
+    if z == 0:
+        return []
+    kernel_cols = homology._columns(vmat, r)
+    if p == cm.complex_dim:
+        coords_gens = [{j: 1} for j in range(z)]
+    else:
+        bmat = cm.boundary[p + 1]
+        coeff = vinv @ bmat
+        assert all(rr >= r for (rr, _cc) in coeff.entries)
+        ymat = IntSparseMatrix(
+            z,
+            bmat.cols,
+            {(rr - r, cc): v for (rr, cc), v in coeff.entries.items()},
+        )
+        snf_y = smith_normal_form(ymat)
+        coords_gens = homology._columns(snf_y.left_inv, snf_y.rank)
+    gens = []
+    for coord in coords_gens:
+        chain = [0] * n_p
+        for j, c in coord.items():
+            for i, v in kernel_cols[j].items():
+                chain[i] += c * v
+        gens.append(chain)
+    return gens
+
+
 def disconnected_complex() -> AbstractComplex:
     """RP², the minimal torus, an isolated vertex and an isolated edge."""
     levels, offset = [[], [], []], 0
@@ -527,7 +598,7 @@ class TestCoreduction:
         torsion = [torsion_coefficients(cm, p) for p in range(cm.complex_dim + 1)]
         assert (betti_numbers(cm), torsion) == full_operator_homology(cm)
         red = cm._reduction
-        euler = sum((-1) ** p * len(cells) for p, cells in enumerate(red.live)) + red.starts
+        euler = sum((-1) ** p * len(cells) for p, cells in enumerate(red.live)) + len(red.starts)
         assert euler == ac.euler_characteristic()
 
     # torus_16 is too large for sympy's dense elimination.
@@ -552,7 +623,7 @@ class TestCoreduction:
         cm = matrices_for(disconnected_complex())
         assert betti_numbers(cm) == [4, 2, 1]
         assert [torsion_coefficients(cm, p) for p in range(3)] == [[], [2], []]
-        assert cm._reduction.starts == 4
+        assert len(cm._reduction.starts) == 4
 
     def test_deterministic_and_cached(self, monkeypatch):
         first = homology._reduction(matrices_for(abstr(refined_projective_plane(1))))
@@ -572,3 +643,20 @@ class TestCoreduction:
         cm = matrices_for(abstr(meshes.torus_grid(32, 32)))
         assert betti_numbers(cm) == [1, 2, 1]
         assert sum(len(cells) for cells in cm._reduction.live) < 0.05 * sum(cm.counts)
+
+
+class TestGeneratorBasis:
+    """Generators through the coreduction and the full-boundary oracle both
+    give a basis of H_p modulo torsion, in every degree."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(REDUCTION_INPUTS))
+    def test_basis_in_every_degree(self, abstract_set, name):
+        ac = reduction_input(abstract_set, name)
+        cm = matrices_for(ac)
+        degrees = range(cm.complex_dim + 1)
+        gens = [homology_generators(cm, p) for p in degrees]
+        for p in degrees:
+            assert_homology_basis(cm, p, gens[p])
+            assert_homology_basis(cm, p, full_snf_generators(cm, p))
+        fresh = complex_matrices(ac)
+        assert [homology_generators(fresh, p) for p in degrees] == gens
