@@ -62,6 +62,7 @@ from .hodge import (
     build_hodges,
     codifferential,
     harmonic_basis,
+    harmonic_bases,
     hodge_laplacian_apply,
     matrix_to_coordinate_text,
 )

@@ -10,6 +10,7 @@ whole structure-preservation checklist on one mesh.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,10 +22,9 @@ from . import __version__
 from .chains import matrices_for
 from .homology import betti_numbers, homology_generators, torsion_coefficients
 from .hodge import (
-    build_hodges,
     diagonal_hodge,
     galerkin_mass_matrix,
-    harmonic_basis,
+    harmonic_bases,
     matrix_to_coordinate_text,
 )
 from .mesh import MeshError, abstr, load_mesh
@@ -54,7 +54,9 @@ USAGE_ERROR = 2
 DATA_ERROR = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="decfem",
         description="Simplicial cochain toolkit: homology, Whitney forms, Hodge operators, Poisson.",
@@ -180,12 +182,14 @@ def _cmd_generators(args) -> int:
 def _cmd_harmonic(args) -> int:
     gc = _read_mesh(args.mesh)
     ac = abstr(gc)
-    degrees = [args.degree] if args.degree is not None else range(ac.complex_dim + 1)
-    hodges = build_hodges(gc, ac, args.hodge)
+    if args.degree is not None and not 0 <= args.degree <= ac.complex_dim:
+        raise ValueError(f"degree {args.degree} outside 0..{ac.complex_dim}")
+    bases = harmonic_bases(gc, ac, args.hodge)
+    degrees = [args.degree] if args.degree is not None else list(bases)
     payload = {}
     lines = []
     for p in degrees:
-        basis = harmonic_basis(gc, ac, p, kind=args.hodge, hodges=hodges)
+        basis = bases[p]
         payload[str(p)] = {
             "dimension": basis.dimension,
             "vectors": [cochain_to_json(v) for v in basis.vectors],
@@ -351,8 +355,7 @@ def _cmd_verify(args) -> int:
     # Harmonic dimensions match Betti numbers under both Hodge kinds.
     betti = betti_numbers(cm)
     for kind in ("galerkin", "diagonal"):
-        hodges = build_hodges(gc, ac, kind)
-        dims = [harmonic_basis(gc, ac, p, kind, hodges).dimension for p in range(n + 1)]
+        dims = [basis.dimension for basis in harmonic_bases(gc, ac, kind).values()]
         check(f"harmonic dimensions = Betti numbers ({kind})", dims == betti, f"{dims} vs {betti}")
 
     # Whitney stiffness equals the cotangent-formula stiffness.

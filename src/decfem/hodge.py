@@ -29,16 +29,33 @@ __all__ = [
     "build_hodges",
     "codifferential",
     "harmonic_basis",
+    "harmonic_bases",
     "hodge_laplacian_apply",
     "matrix_to_coordinate_text",
 ]
 
-HARMONIC_RANK_TOL = 1e-10
+# Shift of each degree's mixed Laplacian relative to its Gershgorin bound,
+# the seed and starting width of the random cochains, the relative M-Gram
+# eigenvalue below which a first-step direction is dropped as roundoff, and
+# the two sides of the harmonic gap (see ``harmonic_bases``).
+HARMONIC_SHIFT = 1e-10
+HARMONIC_SEED = 0
+HARMONIC_COLUMNS = 4
+HARMONIC_KEEP = 1e-10
+HARMONIC_MIN = 0.5
+NONHARMONIC_MAX = 1e-4
+HODGE_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class HarmonicBasis:
-    """Cochains spanning ker(d) meet ker(weak codifferential) at one degree."""
+    """Cochains spanning ker(d) meet ker(weak codifferential) at one degree.
+
+    The vectors are orthonormal in the Hodge inner product M of their
+    degree, and ``gram`` is their M-Gram matrix (the identity up to
+    roundoff).  Any such basis spans the same space; the one returned
+    depends on the seeded start of ``harmonic_bases``.
+    """
 
     degree: int
     vectors: list
@@ -162,6 +179,163 @@ def hodge_laplacian_apply(c: Cochain, hodges: dict) -> Cochain:
     return Cochain(ac, p, total)
 
 
+def _stack_csr(blocks, col_offsets, cells: int) -> sp.csr_matrix:
+    """cells x cells CSR matrix whose leading rows are the blocks' rows in
+    order, block i's columns shifted by ``col_offsets[i]``; rows past the
+    last block are empty."""
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    indptr = np.full(cells + 1, nnz[-1])
+    indptr[0] = 0
+    stacked = np.concatenate([b.indptr[1:] + k for b, k in zip(blocks, nnz)])
+    indptr[1 : len(stacked) + 1] = stacked
+    indices = np.concatenate([b.indices + c for b, c in zip(blocks, col_offsets)])
+    data = np.concatenate([b.data for b in blocks])
+    return sp.csr_matrix((data, indices, indptr), shape=(cells, cells))
+
+
+def _symmetric_lu(matrix):
+    """SuperLU of a symmetric matrix in a symmetric fill-reducing order,
+    taking every nonzero diagonal pivot: with no zero pivot there is no row
+    interchange (``perm_r == perm_c``) and U's diagonal holds the D of an
+    LDL^T factorisation."""
+    return spla.splu(
+        sp.csc_matrix(matrix),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _require_positive_definite(hodge, p: int):
+    """Raise AssertionError unless the degree-p Hodge matrix M factors as
+    LDL^T with every pivot above HODGE_PIVOT_TOL times the largest diagonal
+    entry of M.
+
+    A symmetric positive definite matrix factors so in any order, with
+    pivots no smaller than its least eigenvalue; a singular or indefinite
+    one cannot, up to roundoff.
+    """
+    try:
+        lu = _symmetric_lu(hodge)
+        floor = HODGE_PIVOT_TOL * hodge.diagonal().max()
+        ok = np.array_equal(lu.perm_r, lu.perm_c) and bool((lu.U.diagonal() > floor).all())
+    except RuntimeError:  # an exactly zero pivot
+        ok = False
+    if not ok:
+        raise AssertionError(f"degree-{p} Hodge matrix is not positive definite")
+
+
+def _entries(matrix: sp.csr_matrix):
+    """Row indices, column indices and values of a CSR matrix's stored entries."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return rows, matrix.indices, matrix.data
+
+
+def harmonic_bases(
+    gc: GeometricComplex,
+    ac: AbstractComplex,
+    kind: str = "galerkin",
+    hodges: dict | None = None,
+) -> dict:
+    """M-orthonormal bases of the harmonic cochains of every degree, keyed by degree.
+
+    Harmonic means closed (d h = 0) and weakly coclosed (orthogonal to
+    every coboundary in the Hodge inner product M), that is, in the kernel
+    of the Hodge Laplacian L = d^T M d + M d M^-1 d^T M.  For every degree p
+    one sparse LU factors, as one block-diagonal matrix, the shifted mixed
+    Hodge Laplacian with its first block sign-flipped,
+
+        [[-M_{p-1}, (M_p d_{p-1})^T], [M_p d_{p-1}, d_p^T M_{p+1} d_p + s_p M_p]],
+
+    which is symmetric quasi-definite, so it factors stably in a symmetric
+    fill-reducing order without pivoting.  Its solve with right side
+    (0, M_p x) applies T = s_p (L + s_p M_p)^-1 M_p, whose eigenvalue is
+    exactly 1 on harmonic cochains and at most s_p / (lambda_min + s_p) on
+    every other M-orthogonal direction.  The shift is HARMONIC_SHIFT times a
+    Gershgorin bound of the degree's spectrum (with M replaced by its
+    diagonal).  Seeded Gaussian cochains take one step of T; an
+    M-orthonormal basis of the result takes a second; the eigenvalues of
+    the M-Gram matrix of the second step are then at least HARMONIC_MIN on
+    harmonic directions and at most NONHARMONIC_MAX on the rest.  The
+    dimension is read from that two-sided gap, independently of integer
+    homology, and an eigenvalue inside the gap raises AssertionError naming
+    the degree.  When every column comes out harmonic the column count
+    doubles.
+    """
+    n = ac.complex_dim
+    if hodges is None:
+        hodges = build_hodges(gc, ac, kind)
+    else:
+        for p in range(n + 1):
+            _require_positive_definite(hodges[p].tocsr(), p)
+    counts = ac.face_counts()
+    off = np.cumsum([0] + counts)  # off[p]: global index of the first p-cell
+    cells = int(off[-1])
+    degree = np.repeat(np.arange(n + 1), counts)
+    cm = matrices_for(ac)
+    mass = _stack_csr([hodges[p].tocsr() for p in range(n + 1)], off[:-1], cells)
+    bound = _stack_csr([cm.boundary_csr(p) for p in range(1, n + 1)], off[1:], cells)
+    cob_mass = bound @ mass  # block (p, p+1): (M_{p+1} d_p)^T
+    lap = cob_mass @ bound.T  # block (p, p): d_p^T M_{p+1} d_p
+    m_row, m_col, m_val = _entries(mass)
+    l_row, l_col, l_val = _entries(lap)
+    c_row, c_col, c_val = _entries(cob_mass)
+
+    # Gershgorin bound of diag(M)^-1 (d^T M d + M d diag(M)^-1 d^T M) per degree.
+    diag = mass.diagonal()
+    c_abs = np.abs(c_val)
+    c_sums = np.bincount(c_row, c_abs, cells) / diag
+    row_bound = np.bincount(l_row, np.abs(l_val), cells) + np.bincount(c_col, c_abs * c_sums[c_row], cells)
+    cell_shift = HARMONIC_SHIFT * np.maximum.reduceat(row_bound / diag, off[:-1])[degree]
+
+    # Global cell g of degree q sits in block q at u[g] and in block q+1 at sigma[g].
+    u = np.arange(cells) + off[degree]
+    sigma = np.arange(cells) + off[degree + 1]
+    inner = degree[m_row] < n
+    rows = [sigma[m_row[inner]], u[m_row], u[l_row], u[c_col], sigma[c_row]]
+    cols = [sigma[m_col[inner]], u[m_col], u[l_col], sigma[c_row], u[c_col]]
+    vals = [-m_val[inner], cell_shift[m_row] * m_val, l_val, c_val, c_val]
+    size = 2 * cells - counts[n]
+    system = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    )
+    lu = _symmetric_lu(system)
+    blocks = [slice(off[p], off[p + 1]) for p in range(n + 1)]
+
+    def step(x):
+        """T x for every degree at once, with the M-Gram matrix of each degree's block."""
+        rhs = np.zeros((size, x.shape[1]))
+        rhs[u] = mass @ x
+        y = cell_shift[:, None] * lu.solve(rhs)[u]
+        my = mass @ y
+        return y, [y[b].T @ my[b] for b in blocks]
+
+    rng = np.random.default_rng(HARMONIC_SEED)
+    width = HARMONIC_COLUMNS
+    while True:
+        first, grams = step(rng.standard_normal((cells, width)))
+        ortho = np.zeros_like(first)
+        for b, gram in zip(blocks, grams):
+            g, v = np.linalg.eigh(gram)
+            keep = g > HARMONIC_KEEP * g[-1]
+            ortho[b, : keep.sum()] = first[b] @ (v[:, keep] / np.sqrt(g[keep]))
+        second, grams = step(ortho)
+        bases = {}
+        for p, (b, gram) in enumerate(zip(blocks, grams)):
+            ritz, v = np.linalg.eigh(gram)
+            if not ((ritz <= NONHARMONIC_MAX) | (ritz >= HARMONIC_MIN)).all():
+                raise AssertionError(
+                    f"harmonic gap violated at degree {p}: M-Gram eigenvalues {ritz.tolist()}"
+                )
+            harmonic = ritz >= HARMONIC_MIN
+            vectors = second[b] @ (v[:, harmonic] / np.sqrt(ritz[harmonic]))
+            gram = vectors.T @ (hodges[p] @ vectors)
+            bases[p] = HarmonicBasis(p, [Cochain(ac, p, h) for h in vectors.T], gram)
+        if all(b.dimension < width for b in bases.values()):
+            return bases
+        width *= 2
+
+
 def harmonic_basis(
     gc: GeometricComplex,
     ac: AbstractComplex,
@@ -169,39 +343,10 @@ def harmonic_basis(
     kind: str = "galerkin",
     hodges: dict | None = None,
 ) -> HarmonicBasis:
-    """Orthonormal basis of the harmonic p-cochains.
-
-    Harmonic means simultaneously closed (coboundary vanishes) and weakly
-    coclosed (orthogonal to every coboundary in the degree-p inner product).
-    The space is the nullspace of the two stacked conditions, revealed by a
-    singular value decomposition with a relative rank cutoff; its dimension
-    equals the degree-p Betti number.
-    """
+    """The degree-p entry of ``harmonic_bases``."""
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    if hodges is None:
-        hodges = build_hodges(gc, ac, kind)
-    cm = matrices_for(ac)
-    blocks = []
-    if p < ac.complex_dim:
-        blocks.append(cm.coboundary_csr(p).toarray())  # entries +-1: already unit scale
-    if p > 0:
-        co_block = (cm.boundary_csr(p) @ hodges[p]).toarray()
-        scale = np.abs(co_block).max() or 1.0
-        blocks.append(co_block / scale)
-    size = ac.num_simplices(p)
-    if not blocks:
-        basis = np.eye(size)
-    else:
-        stacked = np.vstack(blocks)
-        _, svals, vt = np.linalg.svd(stacked)
-        cutoff = HARMONIC_RANK_TOL * (svals[0] if svals.size else 1.0)
-        rank = int(np.sum(svals > cutoff))
-        basis = vt[rank:]
-    gram = basis @ (hodges[p] @ basis.T)
-    if len(basis) and abs(np.linalg.det(gram)) < 1e-300:
-        raise AssertionError("harmonic Gram matrix is singular")
-    return HarmonicBasis(degree=p, vectors=[Cochain(ac, p, v) for v in basis], gram=gram)
+    return harmonic_bases(gc, ac, kind, hodges)[p]
 
 
 def matrix_to_coordinate_text(matrix) -> str:

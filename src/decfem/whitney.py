@@ -284,8 +284,8 @@ def coboundary_apply(c: Cochain) -> Cochain:
     ac = c.complex
     if c.degree >= ac.complex_dim:
         raise ValueError("coboundary undefined at top degree")
-    d_csr = matrices_for(ac).coboundary_csr(c.degree)
-    return Cochain(ac, c.degree + 1, d_csr @ c.values)
+    coboundary = matrices_for(ac).boundary_csr(c.degree + 1).T  # a transposed view, no copy
+    return Cochain(ac, c.degree + 1, coboundary @ c.values)
 
 
 def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:

@@ -1,12 +1,16 @@
 """End-to-end command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from decfem import abstr, cup_product, diagonal_hodge, load_mesh, matrix_to_coordinate_text, meshes
+from decfem import cli
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
@@ -145,6 +149,36 @@ def test_hodge_rejects_a_degree_outside_the_complex(capsys, kind, degree):
     assert code == 1
     assert out == ""
     assert "outside 0..2" in err
+
+
+@pytest.mark.parametrize("degree", ["-1", "3"])
+def test_harmonic_rejects_a_degree_outside_the_complex(capsys, degree):
+    code, out, err = run(capsys, "harmonic", FIXTURES / "square.json", "--degree", degree)
+    assert code == 1
+    assert out == ""
+    assert "outside 0..2" in err
+
+
+def test_usage_error_between_calls_leaves_the_parser_unchanged(capsys):
+    # main builds its parser once per process: the second valid call, which
+    # relies on the --hodge default, must print what a fresh process prints
+    # even after a usage error and an explicit --hodge value.
+    square = str(FIXTURES / "square.json")
+    first = ["hodge", square, "--degree", "1", "--hodge", "diagonal"]
+    second = ["hodge", square, "--degree", "1"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "decfem.cli", *argv], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for argv in (first, second)
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    assert run(capsys, *first)[:2] == (0, fresh[0])
+    assert run(capsys, "hodge", square, "--hodge", "voronoi")[0] == 2
+    assert run(capsys, *second)[:2] == (0, fresh[1])
+    assert fresh[0] != fresh[1]
 
 
 @pytest.mark.parametrize("command", ["hodge", "harmonic", "cup"])

@@ -14,12 +14,14 @@ from decfem import (
     diagonal_hodge,
     galerkin_mass_matrix,
     harmonic_basis,
+    harmonic_bases,
     hodge_laplacian_apply,
     homology_generators,
     matrices_for,
     matrix_to_coordinate_text,
     meshes,
 )
+from decfem.mesh import GeometricComplex
 from decfem.whitney import Cochain
 
 from conftest import FIXTURE_NAMES, kuhn_cube, two_tets
@@ -185,6 +187,112 @@ class TestHarmonicBasis:
         basis = harmonic_basis(gc, ac, 1)
         period = float(np.array(generator, dtype=float) @ basis.vectors[0].values)
         assert abs(period) > 1e-8
+
+
+def svd_harmonic_basis(ac, p, hodges):
+    """The dense-SVD harmonic basis that ``harmonic_bases`` replaced, kept as
+    the oracle: the null space of the stacked closedness and (max-scaled)
+    co-closedness conditions, with a relative rank cutoff of 1e-10.  Rows
+    are Euclidean-orthonormal."""
+    cm = matrices_for(ac)
+    blocks = []
+    if p < ac.complex_dim:
+        blocks.append(cm.coboundary_csr(p).toarray())
+    if p > 0:
+        co_block = (cm.boundary_csr(p) @ hodges[p]).toarray()
+        blocks.append(co_block / (np.abs(co_block).max() or 1.0))
+    if not blocks:
+        return np.eye(ac.num_simplices(p))
+    _, svals, vt = np.linalg.svd(np.vstack(blocks))
+    rank = int(np.sum(svals > 1e-10 * (svals[0] if svals.size else 1.0)))
+    return vt[rank:]
+
+
+def span_projector(rows, size):
+    """Euclidean orthogonal projector onto the span of the given rows."""
+    q, _ = np.linalg.qr(np.asarray(rows, dtype=float).reshape(-1, size).T)
+    return q @ q.T
+
+
+def perforated_grid(k: int) -> GeometricComplex:
+    """A (2k+1) x (2k+1) grid of split unit squares with the k^2 squares at
+    odd (row, column) removed: beta = [1, k^2, 0]."""
+    m = 2 * k + 1
+    tris = []
+    for i in range(m):
+        for j in range(m):
+            if i % 2 and j % 2:
+                continue
+            a, b, c, d = (np.array([i, i + 1, i + 1, i]) * (m + 1) + [j, j, j + 1, j + 1]).tolist()
+            tris += [[a, b, c], [a, c, d]]
+    return GeometricComplex([[i, j] for i in range(m + 1) for j in range(m + 1)], tris)
+
+
+ORACLE_MESHES = {
+    "two_tets": two_tets,
+    "torus_grid_16": lambda: meshes.torus_grid(16, 16),
+    "kuhn_cube_2": lambda: kuhn_cube(2),
+    # beta_1 = 9 exceeds the starting width, so the column count doubles twice
+    "perforated_grid_3": lambda: perforated_grid(3),
+}
+
+
+class TestHarmonicBases:
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_spans_the_svd_null_space(self, fixture_set, name, kind):
+        gc = ORACLE_MESHES[name]() if name in ORACLE_MESHES else fixture_set[name]
+        ac = abstr(gc)
+        hodges = build_hodges(gc, ac, kind)
+        bases = harmonic_bases(gc, ac, kind, hodges)
+        assert list(bases) == list(range(ac.complex_dim + 1))
+        for p, basis in bases.items():
+            size = ac.num_simplices(p)
+            old = svd_harmonic_basis(ac, p, hodges)
+            new = [v.values for v in basis.vectors]
+            assert basis.dimension == len(old)
+            gap = np.abs(span_projector(new, size) - span_projector(old, size)).max()
+            assert gap <= 1e-10
+            np.testing.assert_allclose(basis.gram, np.eye(basis.dimension), atol=1e-10)
+
+    def test_two_calls_give_bitwise_equal_vectors(self, fixture_set):
+        gc = fixture_set["torus"]
+        ac = abstr(gc)
+        for kind in ("galerkin", "diagonal"):
+            first = harmonic_bases(gc, ac, kind)
+            second = harmonic_bases(gc, ac, kind)
+            for p in first:
+                assert [v.values.tobytes() for v in first[p].vectors] == [
+                    v.values.tobytes() for v in second[p].vectors
+                ]
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("defect", ["zero_row", "exact_kernel"])
+    def test_rank_deficient_hodge_raises_naming_its_degree(self, fixture_set, kind, defect):
+        gc = fixture_set["torus"]
+        ac = abstr(gc)
+        hodges = build_hodges(gc, ac, kind)
+        mass = hodges[1].toarray()
+        if defect == "zero_row":
+            mass[0, :] = 0.0
+            mass[:, 0] = 0.0
+        else:
+            # A rank-one downdate whose kernel is the exact cochain d(e_0):
+            # the diagonal stays positive.
+            v = matrices_for(ac).coboundary_csr(0).toarray()[:, 0].astype(float)
+            mv = mass @ v
+            mass -= np.outer(mv, mv) / (v @ mv)
+        hodges[1] = sp.csr_matrix(mass)
+        with pytest.raises(AssertionError, match="degree-1 Hodge"):
+            harmonic_bases(gc, ac, kind, hodges)
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    def test_torus_with_6144_cells(self, kind):
+        gc = meshes.torus_grid(32, 32)
+        ac = abstr(gc)
+        assert sum(ac.face_counts()) == 6144
+        bases = harmonic_bases(gc, ac, kind)
+        assert [b.dimension for b in bases.values()] == [1, 2, 1]
 
 
 class TestCodifferential:

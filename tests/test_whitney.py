@@ -28,7 +28,7 @@ from decfem.mesh import GeometricComplex
 from decfem.quadrature import simplex_rule
 from decfem.whitney import Cochain, mesh_geometry
 
-from conftest import FIXTURE_NAMES, two_tets
+from conftest import FIXTURE_NAMES, kuhn_cube, two_tets
 
 
 def random_barycentric(rng, n):
@@ -308,6 +308,21 @@ class TestCoboundary:
         c = Cochain(ac, 2, np.ones(1))
         with pytest.raises(ValueError):
             coboundary_apply(c)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["two_tets", "kuhn_cube"])
+    def test_transposed_view_matches_the_converted_coboundary(self, fixture_set, name):
+        # coboundary_apply multiplies by the transposed view of the boundary;
+        # the product must be bitwise that of the CSR copy it replaced.
+        gc = {"two_tets": two_tets, "kuhn_cube": lambda: kuhn_cube(2)}.get(
+            name, lambda: fixture_set[name]
+        )()
+        ac = abstr(gc)
+        cm = matrices_for(ac)
+        rng = np.random.default_rng(11)
+        for p in range(ac.complex_dim):
+            values = rng.standard_normal(ac.num_simplices(p))
+            old = cm.coboundary_csr(p) @ values
+            assert coboundary_apply(Cochain(ac, p, values)).values.tobytes() == old.tobytes()
 
 
 class TestDerivativeCommutation:
