@@ -230,7 +230,10 @@ def apply_chain_map_check(source: AbstractComplex, target: AbstractComplex, vert
             raise ChainMapError(f"vertex {v} has no image")
         if isinstance(fmap[v], (bool, np.bool_)) or not isinstance(fmap[v], (int, np.integer)):
             raise ChainMapError(f"image {fmap[v]!r} of vertex {v} is not an integer")
-        images[v] = fmap[v]
+        try:
+            images[v] = fmap[v]
+        except OverflowError:  # outside int64, so no vertex id of the target
+            raise ChainMapError(f"image {fmap[v]} of vertex {v} is not a vertex of the target") from None
     n = source.complex_dim
     induced = [_induced_map(source, target, images, p) for p in range(n + 1)]
     src = matrices_for(source)

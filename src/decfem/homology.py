@@ -27,15 +27,15 @@ class SnfResult:
     ``diag`` lists the positive invariant factors d1 | d2 | ...; ``rank`` is
     their count.  ``left``/``right`` are U and V; exact inverses are carried
     along so kernel and quotient bases can be read off without further
-    elimination.  Transform fields are None for rank-only runs.
+    elimination.
     """
 
     diag: list
     rank: int
-    left: IntSparseMatrix | None
-    right: IntSparseMatrix | None
-    left_inv: IntSparseMatrix | None
-    right_inv: IntSparseMatrix | None
+    left: IntSparseMatrix
+    right: IntSparseMatrix
+    left_inv: IntSparseMatrix
+    right_inv: IntSparseMatrix
 
 
 class _Eliminator:
@@ -51,7 +51,7 @@ class _Eliminator:
     nonzero entries of the working matrix.
     """
 
-    def __init__(self, mat: IntSparseMatrix, with_transforms: bool):
+    def __init__(self, mat: IntSparseMatrix):
         self.m, self.n = mat.rows, mat.cols
         self.nnz = len(mat.entries)
         self.rows: dict = {}
@@ -62,12 +62,10 @@ class _Eliminator:
         self.heap: list = []
         self.dirty_rows: set = set(self.rows)
         self.dirty_cols: set = set()
-        self.with_transforms = with_transforms
-        if with_transforms:
-            self.U = {i: {i: 1} for i in range(self.m)}
-            self.UinvT = {i: {i: 1} for i in range(self.m)}
-            self.VT = {j: {j: 1} for j in range(self.n)}
-            self.Vinv = {j: {j: 1} for j in range(self.n)}
+        self.U = {i: {i: 1} for i in range(self.m)}
+        self.UinvT = {i: {i: 1} for i in range(self.m)}
+        self.VT = {j: {j: 1} for j in range(self.n)}
+        self.Vinv = {j: {j: 1} for j in range(self.n)}
 
     @staticmethod
     def _axpy(table: dict, dst: int, src: int, q: int):
@@ -112,9 +110,8 @@ class _Eliminator:
                 self.nnz -= 1
         if not drow:
             self.rows.pop(i, None)
-        if self.with_transforms:
-            self._axpy(self.U, i, t, q)
-            self._axpy(self.UinvT, t, i, -q)
+        self._axpy(self.U, i, t, q)
+        self._axpy(self.UinvT, t, i, -q)
 
     def col_sub(self, j: int, t: int, q: int):
         """A col_j -= q * col_t, mirrored on V^T and V^-1."""
@@ -134,9 +131,8 @@ class _Eliminator:
                 self.colrows.get(j, set()).discard(r)
                 self.dirty_rows.add(r)
                 self.nnz -= 1
-        if self.with_transforms:
-            self._axpy(self.VT, j, t, q)
-            self._axpy(self.Vinv, t, j, -q)
+        self._axpy(self.VT, j, t, q)
+        self._axpy(self.Vinv, t, j, -q)
 
     def row_swap(self, i: int, t: int):
         if i == t:
@@ -156,9 +152,8 @@ class _Eliminator:
                 members.add(i)
             if c in ri:
                 members.add(t)
-        if self.with_transforms:
-            self._swap_rows(self.U, i, t)
-            self._swap_rows(self.UinvT, i, t)
+        self._swap_rows(self.U, i, t)
+        self._swap_rows(self.UinvT, i, t)
 
     def col_swap(self, j: int, t: int):
         if j == t:
@@ -177,15 +172,13 @@ class _Eliminator:
             self.colrows[j] = ct
         if cj:
             self.colrows[t] = cj
-        if self.with_transforms:
-            self._swap_rows(self.VT, j, t)
-            self._swap_rows(self.Vinv, j, t)
+        self._swap_rows(self.VT, j, t)
+        self._swap_rows(self.Vinv, j, t)
 
     def row_negate(self, i: int):
         self._negate_row(self.rows, i)
-        if self.with_transforms:
-            self._negate_row(self.U, i)
-            self._negate_row(self.UinvT, i)
+        self._negate_row(self.U, i)
+        self._negate_row(self.UinvT, i)
 
 
 def _select_pivot(elim: _Eliminator, t: int):
@@ -293,14 +286,14 @@ def _process_pivot(elim: _Eliminator, t: int):
         elim.row_sub(t, violator, -1)
 
 
-def smith_normal_form(mat: IntSparseMatrix, with_transforms: bool = True) -> SnfResult:
+def smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
     """Smith normal form over the integers.
 
     Returns positive invariant factors d1 | d2 | ..., the rank, and
     unimodular U, V with U A V = diag(d1, ..., dr, 0, ...).  The pivot rule
     is total-ordered, so identical inputs give identical outputs.
     """
-    elim = _Eliminator(mat, with_transforms)
+    elim = _Eliminator(mat)
     diag: list = []
     t = 0
     limit = min(elim.m, elim.n)
@@ -314,8 +307,6 @@ def smith_normal_form(mat: IntSparseMatrix, with_transforms: bool = True) -> Snf
         diag.append(elim.entry(t, t))
         t += 1
     rank = len(diag)
-    if not with_transforms:
-        return SnfResult(diag, rank, None, None, None, None)
 
     def build(table: dict, size: int, transposed: bool = False) -> IntSparseMatrix:
         # Rows leave the table as they are copied, and the entries (nonzero,
@@ -344,22 +335,32 @@ class _Reduction:
     ``starts`` lists the vertices removed as roots of their components,
     ``pairs[p]`` the removed (cell, face) pairs with a degree-p cell, flat
     and in removal order, ``live[p]`` the degree-p cells of the residual
-    complex and ``residual[p]`` its degree-p boundary; ``betti`` and
-    ``torsion`` hold every degree.
+    complex and ``residual[p]`` (p = 1..n+1, the last one empty) its
+    degree-p boundary.  ``complement[p]`` holds the columns s.. of U^-1,
+    where U residual[p+1] V = D is the Smith normal form of rank s (see
+    ``homology_generators``); ``betti`` and ``torsion`` hold every degree.
     """
 
     starts: list
     pairs: list
     live: list
     residual: dict
+    complement: list
     betti: list
     torsion: list
 
 
+def _tail(mat: IntSparseMatrix, first: int) -> IntSparseMatrix:
+    """Columns first..cols-1 of mat."""
+    out = IntSparseMatrix(mat.rows, mat.cols - first)
+    out.entries = {(r, c - first): v for (r, c), v in mat.entries.items() if c >= first}
+    return out
+
+
 def _reduction(cm: ComplexMatrices) -> _Reduction:
-    """Homology from rank-only SNFs of the coreduced complex, cached in
-    ``cm._reduction``; invariant factors are unique, so they are those of
-    the full boundaries."""
+    """Homology from one Smith normal form per boundary of the coreduced
+    complex, cached in ``cm._reduction``; invariant factors are unique, so
+    they are those of the full boundaries."""
     if cm._reduction is None:
         # Imported on first use: runs that compute no homology do not load
         # it, which keeps their import memory as it was.
@@ -367,13 +368,18 @@ def _reduction(cm: ComplexMatrices) -> _Reduction:
 
         n = cm.complex_dim
         starts, pairs, live, residual = coreduce(cm)
-        diags = [[]] * (n + 2)  # diags[p]: invariant factors of the residual degree-p boundary
-        for p, mat in residual.items():
-            diags[p] = smith_normal_form(mat, with_transforms=False).diag
+        # There are no (n+1)-cells: an empty boundary keeps every n-cycle.
+        residual[n + 1] = IntSparseMatrix(len(live[n]), 0)
+        diags = [[]]  # diags[q]: invariant factors of residual[q]
+        complement = []
+        for q in range(1, n + 2):
+            snf = smith_normal_form(residual[q])
+            diags.append(snf.diag)
+            complement.append(_tail(snf.left_inv, snf.rank))
         betti = [len(live[p]) - len(diags[p]) - len(diags[p + 1]) for p in range(n + 1)]
         betti[0] += len(starts)
         torsion = [[d for d in diags[p + 1] if d > 1] for p in range(n + 1)]
-        cm._reduction = _Reduction(starts, pairs, live, residual, betti, torsion)
+        cm._reduction = _Reduction(starts, pairs, live, residual, complement, betti, torsion)
     return cm._reduction
 
 
@@ -389,25 +395,21 @@ def torsion_coefficients(cm: ComplexMatrices, p: int) -> list:
     return list(_reduction(cm).torsion[p])
 
 
-def _columns(mat: IntSparseMatrix, first: int) -> list:
-    """Columns first..cols-1 of mat as sparse {row: value} dicts, in one pass."""
-    cols = [{} for _ in range(first, mat.cols)]
-    for (r, c), v in mat.entries.items():
-        if c >= first:
-            cols[c - first][r] = v
-    return cols
-
-
 def homology_generators(cm: ComplexMatrices, p: int) -> list:
     """Integer cycles whose classes form a basis of degree-p homology modulo torsion.
 
     Degree 0 has one vertex per component, the coreduction's ``starts``.
-    In degree p >= 1 the columns of V beyond the rank of the residual
-    degree-p boundary span the residual cycle lattice; the residual
-    boundary lattice of degree p+1, rewritten in those coordinates, is
-    diagonalized once more to separate free generators from torsion and
-    boundaries.  Each residual cycle c is lifted by walking the removed
-    degree-p pairs (a, b) from last to first: c <- c - <dc, b> <da, b> a.
+    In degree p >= 1 they come from the residual complex, split by the
+    Smith normal form U d_{p+1} V = D of rank s that ``_reduction``
+    computed.  The boundaries are the span of d_i w_i, i <= s, where
+    w_i = U^-1 e_i.  As d_p d_{p+1} = 0 and C_{p-1} is free, d_p w_i = 0
+    for i <= s.  So with T = [w_{s+1} ...] (``complement[p]``) the cycles
+    split as Z_p = span(w_1..w_s) + T ker(d_p T), a direct sum, the first
+    summand carries the torsion and the boundaries, and T ker(d_p T) is
+    the free part of H_p.  One Smith normal form U' d_p T V' = D' gives
+    that kernel as the columns of V' beyond its rank.  Each residual cycle
+    c is lifted by walking the removed degree-p pairs (a, b) from last to
+    first: c <- c - <dc, b> <da, b> a.
 
     Each step is the inclusion i(c) = c - <dc, b> / <da, b> a of the
     reduction pair (a, b).  As da = +-b in the current complex, the
@@ -429,39 +431,20 @@ def homology_generators(cm: ComplexMatrices, p: int) -> list:
             chain[vertex] = 1
             gens.append(chain)
         return gens
-    live = red.live[p]
-    snf_a = smith_normal_form(red.residual[p])
-    r = snf_a.rank
-    z = len(live) - r
-    if z == 0:
-        return []
-    kernel_cols = _columns(snf_a.right, r)
-    # In the top degree there are no boundaries: an empty matrix keeps every cycle.
-    bmat = red.residual.get(p + 1, IntSparseMatrix(len(live), 0))
-    coeff = snf_a.right_inv @ bmat
-    if any(rr < r for (rr, _cc) in coeff.entries):
-        raise AssertionError("boundary chain escaped the cycle lattice")
-    ymat = IntSparseMatrix(
-        z,
-        bmat.cols,
-        {(rr - r, cc): v for (rr, cc), v in coeff.entries.items()},
-    )
-    snf_y = smith_normal_form(ymat)
-    coords_gens = _columns(snf_y.left_inv, snf_y.rank)
+    live, complement = red.live[p], red.complement[p]
+    snf = smith_normal_form(red.residual[p] @ complement)
+    cycles = complement @ _tail(snf.right, snf.rank)
+    gens = [[0] * cm.counts[p] for _ in range(cycles.cols)]
+    for (i, j), v in cycles.entries.items():
+        gens[j][live[i]] = v
     csr = cm.boundary_csr(p)
     ptr, cells, coeffs = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
     pairs = red.pairs[p]
-    gens = []
-    for coord in coords_gens:
-        chain = [0] * cm.counts[p]
-        for j, c in coord.items():
-            for i, v in kernel_cols[j].items():
-                chain[live[i]] += c * v
+    for chain in gens:
         for k in range(len(pairs) - 2, -1, -2):
             a, b = pairs[k], pairs[k + 1]
             row = range(ptr[b], ptr[b + 1])
             dc = sum(coeffs[t] * chain[cells[t]] for t in row)  # <dc, b>
             if dc:
                 chain[a] -= dc * next(coeffs[t] for t in row if cells[t] == a)
-        gens.append(chain)
     return gens

@@ -165,6 +165,10 @@ class TestChainMaps:
             ([0, 1, np.float64(2.0)], 2),
             ([0, 1, "2"], 2),
             ({0: 0, 1: None, 2: 2}, 1),
+            ([0, 2**70, 2], 1),
+            ([0, 1, -(2**70)], 2),
+            ([2**63, 1, 2], 0),
+            ([0, np.uint64(2**64 - 1), 2], 1),
         ],
     )
     def test_bad_vertex_map_raises(self, vertex_map, vertex):
