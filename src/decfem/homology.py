@@ -25,35 +25,32 @@ class SnfResult:
     """Smith normal form U A V = D with unimodular U, V.
 
     ``diag`` lists the positive invariant factors d1 | d2 | ...; ``rank`` is
-    their count.  ``left``/``right`` are U and V; exact inverses are carried
-    along so kernel and quotient bases can be read off without further
-    elimination.
+    their count.  ``left_inv`` is U^-1 and ``right``/``right_inv`` are V and
+    V^-1, so A V = U^-1 D: kernel and image bases are read off without
+    further elimination.
     """
 
     diag: list
     rank: int
-    left: IntSparseMatrix
     right: IntSparseMatrix
     left_inv: IntSparseMatrix
     right_inv: IntSparseMatrix
 
 
 class _Eliminator:
-    """Sparse integer elimination with full transform tracking.
+    """Sparse integer elimination with transform tracking.
 
-    The working matrix lives in dict-of-dict rows plus a column index.  U,
-    V^T, U^-T and V^-1 are stored row-major so that every elementary matrix
+    The working matrix lives in dict-of-dict rows plus a column index.
+    U^-T, V^T and V^-1 are stored row-major so that every elementary matrix
     operation reduces to a row operation on the bookkeeping tables.
 
     Every operation records the rows and columns in which an entry value, a
     row length or a column count changed; ``_select_pivot`` re-keys only the
-    cells of those rows and columns into ``heap``.  ``nnz`` counts the
-    nonzero entries of the working matrix.
+    cells of those rows and columns into ``heap``.
     """
 
     def __init__(self, mat: IntSparseMatrix):
         self.m, self.n = mat.rows, mat.cols
-        self.nnz = len(mat.entries)
         self.rows: dict = {}
         self.colrows: dict = {}
         for (r, c), v in mat.entries.items():
@@ -62,7 +59,6 @@ class _Eliminator:
         self.heap: list = []
         self.dirty_rows: set = set(self.rows)
         self.dirty_cols: set = set()
-        self.U = {i: {i: 1} for i in range(self.m)}
         self.UinvT = {i: {i: 1} for i in range(self.m)}
         self.VT = {j: {j: 1} for j in range(self.n)}
         self.Vinv = {j: {j: 1} for j in range(self.n)}
@@ -92,7 +88,7 @@ class _Eliminator:
         return self.rows.get(r, {}).get(c, 0)
 
     def row_sub(self, i: int, t: int, q: int):
-        """A row_i -= q * row_t, mirrored on U and U^-T."""
+        """A row_i -= q * row_t, mirrored on U^-T."""
         drow = self.rows.setdefault(i, {})
         self.dirty_rows.add(i)
         for c, v in list(self.rows.get(t, {}).items()):
@@ -101,16 +97,13 @@ class _Eliminator:
                 if c not in drow:
                     self.colrows.setdefault(c, set()).add(i)
                     self.dirty_cols.add(c)
-                    self.nnz += 1
                 drow[c] = nv
             else:
                 drow.pop(c, None)
                 self.colrows.get(c, set()).discard(i)
                 self.dirty_cols.add(c)
-                self.nnz -= 1
         if not drow:
             self.rows.pop(i, None)
-        self._axpy(self.U, i, t, q)
         self._axpy(self.UinvT, t, i, -q)
 
     def col_sub(self, j: int, t: int, q: int):
@@ -124,13 +117,11 @@ class _Eliminator:
                 if j not in row:
                     self.colrows.setdefault(j, set()).add(r)
                     self.dirty_rows.add(r)
-                    self.nnz += 1
                 row[j] = nv
             else:
                 row.pop(j, None)
                 self.colrows.get(j, set()).discard(r)
                 self.dirty_rows.add(r)
-                self.nnz -= 1
         self._axpy(self.VT, j, t, q)
         self._axpy(self.Vinv, t, j, -q)
 
@@ -152,7 +143,6 @@ class _Eliminator:
                 members.add(i)
             if c in ri:
                 members.add(t)
-        self._swap_rows(self.U, i, t)
         self._swap_rows(self.UinvT, i, t)
 
     def col_swap(self, j: int, t: int):
@@ -177,7 +167,6 @@ class _Eliminator:
 
     def row_negate(self, i: int):
         self._negate_row(self.rows, i)
-        self._negate_row(self.U, i)
         self._negate_row(self.UinvT, i)
 
 
@@ -190,9 +179,7 @@ def _select_pivot(elim: _Eliminator, t: int):
     columns changed since the last call are pushed with their current keys,
     so every live cell's current key is in the heap; popping until the top
     key matches its cell's current key therefore yields the exact minimum.
-    Rows and columns below t hold only finished pivots and are skipped, so
-    nnz - t cells are live; once stale keys outnumber them the heap is
-    rebuilt from the live cells' current keys, which keeps the minimum.
+    Rows and columns below t hold only finished pivots and are skipped.
     """
     m, n = elim.m, elim.n
     mn = m * n
@@ -214,14 +201,6 @@ def _select_pivot(elim: _Eliminator, t: int):
             heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
     elim.dirty_rows.clear()
     elim.dirty_cols.clear()
-    if len(heap) > 2 * (elim.nnz - t):
-        heap[:] = [
-            ((abs(v) * mn + (len(row) - 1) * (len(colrows[c]) - 1)) * m + r) * n + c
-            for r, row in rows.items()
-            if r >= t
-            for c, v in row.items()
-        ]
-        heapq.heapify(heap)
     while heap:
         key = heapq.heappop(heap)
         rest, c = divmod(key, n)
@@ -289,9 +268,10 @@ def _process_pivot(elim: _Eliminator, t: int):
 def smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
     """Smith normal form over the integers.
 
-    Returns positive invariant factors d1 | d2 | ..., the rank, and
-    unimodular U, V with U A V = diag(d1, ..., dr, 0, ...).  The pivot rule
-    is total-ordered, so identical inputs give identical outputs.
+    Returns positive invariant factors d1 | d2 | ..., the rank, and U^-1,
+    V and V^-1 of unimodular U, V with U A V = diag(d1, ..., dr, 0, ...).
+    The pivot rule is total-ordered, so identical inputs give identical
+    outputs.
     """
     elim = _Eliminator(mat)
     diag: list = []
@@ -321,7 +301,6 @@ def smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
     return SnfResult(
         diag,
         rank,
-        left=build(elim.U, elim.m),
         right=build(elim.VT, elim.n, transposed=True),
         left_inv=build(elim.UinvT, elim.m, transposed=True),
         right_inv=build(elim.Vinv, elim.n),
@@ -336,8 +315,9 @@ class _Reduction:
     ``pairs[p]`` the removed (cell, face) pairs with a degree-p cell, flat
     and in removal order, ``live[p]`` the degree-p cells of the residual
     complex and ``residual[p]`` (p = 1..n+1, the last one empty) its
-    degree-p boundary.  ``complement[p]`` holds the columns s.. of U^-1,
-    where U residual[p+1] V = D is the Smith normal form of rank s (see
+    degree-p boundary.  ``complement[p]`` (p < n) holds the columns s.. of
+    U^-1, where U residual[p+1] V = D is the Smith normal form of rank s,
+    and ``top_cycles`` the columns s.. of V of residual[n] (n >= 1; see
     ``homology_generators``); ``betti`` and ``torsion`` hold every degree.
     """
 
@@ -346,6 +326,7 @@ class _Reduction:
     live: list
     residual: dict
     complement: list
+    top_cycles: IntSparseMatrix | None
     betti: list
     torsion: list
 
@@ -368,18 +349,23 @@ def _reduction(cm: ComplexMatrices) -> _Reduction:
 
         n = cm.complex_dim
         starts, pairs, live, residual = coreduce(cm)
-        # There are no (n+1)-cells: an empty boundary keeps every n-cycle.
+        # There are no (n+1)-cells: the boundary above degree n is empty.
         residual[n + 1] = IntSparseMatrix(len(live[n]), 0)
-        diags = [[]]  # diags[q]: invariant factors of residual[q]
+        diags = [[]] * (n + 2)  # diags[q]: invariant factors of residual[q]
         complement = []
-        for q in range(1, n + 2):
+        for q in range(1, n + 1):
             snf = smith_normal_form(residual[q])
-            diags.append(snf.diag)
+            diags[q] = snf.diag
             complement.append(_tail(snf.left_inv, snf.rank))
+        # The last form is that of residual[n], whose kernel is the free
+        # top-degree homology (degree 0 reads the starts instead).
+        top_cycles = _tail(snf.right, snf.rank) if n else None
         betti = [len(live[p]) - len(diags[p]) - len(diags[p + 1]) for p in range(n + 1)]
         betti[0] += len(starts)
         torsion = [[d for d in diags[p + 1] if d > 1] for p in range(n + 1)]
-        cm._reduction = _Reduction(starts, pairs, live, residual, complement, betti, torsion)
+        cm._reduction = _Reduction(
+            starts, pairs, live, residual, complement, top_cycles, betti, torsion
+        )
     return cm._reduction
 
 
@@ -407,7 +393,9 @@ def homology_generators(cm: ComplexMatrices, p: int) -> list:
     split as Z_p = span(w_1..w_s) + T ker(d_p T), a direct sum, the first
     summand carries the torsion and the boundaries, and T ker(d_p T) is
     the free part of H_p.  One Smith normal form U' d_p T V' = D' gives
-    that kernel as the columns of V' beyond its rank.  Each residual cycle
+    that kernel as the columns of V' beyond its rank.  In the top degree
+    there are no boundaries, T is the identity and that form is the one
+    ``_reduction`` already took of d_n (``top_cycles``).  Each residual cycle
     c is lifted by walking the removed degree-p pairs (a, b) from last to
     first: c <- c - <dc, b> <da, b> a.
 
@@ -431,9 +419,13 @@ def homology_generators(cm: ComplexMatrices, p: int) -> list:
             chain[vertex] = 1
             gens.append(chain)
         return gens
-    live, complement = red.live[p], red.complement[p]
-    snf = smith_normal_form(red.residual[p] @ complement)
-    cycles = complement @ _tail(snf.right, snf.rank)
+    if p == cm.complex_dim:
+        cycles = red.top_cycles
+    else:
+        complement = red.complement[p]
+        snf = smith_normal_form(red.residual[p] @ complement)
+        cycles = complement @ _tail(snf.right, snf.rank)
+    live = red.live[p]
     gens = [[0] * cm.counts[p] for _ in range(cycles.cols)]
     for (i, j), v in cycles.entries.items():
         gens[j][live[i]] = v

@@ -11,7 +11,7 @@ cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -293,19 +293,7 @@ class ConvergenceReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        return {
-            "levels": [
-                {
-                    "h": lv.h,
-                    "dofs": lv.dofs,
-                    "l2_error": lv.l2_error,
-                    "energy_error": lv.energy_error,
-                }
-                for lv in self.levels
-            ],
-            "l2_rates": self.l2_rates,
-            "energy_rates": self.energy_rates,
-        }
+        return asdict(self)
 
 
 def _max_edge_length(gc: GeometricComplex, ac: AbstractComplex) -> float:

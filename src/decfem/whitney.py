@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,6 +338,10 @@ def cochain_from_json(ac: AbstractComplex, obj: dict) -> Cochain:
     numbers = isinstance(values, list) and {type(v) for v in values} <= {int, float}
     if type(degree) is not int or not numbers:
         raise ValueError("cochain degree must be an integer and its values a list of numbers")
+    for k, v in enumerate(values):
+        # False for NaN, infinities and integers beyond the float range.
+        if not abs(v) <= sys.float_info.max:
+            raise ValueError(f"cochain value {k} is not a finite number")
     return Cochain(ac, degree, values)
 
 

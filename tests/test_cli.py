@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from decfem import abstr, cup_product, diagonal_hodge, load_mesh, matrix_to_coordinate_text, meshes
-from decfem import cli
+from decfem import cli, poisson
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
@@ -325,8 +325,15 @@ def test_verify_text_format_mesh(capsys, tmp_path):
         (lambda good: {"degree": 0, "fingerprint": "x"}, "must be a JSON object with keys"),
         (lambda good: dict(good, degree="zero"), "degree must be an integer"),
         (lambda good: dict(good, values=[None] * 4), "values a list of numbers"),
+        (lambda good: dict(good, values=[0, float("nan"), 0, 0]), "value 1 is not a finite number"),
+        (lambda good: dict(good, values=[float("inf"), 0, 0, 0]), "value 0 is not a finite number"),
+        (lambda good: dict(good, values=[0, 0, -float("inf"), 0]), "value 2 is not a finite number"),
+        (lambda good: dict(good, values=[0, 0, 0, 10**400]), "value 3 is not a finite number"),
     ],
-    ids=["list", "missing-key", "bad-degree", "null-values"],
+    ids=[
+        "list", "missing-key", "bad-degree", "null-values",
+        "nan", "infinity", "minus-infinity", "int-beyond-float",
+    ],
 )
 def test_cup_rejects_a_malformed_cochain_file(capsys, tmp_path, square_file, edit, message):
     good = cochain_to_json(Cochain(abstr(meshes.split_square()), 0, np.zeros(4)))
@@ -338,3 +345,23 @@ def test_cup_rejects_a_malformed_cochain_file(capsys, tmp_path, square_file, edi
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def field_by_field_json_dict(report):
+    """ConvergenceReport.to_json_dict written out one field at a time."""
+    return {
+        "levels": [
+            {"h": lv.h, "dofs": lv.dofs, "l2_error": lv.l2_error, "energy_error": lv.energy_error}
+            for lv in report.levels
+        ],
+        "l2_rates": report.l2_rates,
+        "energy_rates": report.energy_rates,
+    }
+
+
+def test_converge_json_is_the_field_by_field_dict(capsys, monkeypatch):
+    argv = ("converge", FIXTURES / "square.json", "--levels", "4", "--json")
+    first = run(capsys, *argv)
+    monkeypatch.setattr(poisson.ConvergenceReport, "to_json_dict", field_by_field_json_dict)
+    assert run(capsys, *argv) == first
+    assert first[0] == 0 and len(json.loads(first[1])["levels"]) == 4

@@ -1,6 +1,6 @@
 """Smith normal form and the integer homology pipeline."""
 
-import heapq
+import hashlib
 import itertools
 
 import numpy as np
@@ -37,6 +37,15 @@ def snf_of(dense, **kw):
     return smith_normal_form(IntSparseMatrix.from_dense(dense), **kw)
 
 
+def assert_valid_snf(a, res):
+    """A V = U^-1 D with |det U^-1| = |det V| = 1, and V V^-1 = I."""
+    d = IntSparseMatrix(a.rows, a.cols, {(i, i): v for i, v in enumerate(res.diag)})
+    assert a @ res.right == res.left_inv @ d
+    assert abs(exact_determinant(res.left_inv.to_dense())) == 1
+    assert abs(exact_determinant(res.right.to_dense())) == 1
+    assert res.right @ res.right_inv == IntSparseMatrix.identity(a.cols)
+
+
 class TestSmithNormalForm:
     def test_one_by_one(self):
         assert snf_of([[2]]).diag == [2]
@@ -49,7 +58,7 @@ class TestSmithNormalForm:
         res = snf_of([[0] * 4 for _ in range(3)])
         assert res.diag == []
         assert res.rank == 0
-        assert res.left == IntSparseMatrix.identity(3)
+        assert res.left_inv == IntSparseMatrix.identity(3)
         assert res.right == IntSparseMatrix.identity(4)
 
     def test_divisibility_chain_example(self):
@@ -67,14 +76,7 @@ class TestSmithNormalForm:
         ]
         for dense in mats:
             a = IntSparseMatrix.from_dense(dense)
-            res = smith_normal_form(a)
-            d = res.left @ a @ res.right
-            expected = {
-                (i, i): v for i, v in enumerate(res.diag)
-            }
-            assert d.entries == expected
-            assert (res.left @ res.left_inv) == IntSparseMatrix.identity(a.rows)
-            assert (res.right @ res.right_inv) == IntSparseMatrix.identity(a.cols)
+            assert_valid_snf(a, smith_normal_form(a))
 
     @pytest.mark.parametrize("name", ["annulus", "projective_plane", "tetrahedron_boundary"])
     def test_transforms_are_valid_matrices(self, abstract_set, name):
@@ -90,23 +92,17 @@ class TestSmithNormalForm:
         first = snf_of(dense)
         second = snf_of(dense)
         assert first.diag == second.diag
-        assert first.left == second.left
+        assert first.left_inv == second.left_inv
         assert first.right == second.right
 
     def test_unimodular_transforms_small(self):
-        dense = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        res = snf_of(dense)
-        assert abs(exact_determinant(res.left.to_dense())) == 1
-        assert abs(exact_determinant(res.right.to_dense())) == 1
+        a = IntSparseMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        assert_valid_snf(a, smith_normal_form(a))
 
     def test_unimodular_transforms_on_boundary_matrices(self, abstract_set):
         cm = matrices_for(abstract_set["tetrahedron_boundary"])
         for p in (1, 2):
-            res = smith_normal_form(cm.boundary[p])
-            assert abs(exact_determinant(res.left.to_dense())) == 1
-            assert abs(exact_determinant(res.right.to_dense())) == 1
-            d = res.left @ cm.boundary[p] @ res.right
-            assert d.entries == {(i, i): v for i, v in enumerate(res.diag)}
+            assert_valid_snf(cm.boundary[p], smith_normal_form(cm.boundary[p]))
 
     @pytest.mark.parametrize("name", ["torus_minimal", "projective_plane", "annulus"])
     def test_invariant_factors_match_sympy(self, abstract_set, name):
@@ -133,18 +129,12 @@ class TestSmithNormalForm:
     def test_snf_properties_random(self, dense):
         a = IntSparseMatrix.from_dense(dense)
         res = smith_normal_form(a)
-        # U A V is the stated diagonal
-        d = res.left @ a @ res.right
-        assert d.entries == {(i, i): v for i, v in enumerate(res.diag)}
+        # A V = U^-1 D with unimodular U^-1 and V, and V^-1 exact
+        assert_valid_snf(a, res)
         # positive, divisibility chain
         assert all(v > 0 for v in res.diag)
         for x, y in zip(res.diag, res.diag[1:]):
             assert y % x == 0
-        # transforms invert exactly and are unimodular
-        assert (res.left @ res.left_inv) == IntSparseMatrix.identity(a.rows)
-        assert (res.right @ res.right_inv) == IntSparseMatrix.identity(a.cols)
-        assert abs(exact_determinant(res.left.to_dense())) == 1
-        assert abs(exact_determinant(res.right.to_dense())) == 1
 
 
 EXPECTED_BETTI = {
@@ -332,7 +322,7 @@ def full_scan_pivot(elim, t):
 
 
 def snf_fields(res):
-    return (res.diag, res.rank, res.left, res.right, res.left_inv, res.right_inv)
+    return (res.diag, res.rank, res.right, res.left_inv, res.right_inv)
 
 
 def assert_same_as_full_scan(mat):
@@ -430,84 +420,11 @@ class TestAgainstFullScanPivot:
         assert_heap_invariant(mat)
 
 
-def pivot_without_compaction(elim, t):
-    """The heap pivot search before heap compaction: stale keys leave the
-    heap only when they reach its top."""
-    m, n = elim.m, elim.n
-    mn = m * n
-    rows, colrows, heap = elim.rows, elim.colrows, elim.heap
-    for r in elim.dirty_rows:
-        row = rows.get(r)
-        if r < t or not row:
-            continue
-        rfill = len(row) - 1
-        for c, v in row.items():
-            heapq.heappush(heap, ((abs(v) * mn + rfill * (len(colrows[c]) - 1)) * m + r) * n + c)
-    for c in elim.dirty_cols:
-        members = colrows.get(c)
-        if c < t or not members:
-            continue
-        cfill = len(members) - 1
-        for r in members - elim.dirty_rows:
-            row = rows[r]
-            heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
-    elim.dirty_rows.clear()
-    elim.dirty_cols.clear()
-    while heap:
-        key = heapq.heappop(heap)
-        rest, c = divmod(key, n)
-        rest, r = divmod(rest, m)
-        absv, fill = divmod(rest, mn)
-        if r < t or c < t:
-            continue
-        row = rows.get(r)
-        v = row.get(c) if row else None
-        if (
-            v is not None
-            and abs(v) == absv
-            and (len(row) - 1) * (len(colrows[c]) - 1) == fill
-        ):
-            return r, c
-    return None
-
-
 def refined_projective_plane(times: int):
     gc = meshes.projective_plane_minimal()
     for _ in range(times):
         gc = uniform_refine(gc)
     return gc
-
-
-class TestHeapCompaction:
-    """Rebuilding the pivot heap from live keys keeps every pivot."""
-
-    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["torus_16", "rp2_refined_2"])
-    def test_same_snf_as_without_compaction(self, abstract_set, name):
-        if name == "torus_16":
-            ac = abstr(meshes.torus_grid(16, 16))
-        elif name == "rp2_refined_2":
-            ac = abstr(refined_projective_plane(2))
-        else:
-            ac = abstract_set[name]
-        compacting = homology._select_pivot
-        peaks = []
-
-        def bounded(elim, t):
-            pivot = compacting(elim, t)
-            live = sum(len(row) for r, row in elim.rows.items() if r >= t)
-            assert len(elim.heap) <= 2 * live
-            peaks.append(len(elim.heap))
-            return pivot
-
-        for mat in matrices_for(ac).boundary.values():
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(homology, "_select_pivot", bounded)
-                compacted = snf_fields(smith_normal_form(mat))
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(homology, "_select_pivot", pivot_without_compaction)
-                reference = snf_fields(smith_normal_form(mat))
-            assert compacted == reference
-        assert peaks
 
 
 def full_operator_homology(cm):
@@ -695,6 +612,18 @@ class TestGeneratorBasis:
         fresh = complex_matrices(ac)
         assert [homology_generators(fresh, p) for p in degrees] == gens
 
+    def test_each_residual_reduced_once(self, abstract_set, monkeypatch):
+        # Every degree of the torus fixture: one Smith normal form per
+        # residual boundary in _reduction, one more in degree 1, and the
+        # top degree reuses the reduction of residual[2].
+        inputs = []
+        snf = homology.smith_normal_form
+        monkeypatch.setattr(homology, "smith_normal_form", lambda mat: inputs.append(mat) or snf(mat))
+        cm = complex_matrices(abstract_set["torus"])
+        assert [len(homology_generators(cm, p)) for p in range(3)] == [1, 2, 1]
+        assert len(inputs) == 3
+        assert all(a != b for a, b in itertools.combinations(inputs, 2))
+
 
 def two_snf_generators(cm, p):
     """The residual generator path before one Smith normal form per degree
@@ -777,3 +706,104 @@ class TestAgainstTwoSnfGenerators:
         assert [homology_generators(cm, p) for p in degrees] != [
             two_snf_generators(cm, p) for p in degrees
         ]
+
+
+def snf_digest(mats):
+    """sha256 of diag, rank and the sorted entries of U^-1, V and V^-1 of
+    each matrix."""
+    digest = hashlib.sha256()
+    for mat in mats:
+        res = smith_normal_form(mat)
+        transforms = [sorted(t.entries.items()) for t in (res.left_inv, res.right, res.right_inv)]
+        digest.update(repr((res.diag, res.rank, transforms)).encode())
+    return digest.hexdigest()
+
+
+def complex_snf_inputs(cm):
+    """Every boundary, coboundary and coreduced residual boundary of cm."""
+    coboundaries = [_exact(cm.coboundary_csr(p)) for p in range(cm.complex_dim)]
+    residual = homology._reduction(cm).residual
+    return [*cm.boundary.values(), *coboundaries, *(residual[q] for q in sorted(residual))]
+
+
+# Non-unit pivots whose Euclidean sweeps leave remainders, which no
+# complex above produces.
+NON_UNIT_MATRICES = [
+    [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
+    [[4, 6, 0], [6, 4, 2], [0, 2, 9]],
+    [[-1, 10, -1, -1], [10, 0, 9, 3], [-1, 3, 9, -2]],
+    [[-1, 1, 2], [2, -1, 2], [9, 9, 4], [0, 0, 4], [9, 9, -1], [0, 0, 9]],
+    [[-6, 2, 0], [0, -1, 1], [-2, -2, -6]],
+    [[9, 9, 0], [-6, -6, 9], [9, 2, 0], [0, 10, 3], [4, 9, 1], [-1, 3, -6]],
+    [[-1, 4, -1, 0, 0, 0], [-1, -1, 0, 0, 0, 10], [-2, 0, 9, 4, -6, 0], [-2, 3, 9, 0, 4, -2]],
+    [
+        [3, 3, -2, -2, -6],
+        [0, -1, 3, -2, 1],
+        [3, -6, 3, 0, -6],
+        [0, 3, 10, -1, -6],
+        [3, 0, 10, -2, -2],
+        [0, 2, 10, -6, 2],
+    ],
+]
+
+
+SNF_DIGESTS = {
+    "triangle": "5c56ec5d99f5dee7dbb1aa51c43817436cb36b6d532f8c749dc757db9dce748c",
+    "square": "ee904a0e3c5a2aa4cd4744a813aa2710bde7d19f161a1360397ba47d2254a04c",
+    "hollow_triangle": "a15a5ee99b7832accbdf468f77bcbbdc570c62a20a5748177e756fb80b2b92e1",
+    "disk": "a3d4d32e95aeda3ea7beff31cd41f8a99aed3225d632ec7d745c28bd26ae9082",
+    "annulus": "9725e079a6f35607f09982b1f20fba19287fd6eb645d433b60d24878137714dc",
+    "tetrahedron_boundary": "cdaa0bd993f71725e4dfba273b44614d954387cb24a5ce5cc5e6839c26543760",
+    "torus": "491e74157fda3cee376cf7083c471c0649138d88dd1b58da9829936c6e213ad2",
+    "torus_minimal": "c9d7302dbeda3143b9178383709899487a3f4080814d1fe324a21472d29d0dd5",
+    "projective_plane": "7f6074aa5974cbb534e6f995d10766c87645792ac08fdbbc19ebdc56f8a3fd66",
+    "rp2_refined_0": "7f6074aa5974cbb534e6f995d10766c87645792ac08fdbbc19ebdc56f8a3fd66",
+    "rp2_refined_1": "243a42a88eee58cd2d4fc8eda2b76ca03eda48ac7eff9551c406b23925ac0566",
+    "rp2_refined_2": "57be2be045b0e08c4a69a25686f88e77790dd24353878726a3c4d90f75d91091",
+    "rips_0": "4af0c375e3d2b9d07cede428387cda9896360cd07789c9bfb9f77a7fb61818b3",
+    "rips_1": "713c920acb047be950d08918aea134c17842e51e39740fd26ee33cdcf8029de5",
+    "rips_2": "05e03067d35ebc52b42bc911364b7376d050e668a715bee127e59442b116c980",
+    "rips_3": "af4753fe40c3d654494031c864a40d4bc2dea26cbc3967faf18ce59340f57e03",
+    "rips_4": "82c91e1b7f447af8d9f1a765831034c4e12a619c276e41d8284a4f692d3296dd",
+    "rips_5": "4cf352ac00c705d7178e451099a1004ba134cf4c9c061d4859b52624a52eecd0",
+    "rips_6": "b05a20ddfc6fa698450a1ec16f9f92e76d217f3e46b395c2f364bd21ad791909",
+    "rips_7": "1ce7b2294cf8a388d38a3c57314c7f3a17055bf8003ca01ee23088aa83f14299",
+    "rips_8": "baebf126daccc18bad5e7681a07b022a077b39fb7605dc6911595891a7dcb758",
+    "rips_9": "e4c774ad362bba5db4d1331caa004664aae42a008fd092cb25fdbf5082490e61",
+    "rips_10": "23a16a2ac4fe42ee8413e7fb7fc379379992c9649530e06399bd223079e6a502",
+    "rips_11": "b76996a571feb326dfca80b7836594eb76c14753afd5c720149aa6812182bfca",
+    "delaunay_0": "3702bea997656442e9ac038263d73779112e00e32b6237828a5e5333718a3120",
+    "delaunay_1": "6d447dc9070c90d1c70ddfe7cf84084b8106fc176eb1b0336e3871839bf5dce3",
+    "delaunay_2": "f66968c531ae694e93d303a79a6fe3d99c9ecb69511c341c4f4d5a7c76a896e0",
+    "delaunay_3": "4de713d09d41f2b27b75e48570fb73cf6978c7dd61333060a72029776cf5e7d9",
+    "delaunay_4": "b6d974cb309d342056b8da1bd4b058e3014cc0c457598b30206d3549a1729187",
+    "delaunay_5": "6d55642cd543e9bb63fb509e31201006a0642cbc2d84cedf9e50eefb74b5ca53",
+    "delaunay_6": "7241bf5e1a5a4c04b95dc6e0264c750e0380dd7213c2dd2a049a06cd59edc144",
+    "delaunay_7": "287d2ea9a66dc9c3b4bcdebf1e0988bfcf747144783b1147227e674e3500b489",
+    "delaunay_8": "3f395a2f509f8fa5f60f0760ce61c7c5a70088cf96e818ae90a27d254bad2d6c",
+    "delaunay_9": "f356855413d7600250524b28c2b1336ea926381cc69931301be85541371db8d9",
+    "delaunay_10": "1ca6ac9ff88f91220d4a2b07c52a0e64508772212e75b5ef68e0d7c30929d08b",
+    "delaunay_11": "22b1916413ef910598b8bd6885d8e339c6fefe5b3edc4a17b0e8ad63f265ce67",
+    "two_tets": "1aa947048419163b22d40f0fc536bf5a22bacb27f10a0dceb7c0a60a9cc29706",
+    "kuhn_1": "87aba13ca4720ef9965e951a581560ea23b0f2261c13a443115c1ed6bc472750",
+    "kuhn_2": "985c58c625cb941f549b0e8f6d899240bbac48338b4cd5172c76d9cd794706a4",
+    "disconnected": "9fa156c0e339eeedf6f77e30e069d7bb5e17594cca617d5c9a5c30516f39ca0f",
+    "three_points": "e83f5c2ae6df628c8768adc90f7eb32547de410f03c809eb16c42750fb5da571",
+    "kuhn_5_tunnel_cavity": "5ab62d8a7276318dfa6fb594bd2d8c8db2089dcf9fe067188ea00802607f1b9e",
+    "torus_16": "920bd89f0b3f20be5f77ef24772cf7f4836494c9c00a455b52e3be01a7ecf1ff",
+    "non_unit": "7f7af02d62504cf4a310b5671596ea1b71e6a9a8fc92e58d1e517c2a87e36d82",
+}
+
+
+class TestFrozenSnfDigests:
+    """Pivots, invariant factors, U^-1, V and V^-1 are those of the Smith
+    normal form that also tracked U and compacted its pivot heap."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(REDUCTION_INPUTS))
+    def test_same_snf_as_recorded(self, abstract_set, name):
+        cm = matrices_for(reduction_input(abstract_set, name))
+        assert snf_digest(complex_snf_inputs(cm)) == SNF_DIGESTS[name]
+
+    def test_non_unit_pivots(self):
+        mats = [IntSparseMatrix.from_dense(dense) for dense in NON_UNIT_MATRICES]
+        assert snf_digest(mats) == SNF_DIGESTS["non_unit"]
