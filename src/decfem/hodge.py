@@ -225,12 +225,6 @@ def _require_positive_definite(hodge, p: int):
         raise AssertionError(f"degree-{p} Hodge matrix is not positive definite")
 
 
-def _entries(matrix: sp.csr_matrix):
-    """Row indices, column indices and values of a CSR matrix's stored entries."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return rows, matrix.indices, matrix.data
-
-
 def harmonic_bases(
     gc: GeometricComplex,
     ac: AbstractComplex,
@@ -241,26 +235,27 @@ def harmonic_bases(
 
     Harmonic means closed (d h = 0) and weakly coclosed (orthogonal to
     every coboundary in the Hodge inner product M), that is, in the kernel
-    of the Hodge Laplacian L = d^T M d + M d M^-1 d^T M.  For every degree p
-    one sparse LU factors, as one block-diagonal matrix, the shifted mixed
-    Hodge Laplacian with its first block sign-flipped,
+    of the Hodge Laplacian L = d^T M d + M d M^-1 d^T M.  With M, d and the
+    shift S block diagonal over the degrees and C the rows of degree < n of
+    d^T M, one sparse LU factors [[-M_<n, C], [C^T, d^T M d + S M]].  It is
+    a symmetric permutation of the block-diagonal matrix of every degree's
 
         [[-M_{p-1}, (M_p d_{p-1})^T], [M_p d_{p-1}, d_p^T M_{p+1} d_p + s_p M_p]],
 
     which is symmetric quasi-definite, so it factors stably in a symmetric
     fill-reducing order without pivoting.  Its solve with right side
-    (0, M_p x) applies T = s_p (L + s_p M_p)^-1 M_p, whose eigenvalue is
-    exactly 1 on harmonic cochains and at most s_p / (lambda_min + s_p) on
-    every other M-orthogonal direction.  The shift is HARMONIC_SHIFT times a
-    Gershgorin bound of the degree's spectrum (with M replaced by its
-    diagonal).  Seeded Gaussian cochains take one step of T; an
-    M-orthonormal basis of the result takes a second; the eigenvalues of
-    the M-Gram matrix of the second step are then at least HARMONIC_MIN on
-    harmonic directions and at most NONHARMONIC_MAX on the rest.  The
-    dimension is read from that two-sided gap, independently of integer
-    homology, and an eigenvalue inside the gap raises AssertionError naming
-    the degree.  When every column comes out harmonic the column count
-    doubles.
+    (0, M x) applies T = s_p (L + s_p M_p)^-1 M_p at every degree p, whose
+    eigenvalue is exactly 1 on harmonic cochains and at most
+    s_p / (lambda_min + s_p) on every other M-orthogonal direction.  The
+    shift is HARMONIC_SHIFT times a Gershgorin bound of the degree's
+    spectrum (with M replaced by its diagonal).  Seeded Gaussian cochains
+    take one step of T; an M-orthonormal basis of the result takes a
+    second; the eigenvalues of the M-Gram matrix of the second step are
+    then at least HARMONIC_MIN on harmonic directions and at most
+    NONHARMONIC_MAX on the rest.  The dimension is read from that two-sided
+    gap, independently of integer homology, and an eigenvalue inside the
+    gap raises ValueError naming the degree.  When every column comes
+    out harmonic the column count doubles.
     """
     n = ac.complex_dim
     if hodges is None:
@@ -270,32 +265,28 @@ def harmonic_bases(
             _require_positive_definite(hodges[p].tocsr(), p)
     counts = ac.face_counts()
     off = np.cumsum([0] + counts)  # off[p]: global index of the first p-cell
-    cells = int(off[-1])
-    degree = np.repeat(np.arange(n + 1), counts)
+    cells, inner = int(off[-1]), int(off[n])  # inner: the cells of degree < n
     cm = matrices_for(ac)
     mass = _stack_csr([hodges[p].tocsr() for p in range(n + 1)], off[:-1], cells)
     bound = _stack_csr([cm.boundary_csr(p) for p in range(1, n + 1)], off[1:], cells)
     cob_mass = bound @ mass  # block (p, p+1): (M_{p+1} d_p)^T
     lap = cob_mass @ bound.T  # block (p, p): d_p^T M_{p+1} d_p
-    m_row, m_col, m_val = _entries(mass)
-    l_row, l_col, l_val = _entries(lap)
-    c_row, c_col, c_val = _entries(cob_mass)
 
     # Gershgorin bound of diag(M)^-1 (d^T M d + M d diag(M)^-1 d^T M) per degree.
     diag = mass.diagonal()
-    c_abs = np.abs(c_val)
-    c_sums = np.bincount(c_row, c_abs, cells) / diag
-    row_bound = np.bincount(l_row, np.abs(l_val), cells) + np.bincount(c_col, c_abs * c_sums[c_row], cells)
-    cell_shift = HARMONIC_SHIFT * np.maximum.reduceat(row_bound / diag, off[:-1])[degree]
+    m, lp, c = mass.tocoo(), lap.tocoo(), cob_mass.tocoo()  # rows of c: degree < n
+    c_abs = np.abs(c.data)
+    c_sums = np.bincount(c.row, c_abs, cells) / diag
+    row_bound = np.bincount(lp.row, np.abs(lp.data), cells)
+    row_bound += np.bincount(c.col, c_abs * c_sums[c.row], cells)
+    cell_shift = HARMONIC_SHIFT * np.repeat(np.maximum.reduceat(row_bound / diag, off[:-1]), counts)
 
-    # Global cell g of degree q sits in block q at u[g] and in block q+1 at sigma[g].
-    u = np.arange(cells) + off[degree]
-    sigma = np.arange(cells) + off[degree + 1]
-    inner = degree[m_row] < n
-    rows = [sigma[m_row[inner]], u[m_row], u[l_row], u[c_col], sigma[c_row]]
-    cols = [sigma[m_col[inner]], u[m_col], u[l_col], sigma[c_row], u[c_col]]
-    vals = [-m_val[inner], cell_shift[m_row] * m_val, l_val, c_val, c_val]
-    size = 2 * cells - counts[n]
+    # Unknowns: a sign-flipped copy of every cell of degree < n, then every cell.
+    low = m.row < inner
+    rows = [m.row[low], c.row, inner + c.col, inner + lp.row, inner + m.row]
+    cols = [m.col[low], inner + c.col, c.row, inner + lp.col, inner + m.col]
+    vals = [-m.data[low], c.data, c.data, lp.data, cell_shift[m.row] * m.data]
+    size = inner + cells
     system = sp.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
     )
@@ -305,8 +296,8 @@ def harmonic_bases(
     def step(x):
         """T x for every degree at once, with the M-Gram matrix of each degree's block."""
         rhs = np.zeros((size, x.shape[1]))
-        rhs[u] = mass @ x
-        y = cell_shift[:, None] * lu.solve(rhs)[u]
+        rhs[inner:] = mass @ x
+        y = cell_shift[:, None] * lu.solve(rhs)[inner:]
         my = mass @ y
         return y, [y[b].T @ my[b] for b in blocks]
 
@@ -324,7 +315,7 @@ def harmonic_bases(
         for p, (b, gram) in enumerate(zip(blocks, grams)):
             ritz, v = np.linalg.eigh(gram)
             if not ((ritz <= NONHARMONIC_MAX) | (ritz >= HARMONIC_MIN)).all():
-                raise AssertionError(
+                raise ValueError(
                     f"harmonic gap violated at degree {p}: M-Gram eigenvalues {ritz.tolist()}"
                 )
             harmonic = ritz >= HARMONIC_MIN

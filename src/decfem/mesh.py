@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 # A simplex counts as degenerate when n! * volume <= RTOL * (longest edge)^n.
-_DEGENERATE_RTOL = 1e-12
+# The barycentric gradients invert E E^T for the edge matrix E, whose
+# determinant is (n! * volume)^2: below about sqrt(machine epsilon) it is lost.
+_DEGENERATE_RTOL = 1e-7
 
 
 class MeshError(ValueError):

@@ -134,7 +134,7 @@ class _MeshGeometry:
         """Sign-folded gradient wedges, shape (num_top, C(n+1, p+1), p+1, C(d, p)).
 
         Entry [t, f, k] is (-1)^k p! times the wedge of the gradients at the
-        vertices of local face f (``mesh._local_faces(n, p)``) other than its
+        vertices of local face f (``batched._local_faces(n, p)``) other than its
         k-th, in ascending order.
         """
         if p not in self._tables:
@@ -150,6 +150,13 @@ class _MeshGeometry:
             signs = math.factorial(p) * (-1.0) ** np.arange(p + 1)
             self._tables[p] = minors[:, omit] * signs[:, None]
         return self._tables[p]
+
+    def whitney_values(self, p: int, top_ids, lam: np.ndarray) -> np.ndarray:
+        """Every local Whitney p-form of the tops ``top_ids`` at their
+        barycentric points lam (..., n+1), leading axes broadcast; shape
+        (..., C(n+1, p+1), C(d, p)) in ``batched._local_faces(n, p)`` order."""
+        lam_local = lam[..., _local_faces(self.complex_dim, p)]  # (..., nloc, p+1)
+        return np.einsum("...fk,...fkc->...fc", lam_local, self.signed_wedge_tables(p)[top_ids])
 
 
 def mesh_geometry(gc: GeometricComplex, ac: AbstractComplex) -> _MeshGeometry:
@@ -181,22 +188,18 @@ def whitney_basis(
     pos = [top.index(v) for v in sigma]
     p = len(sigma) - 1
     face = _local_faces(n, p).tolist().index(sorted(pos))
-    wedges = mesh_geometry(gc, ac).signed_wedge_tables(p)[int(top_id), face]
-    return _permutation_sign(pos) * (lam[sorted(pos)] @ wedges)
+    return _permutation_sign(pos) * mesh_geometry(gc, ac).whitney_values(p, int(top_id), lam)[face]
 
 
 def whitney_interpolate(gc: GeometricComplex, c: Cochain) -> FormField:
     """Piecewise-affine form with the cochain's coefficients on its simplices."""
     ac, p = c.complex, c.degree
     geo = mesh_geometry(gc, ac)
-    wedges = geo.signed_wedge_tables(p)
-    face_pos = _local_faces(ac.complex_dim, p)  # (nloc, p+1)
     top_coeffs = c.values[ac.top_faces(p)]  # (num_top, nloc)
 
     def evaluate(top_ids, x) -> np.ndarray:
         lam = geo.barycentric(top_ids, np.moveaxis(np.asarray(x, dtype=float), 0, -1))
-        local = (top_coeffs[top_ids], lam[..., face_pos], wedges[top_ids])
-        return np.einsum("...f,...fk,...fkc->c...", *local)
+        return np.einsum("...f,...fc->c...", top_coeffs[top_ids], geo.whitney_values(p, top_ids, lam))
 
     return FormField(degree=p, evaluate=evaluate)
 
@@ -220,14 +223,6 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
     combos = np.array(index_combinations(gc.embed_dim, p), dtype=int)
     minors = np.linalg.det(frame[:, combos, :]) / math.factorial(p)
     return owners, points, lam, minors
-
-
-def _local_basis_values(gc: GeometricComplex, ac: AbstractComplex, p: int, owners, lam):
-    """Every local Whitney p-form of each owning top at its barycentric
-    points lam (m, nq, n+1), shape (m, nq, C(n+1, p+1), C(d, p))."""
-    wedges = mesh_geometry(gc, ac).signed_wedge_tables(p)[owners]
-    lam_local = lam[:, :, _local_faces(ac.complex_dim, p)]  # (m, nq, nloc, p+1)
-    return np.einsum("mqfk,mfkc->mqfc", lam_local, wedges)
 
 
 def de_rham_map(
@@ -273,7 +268,7 @@ def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) ->
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     rule = simplex_rule(p, DEFAULT_EXACTNESS)
     owners, _, lam, minors = _simplex_quadrature(gc, ac, p, rule)
-    basis = _local_basis_values(gc, ac, p, owners, lam)
+    basis = mesh_geometry(gc, ac).whitney_values(p, owners[:, None], lam)
     values = np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors)
     m = len(owners)
     rows = np.repeat(np.arange(m), values.shape[1])
@@ -305,9 +300,10 @@ def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:
         raise ValueError(f"cup degree {p + q} exceeds complex dimension")
     rule = simplex_rule(p + q, DEFAULT_EXACTNESS)
     owners, _, lam, minors = _simplex_quadrature(gc, ac, p + q, rule)
+    geo = mesh_geometry(gc, ac)
     wa, wb = (
         np.einsum("mf,mqfc->mqc", c.values[ac.top_faces(c.degree)[owners]],
-                  _local_basis_values(gc, ac, c.degree, owners, lam))
+                  geo.whitney_values(c.degree, owners[:, None], lam))
         for c in (a, b)
     )
     product = wedge(wa, p, wb, q, gc.embed_dim)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test-suite."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,16 @@ def two_tets() -> GeometricComplex:
         ],
         [[0, 1, 2, 3], [1, 2, 3, 4]],
     )
+
+
+def sliver_square_json(eps: float) -> str:
+    """Mesh JSON of the unit square cut into four triangles around vertex 4
+    at (0.5, eps); triangle 3, (0, 1, 4), has relative volume eps."""
+    return json.dumps({
+        "dimension": 2,
+        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, eps]],
+        "simplices": [[0, 4, 3], [4, 1, 2], [4, 2, 3], [0, 1, 4]],
+    })
 
 
 def kuhn_cube(k: int) -> GeometricComplex:

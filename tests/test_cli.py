@@ -14,6 +14,8 @@ from decfem import cli, poisson
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
+from conftest import sliver_square_json
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -308,6 +310,38 @@ def test_verify_identity_check_bites_at_zero_tolerance(capsys):
     assert line.startswith("FAIL")
     assert float(line.split("max dev ")[1].rstrip("]")) > 0.0
     assert "8/9 checks passed" in out
+
+
+def sliver_file(tmp_path, eps):
+    path = tmp_path / "sliver.json"
+    path.write_text(sliver_square_json(eps))
+    return path
+
+
+def test_info_rejects_a_sliver_beyond_gradient_precision(capsys, tmp_path):
+    code, out, err = run(capsys, "info", sliver_file(tmp_path, 1e-9))
+    assert (code, out, err) == (1, "", "error: degenerate simplex 3\n")
+
+
+def test_harmonic_reports_a_violated_gap(capsys, tmp_path):
+    code, out, err = run(capsys, "harmonic", sliver_file(tmp_path, 1e-4), "--hodge", "diagonal")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: harmonic gap violated at degree 1")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_lists_every_check_past_a_violated_gap(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", FIXTURES / "square.json", "--json")
+    assert code == 0
+    names = [check["check"] for check in json.loads(out)]
+    code, out, _ = run(capsys, "verify", sliver_file(tmp_path, 1e-4), "--json")
+    assert code == 1
+    checks = {check["check"]: check for check in json.loads(out)}
+    assert list(checks) == names
+    assert checks["harmonic dimensions = Betti numbers (galerkin)"]["pass"]
+    diagonal = checks["harmonic dimensions = Betti numbers (diagonal)"]
+    assert not diagonal["pass"]
+    assert diagonal["detail"].startswith("harmonic gap violated at degree 1")
 
 
 def test_verify_text_format_mesh(capsys, tmp_path):

@@ -25,7 +25,7 @@ from decfem.mesh import (
 )
 from decfem import meshes
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, sliver_square_json
 
 
 TRIANGLE_JSON = '{"dimension": 2, "vertices": [[0,0],[1,0],[0,1]], "simplices": [[0,1,2]]}'
@@ -98,6 +98,15 @@ class TestLoadMesh:
             GeometricComplex(
                 [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]], [[0, 1, 2]]
             )
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8])
+    def test_sliver_beyond_gradient_precision_rejected(self, eps):
+        # The barycentric gradients of such a sliver need a singular E E^T.
+        with pytest.raises(MeshValidationError, match="degenerate simplex 3"):
+            load_mesh(sliver_square_json(eps))
+
+    def test_thin_sliver_loads(self):
+        assert load_mesh(sliver_square_json(1e-6)).num_top == 4
 
     def test_declared_dimension_mismatch(self):
         bad = '{"dimension": 3, "vertices": [[0,0],[1,0],[0,1]], "simplices": [[0,1,2]]}'
