@@ -67,18 +67,35 @@ def _simplex_gradients(coords: np.ndarray) -> np.ndarray:
     return np.concatenate([-rest.sum(axis=1, keepdims=True), rest], axis=1)
 
 
-def _coface_omissions(n: int, p: int):
-    """For each local p-face g of an n-simplex (``_local_faces(n, p)`` order):
-    the column in ``_local_faces(n, p+1)`` of the (p+1)-face g + {v}, v the
-    lowest local position outside g, and the position of v within it."""
-    upper = _local_faces(n, p + 1).tolist()
-    cofaces, omitted = [], []
-    for g in _local_faces(n, p).tolist():
-        v = min(set(range(n + 1)) - set(g))
-        f = sorted(g + [v])
-        cofaces.append(upper.index(f))
-        omitted.append(f.index(v))
-    return np.array(cofaces), np.array(omitted)
+def _minors(matrices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """k x k minors [t, ...] of rows ``rows[..., :]`` and columns
+    ``cols[..., :]`` (index arrays of width k, leading axes broadcast) of
+    each matrix t; 0 x 0 minors are ones.
+
+    1 x 1 and 2 x 2 minors are written out, as a view of a minors-first
+    array: LAPACK's determinant is slow on tiny matrices and rounds even a
+    1 x 1 one.
+    """
+    k = rows.shape[-1]
+    if k not in (1, 2):
+        return np.linalg.det(matrices[:, rows[..., :, None], cols[..., None, :]])
+    # Stored matrix-last, each entry is a contiguous row of the copy, and one
+    # minor at a time keeps its rows in cache.
+    flat, width = matrices.reshape(len(matrices), -1).T.copy(), matrices.shape[2]
+    at = rows[..., :, None] * width + cols[..., None, :]  # (..., k, k) entry rows
+    out = np.empty(at.shape[:-2] + flat.shape[1:])
+    for m in np.ndindex(at.shape[:-2]):
+        e = [flat[i] for i in at[m].ravel()]
+        out[m] = e[0] if k == 1 else e[0] * e[3] - e[1] * e[2]
+    return np.moveaxis(out, -1, 0)
+
+
+def _facet_rows(n: int, p: int) -> np.ndarray:
+    """Row in ``_local_faces(n, p-1)`` of each local p-face of an n-simplex
+    without its k-th vertex, shape (C(n+1, p+1), p+1)."""
+    rows = _local_faces(n, p - 1).tolist()
+    faces = _local_faces(n, p).tolist()
+    return np.array([[rows.index(f[:k] + f[k + 1:]) for k in range(p + 1)] for f in faces])
 
 
 def _level_array(level, p: int):

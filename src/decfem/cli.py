@@ -64,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"decfem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, degree=False, hodge=False, tol=None, levels=False, out=False):
+    def add(name, help_text, degree=None, hodge=False, tol=None, levels=False, out=False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("mesh", help="mesh file (.json or .txt)")
         if degree:
-            cmd.add_argument("--degree", type=int, default=None, help="cochain degree p")
+            cmd.add_argument("--degree", type=int, default=None, help=degree)
         if hodge:
             cmd.add_argument(
                 "--hodge", choices=("galerkin", "diagonal"), default="galerkin"
@@ -84,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("info", "face counts and Euler characteristic")
     add("betti", "Betti numbers and torsion coefficients")
-    add("generators", "integer homology generator chains", degree=True)
-    add("harmonic", "harmonic cochain basis", degree=True, hodge=True, out=True)
-    add("hodge", "export a discrete Hodge matrix", degree=True, hodge=True, out=True)
+    add("generators", "integer homology generator chains", degree="cochain degree p")
+    degree = "output degree p only (every degree is computed, from one factorisation)"
+    add("harmonic", "harmonic cochain basis", degree=degree, hodge=True, out=True)
+    add("hodge", "export a discrete Hodge matrix", degree="cochain degree p", hodge=True, out=True)
     add("solve", "Dirichlet Poisson solve", hodge=True, tol=1e-10).add_argument(
         "--manufactured", choices=("sinsin", "affine", "none"), default="sinsin"
     )

@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .batched import (
     _chain_ids,
-    _coface_omissions,
     _face_keys,
+    _facet_rows,
     _level_array,
     _lex_unique,
     _local_faces,
@@ -284,9 +285,10 @@ class AbstractComplex:
             if p == n:
                 table = np.arange(self.num_simplices(n))[:, None]
             else:
-                # Each local p-face is read off the boundary of one local
-                # (p+1)-face containing it.
-                cofaces, omitted = _coface_omissions(n, p)
+                # Each local p-face is read off the boundary of the first
+                # local (p+1)-face containing it.
+                first = np.unique(_facet_rows(n, p + 1), return_index=True)[1]
+                cofaces, omitted = np.divmod(first, p + 2)
                 table = self._boundary_faces[p + 1][self.top_faces(p + 1)[:, cofaces], omitted]
             table.setflags(write=False)
             self._top_faces[p] = table
@@ -391,6 +393,24 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
     return AbstractComplex(n, simplices, signs)
 
 
+@lru_cache(maxsize=None)
+def _dual_fragments(n: int, p: int):
+    """Barycentre weights of the points of the barycentric dual fragments of
+    the local p-faces of an n-simplex, shape (fragments * (n-p+1), n+1), and
+    the local face (``_local_faces(n, p)`` row) of each fragment.
+
+    There is one fragment per face and order of adding the other vertices;
+    its point j is the barycentre of the face and the first j added.
+    """
+    owners, points = [], []
+    for f, face in enumerate(_local_faces(n, p).tolist()):
+        for order in itertools.permutations(sorted(set(range(n + 1)) - set(face))):
+            owners.append(f)
+            points += [face + list(order[:j]) for j in range(n - p + 1)]
+    weights = np.array([np.bincount(members, minlength=n + 1) / len(members) for members in points])
+    return weights, np.array(owners)
+
+
 def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple:
     """Volumes of the barycentric dual cells of every simplex, one read-only
     array per primal degree.
@@ -399,27 +419,22 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple
     dual cell fragments around p-simplex i.  The dual cell of a p-simplex
     sigma is swept out, inside each top simplex T containing sigma, by the
     simplices spanned by the barycenters of the strictly increasing face
-    chains sigma = s_p < s_{p+1} < ... < s_n = T.  For p = n the primal
+    chains sigma = s_p < s_{p+1} < ... < s_n = T.  Each of the (n+1)!
+    fragments of a vertex's cells in T has volume |T|/(n+1)!, so a vertex
+    gets |T|/(n+1) from every top containing it.  For p = n the primal
     volume is recorded.
     """
     n, d = gc.complex_dim, gc.embed_dim
     coords = gc.vertices[ac.simplex_arrays[n]]  # (m, n+1, d)
-    vols = []
-    for p in range(n):
-        # The flags below sigma are the same in every top: one fragment per
-        # (local face, order of adding the remaining vertices).
-        owners, points = [], []
-        for f, face in enumerate(_local_faces(n, p).tolist()):
-            rest = [k for k in range(n + 1) if k not in face]
-            for order in itertools.permutations(rest):
-                chain = [face + list(order[:j]) for j in range(len(order) + 1)]
-                owners.append(f)
-                points.append(np.stack([coords[:, members].mean(axis=1) for members in chain], axis=1))
-        # points: (m, fragments, n-p+1, d), flattened top by top
-        frags = _simplex_volumes(np.stack(points, axis=1).reshape(-1, n - p + 1, d))
+    tops = _simplex_volumes(coords)
+    vertex_shares = np.repeat(tops / (n + 1), n + 1)
+    vols = [np.bincount(ac.top_faces(0).ravel(), vertex_shares, ac.num_simplices(0))]
+    for p in range(1, n):
+        weights, owners = _dual_fragments(n, p)
+        frags = _simplex_volumes((weights @ coords).reshape(-1, n - p + 1, d))
         ids = ac.top_faces(p)[:, owners].ravel()
         vols.append(np.bincount(ids, weights=frags, minlength=ac.num_simplices(p)))
-    vols.append(_simplex_volumes(coords))
+    vols.append(tops)
     for p in range(n + 1):
         if np.any(vols[p] <= 0):
             raise MeshValidationError(f"non-positive dual volume at degree {p}")

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .batched import _local_faces, _permutation_sign, _simplex_gradients, _simplex_volumes
+from .batched import (
+    _facet_rows, _local_faces, _minors, _permutation_sign, _simplex_gradients, _simplex_volumes
+)
 from .chains import matrices_for
 from .exterior import index_combinations, num_components, wedge
 from .mesh import AbstractComplex, GeometricComplex
@@ -143,12 +145,9 @@ class _MeshGeometry:
             # rows in the gradient array, one minor per ambient index combination.
             rows = _local_faces(n, p - 1)
             cols = np.array(index_combinations(d, p), dtype=int)
-            minors = np.linalg.det(self.grads[:, rows[:, None, :, None], cols[None, :, None, :]])
-            row_of = {tuple(r): i for i, r in enumerate(rows.tolist())}
-            faces = _local_faces(n, p).tolist()
-            omit = [[row_of[tuple(f[:k] + f[k + 1:])] for k in range(p + 1)] for f in faces]
+            minors = _minors(self.grads, rows[:, None], cols[None])
             signs = math.factorial(p) * (-1.0) ** np.arange(p + 1)
-            self._tables[p] = minors[:, omit] * signs[:, None]
+            self._tables[p] = minors[:, _facet_rows(n, p)] * signs[:, None]
         return self._tables[p]
 
     def whitney_values(self, p: int, top_ids, lam: np.ndarray) -> np.ndarray:
@@ -221,7 +220,7 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
     # One minor per ambient index combination, taken from the (d, p) edge frame.
     frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)
     combos = np.array(index_combinations(gc.embed_dim, p), dtype=int)
-    minors = np.linalg.det(frame[:, combos, :]) / math.factorial(p)
+    minors = _minors(frame, combos, np.arange(p)) / math.factorial(p)
     return owners, points, lam, minors
 
 

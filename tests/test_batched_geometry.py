@@ -11,10 +11,18 @@ and boundary values of ``assemble_poisson``).  Geometry results must
 agree to 1e-14 relative to the largest oracle entry, integrals to 1e-14
 times max(1, largest oracle entry); integer tables, owners, counts, signs
 and error messages must be identical.
+
+The Hodge stars are now assembled in closed form; ``old_galerkin`` (degree-2
+quadrature of the wedge tables) and ``old_dual_volumes`` (one Gram volume
+per permutation fragment) are the routes they replaced.  Where a closed form
+departs from them by more than 1e-14 on a planar triangle mesh, an exact
+rational oracle must find it no farther from the exact values than the old
+route.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -371,6 +379,54 @@ def old_l2_and_energy_error(gc, ac, vertex_values, solution):
     return math.sqrt(max(l2, 0.0)), math.sqrt(max(energy, 0.0))
 
 
+# -- the exact oracle ---------------------------------------------------------
+# The float coordinates of a triangle mesh in the plane are exact rationals,
+# and so are its areas, the barycentric dual volume of a vertex (a third of
+# the area of every triangle around it) and the top-degree Whitney mass: the
+# Whitney 2-form of a triangle is the constant dx ^ dy / (+-|T|), whose
+# square norm under a material tensor A is det(A) / |T|^2.
+
+
+def exact_areas(gc, ac):
+    """Areas of the canonical triangles of a planar triangle mesh as
+    Fractions, or None for any other mesh."""
+    if (gc.complex_dim, gc.embed_dim) != (2, 2):
+        return None
+    areas = []
+    for top in ac.simplex_arrays[2].tolist():
+        (x0, y0), (x1, y1), (x2, y2) = ([Fraction(c) for c in gc.vertices[v].tolist()] for v in top)
+        areas.append(abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2)
+    return areas
+
+
+def exact_vertex_dual_volumes(gc, ac):
+    areas = exact_areas(gc, ac)
+    if areas is None:
+        return None
+    vols = [Fraction(0)] * ac.num_simplices(0)
+    for area, top in zip(areas, ac.simplex_arrays[2].tolist()):
+        for i in ac.simplex_ids([[v] for v in top]).tolist():
+            vols[i] += area / 3
+    return vols
+
+
+def exact_top_mass(gc, ac, material=None):
+    """The top-degree Whitney mass matrix as a dense array of Fractions."""
+    areas = exact_areas(gc, ac)
+    if areas is None:
+        return None
+    diagonal = []
+    for t, area in enumerate(areas):
+        det = Fraction(1)
+        if material is not None:
+            (a, b), (c, d) = ([Fraction(v) for v in row] for row in material[t].tolist())
+            det = a * d - b * c
+        diagonal.append(det / area)
+    exact = np.full((len(areas), len(areas)), Fraction(0), dtype=object)
+    np.fill_diagonal(exact, diagonal)
+    return exact
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -379,6 +435,22 @@ def assert_close(new, old):
     assert new.shape == old.shape
     scale = np.abs(old).max() if old.size else 0.0
     assert np.abs(new - old).max(initial=0.0) <= REL_TOL * scale
+
+
+def assert_close_or_nearer_exact(new, old, exact):
+    """``assert_close``, or, where new departs from old by more than that,
+    new no farther than old from the exact values (None: none known)."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    if np.abs(new - old).max(initial=0.0) <= REL_TOL * np.abs(old).max(initial=0.0):
+        return
+    assert exact is not None, "departure beyond REL_TOL and no exact oracle"
+    exact = np.asarray(exact, dtype=object).ravel()
+
+    def distance(values):
+        return max(abs(Fraction(v) - e) for v, e in zip(values.ravel().tolist(), exact))
+
+    assert distance(new) <= distance(old)
 
 
 def assert_integrals_close(new, old):
@@ -477,30 +549,58 @@ def test_whitney_basis_matches(mesh):
 
 def test_galerkin_matches(mesh):
     gc, ac = mesh
-    for p in range(ac.complex_dim + 1):
-        assert_close(galerkin_mass_matrix(gc, ac, p).toarray(), old_galerkin(gc, ac, p))
+    n = ac.complex_dim
+    for p in range(n + 1):
+        exact = exact_top_mass(gc, ac) if p == n else None
+        assert_close_or_nearer_exact(
+            galerkin_mass_matrix(gc, ac, p).toarray(), old_galerkin(gc, ac, p), exact
+        )
 
 
 def test_galerkin_with_material_matches(mesh):
     gc, ac = mesh
-    d = gc.embed_dim
+    n, d = ac.complex_dim, gc.embed_dim
     rng = np.random.default_rng(11)
-    factors = rng.standard_normal((ac.num_simplices(ac.complex_dim), d, d))
+    factors = rng.standard_normal((ac.num_simplices(n), d, d))
     material = factors @ factors.transpose(0, 2, 1) + np.eye(d)
-    for p in range(ac.complex_dim + 1):
+    for p in range(n + 1):
         old = old_galerkin(gc, ac, p, material)
-        assert_close(galerkin_mass_matrix(gc, ac, p, material=material).toarray(), old)
+        exact = exact_top_mass(gc, ac, material) if p == n else None
+        new = galerkin_mass_matrix(gc, ac, p, material=material).toarray()
+        assert_close_or_nearer_exact(new, old, exact)
         callable_route = galerkin_mass_matrix(gc, ac, p, material=lambda t: material[t])
-        assert_close(callable_route.toarray(), old)
+        assert_close_or_nearer_exact(callable_route.toarray(), old, exact)
 
 
 def test_dual_volumes_and_diagonal_hodge_match(mesh):
     gc, ac = mesh
     dual = barycentric_dual_volumes(gc, ac)
-    for new, old in zip(dual, old_dual_volumes(gc, ac)):
-        assert_close(new, old)
+    exact = [exact_vertex_dual_volumes(gc, ac)] + [None] * ac.complex_dim
+    for new, old, ex in zip(dual, old_dual_volumes(gc, ac), exact):
+        assert_close_or_nearer_exact(new, old, ex)
     for p in range(ac.complex_dim + 1):
-        assert_close(diagonal_hodge(gc, ac, p).diagonal(), old_diagonal_hodge(gc, ac, p))
+        new = diagonal_hodge(gc, ac, p).diagonal()
+        assert_close_or_nearer_exact(new, old_diagonal_hodge(gc, ac, p), exact[p])
+
+
+def test_exact_oracle_on_the_unit_square():
+    gc = split_square()
+    ac = abstr(gc)
+    assert exact_areas(gc, ac) == [Fraction(1, 2)] * 2
+    assert sum(exact_vertex_dual_volumes(gc, ac)) == 1
+    material = np.array([[[2.0, 0.5], [0.5, 1.0]]] * 2)
+    assert np.diag(exact_top_mass(gc, ac, material)).tolist() == [Fraction(7, 2)] * 2
+    assert exact_areas(two_tets(), abstr(two_tets())) is None
+
+
+def test_degree_one_wedge_table_is_the_signed_gradients_bitwise(mesh):
+    gc, ac = mesh
+    geo = mesh_geometry(gc, ac)
+    ends = _local_faces(ac.complex_dim, 1)
+    signed = np.stack([geo.grads[:, ends[:, 1]], -geo.grads[:, ends[:, 0]]], axis=2)
+    assert geo.signed_wedge_tables(1).shape == signed.shape
+    assert geo.signed_wedge_tables(1).tobytes() == signed.tobytes()
+    assert (geo.signed_wedge_tables(0) == 1.0).all()
 
 
 def test_owners_and_coface_counts_match(mesh):

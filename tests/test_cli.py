@@ -124,6 +124,12 @@ def test_harmonic_export(capsys, tmp_path, torus_file):
     assert restored.degree == 1
 
 
+def test_harmonic_help_says_degree_selects_the_output_only(capsys):
+    code, out, _ = run(capsys, "harmonic", "--help")
+    assert code == 0
+    assert "output degree p only (every degree is computed" in " ".join(out.split())
+
+
 def test_hodge_export_round_trip(capsys, tmp_path, square_file):
     out_path = tmp_path / "m1.txt"
     code, _, _ = run(
