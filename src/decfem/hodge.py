@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .batched import _facet_rows, _local_faces, _minors, _simplex_volumes
 from .chains import matrices_for
-from .mesh import AbstractComplex, GeometricComplex, barycentric_dual_volumes
+from .mesh import AbstractComplex, GeometricComplex, _dual_shares
 from .whitney import Cochain, coboundary_apply, mesh_geometry
 
 __all__ = [
@@ -98,28 +98,19 @@ def _moment_table(n: int, p: int) -> sp.csr_matrix:
     return sp.csr_matrix(folded.reshape(len(a), -1).T)
 
 
-def galerkin_mass_matrix(
-    gc: GeometricComplex,
-    ac: AbstractComplex,
-    p: int,
-    material=None,
-) -> sp.csr_matrix:
-    """Mass matrix of Whitney p-forms under the pointwise Euclidean product.
+def _galerkin_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int, material=None):
+    """Local Whitney p-form mass of every top simplex, shape (num_top, k, k)
+    with k = C(n+1, p+1), rows and columns in ``top_faces(p)`` order.
 
-    Entry (sigma, tau) sums exact integrals of the product of the two basis
-    forms over the top simplices containing both.  ``material`` optionally
-    supplies a symmetric positive d x d tensor per top simplex replacing the
-    Euclidean product on 1-covectors (extended to degree p by Gram
-    determinants).  The local mass is |T| times the p x p minors of the
-    Gram matrix G = grad(lambda) A grad(lambda)^T through ``_moment_table``;
-    the top-degree form is constant, so its mass is 1 / |T|, or det(A) / |T|
+    The local mass is |T| times the p x p minors of the Gram matrix
+    G = grad(lambda) A grad(lambda)^T through ``_moment_table``; the
+    top-degree form is constant, so its mass is 1 / |T|, or det(A) / |T|
     when n = d.
     """
-    if not 0 <= p <= ac.complex_dim:
-        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     n, d = ac.complex_dim, gc.embed_dim
     geo = mesh_geometry(gc, ac)
-    metric = None if material is None else _material_tensors(material, len(geo.vols), d)
+    m, k = len(geo.vols), math.comb(n + 1, p + 1)
+    metric = None if material is None else _material_tensors(material, m, d)
     if p == 0:
         local = geo.vols[:, None] * (_moment_table(n, 0) @ np.ones(1))
     elif p == n and (metric is None or n == d):
@@ -131,48 +122,79 @@ def galerkin_mass_matrix(
         faces = _local_faces(n, p - 1)
         a, b = np.triu_indices(len(faces))
         local = (_moment_table(n, p) @ _minors(gram, faces[a], faces[b]).T).T * geo.vols[:, None]
+    return local.reshape(m, k, k)
+
+
+def _diagonal_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.ndarray:
+    """Local dual-volume over primal-volume Hodge of every top simplex, shape
+    (num_top, k, k) like ``_galerkin_blocks``: diagonal, with the share of
+    each local p-face's barycentric dual cell inside the top (``_dual_shares``)
+    over the face's primal volume.
+
+    The dual cell of a top simplex is a point with unit measure, and a
+    primal 0-simplex likewise counts as unit measure.
+    """
+    n = ac.complex_dim
+    primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
+    if p == n:
+        diag = 1.0 / primal[:, None]
+    else:
+        diag = _dual_shares(gc, ac, p) / primal[ac.top_faces(p)]
+    return diag[:, :, None] * np.eye(diag.shape[1])
+
+
+def _local_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, p: int) -> np.ndarray:
+    """The local degree-p Hodge blocks of the given kind, shape (num_top, k, k)."""
+    if kind == "galerkin":
+        return _galerkin_blocks(gc, ac, p)
+    if kind == "diagonal":
+        return _diagonal_blocks(gc, ac, p)
+    raise ValueError(f"unknown hodge kind {kind!r}")
+
+
+def galerkin_mass_matrix(
+    gc: GeometricComplex,
+    ac: AbstractComplex,
+    p: int,
+    material=None,
+) -> sp.csr_matrix:
+    """Mass matrix of Whitney p-forms under the pointwise Euclidean product.
+
+    Entry (sigma, tau) sums exact integrals of the product of the two basis
+    forms over the top simplices containing both: the local blocks of
+    ``_galerkin_blocks``, scattered.  ``material`` optionally supplies a
+    symmetric positive d x d tensor per top simplex replacing the Euclidean
+    product on 1-covectors (extended to degree p by Gram determinants).
+    """
+    if not 0 <= p <= ac.complex_dim:
+        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     ids = ac.top_faces(p)
     nloc = ids.shape[1]
     rows = np.repeat(ids, nloc, axis=1).ravel()
     cols = np.tile(ids, nloc).ravel()
     size = ac.num_simplices(p)
+    local = _galerkin_blocks(gc, ac, p, material)
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
 
 
 def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
     """Dual-volume over primal-volume diagonal operator.
 
-    Barycentric dual cells supply the dual measures; the dual cell of a top
-    simplex is a point with unit measure, and primal 0-simplices likewise
-    count as unit measure.
+    Barycentric dual cells supply the dual measures; the diagonal sums the
+    local blocks of ``_diagonal_blocks`` over the top simplices.
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    return _diagonal_hodge(gc, ac, p, barycentric_dual_volumes(gc, ac))
-
-
-def _diagonal_hodge(
-    gc: GeometricComplex, ac: AbstractComplex, p: int, dv: tuple
-) -> sp.csr_matrix:
-    # A vertex has unit primal measure and a top simplex unit dual measure.
-    primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
-    dual = 1.0 if p == ac.complex_dim else dv[p]
-    return sp.diags(dual / primal).tocsr()
+    diag = np.diagonal(_diagonal_blocks(gc, ac, p), axis1=1, axis2=2)
+    return sp.diags(np.bincount(ac.top_faces(p).ravel(), diag.ravel(), ac.num_simplices(p))).tocsr()
 
 
 def build_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerkin") -> dict:
     """One Hodge CSR matrix per degree 0..n, keyed by degree."""
-    return _hodges(gc, ac, kind, range(ac.complex_dim + 1))
-
-
-def _hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, degrees) -> dict:
-    """One Hodge CSR matrix of the given kind per listed degree."""
-    if kind == "galerkin":
-        return {p: galerkin_mass_matrix(gc, ac, p) for p in degrees}
-    if kind == "diagonal":
-        dv = barycentric_dual_volumes(gc, ac)
-        return {p: _diagonal_hodge(gc, ac, p, dv) for p in degrees}
-    raise ValueError(f"unknown hodge kind {kind!r}")
+    builders = {"galerkin": galerkin_mass_matrix, "diagonal": diagonal_hodge}
+    if kind not in builders:
+        raise ValueError(f"unknown hodge kind {kind!r}")
+    return {p: builders[kind](gc, ac, p) for p in range(ac.complex_dim + 1)}
 
 
 def codifferential(c: Cochain, hodges: dict) -> Cochain:

@@ -167,10 +167,11 @@ def _first_boolean_row(rows):
     """
     if isinstance(rows, np.ndarray):
         return None
-    for i, row in enumerate(rows):
-        if not {bool, np.bool_}.isdisjoint(map(type, row)):
-            return i
-    return None
+    booleans = {bool, np.bool_}
+    # One scan of every entry; the rows are walked only to name the culprit.
+    if booleans.isdisjoint(map(type, itertools.chain.from_iterable(rows))):
+        return None
+    return next(i for i, row in enumerate(rows) if not booleans.isdisjoint(map(type, row)))
 
 
 def _real_coordinates(verts: np.ndarray) -> np.ndarray:
@@ -394,21 +395,35 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
 
 
 @lru_cache(maxsize=None)
-def _dual_fragments(n: int, p: int):
+def _dual_fragments(n: int, p: int) -> np.ndarray:
     """Barycentre weights of the points of the barycentric dual fragments of
-    the local p-faces of an n-simplex, shape (fragments * (n-p+1), n+1), and
-    the local face (``_local_faces(n, p)`` row) of each fragment.
+    the local p-faces of an n-simplex, shape (fragments * (n-p+1), n+1).
 
     There is one fragment per face and order of adding the other vertices;
-    its point j is the barycentre of the face and the first j added.
+    its point j is the barycentre of the face and the first j added.  The
+    fragments come face by face in ``_local_faces(n, p)`` order, (n-p)! each.
     """
-    owners, points = [], []
-    for f, face in enumerate(_local_faces(n, p).tolist()):
+    points = []
+    for face in _local_faces(n, p).tolist():
         for order in itertools.permutations(sorted(set(range(n + 1)) - set(face))):
-            owners.append(f)
             points += [face + list(order[:j]) for j in range(n - p + 1)]
-    weights = np.array([np.bincount(members, minlength=n + 1) / len(members) for members in points])
-    return weights, np.array(owners)
+    return np.array([np.bincount(members, minlength=n + 1) / len(members) for members in points])
+
+
+def _dual_shares(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.ndarray:
+    """Unsigned (n-p)-volume of the barycentric dual cell of each local p-face
+    inside each top simplex, shape (num_top, C(n+1, p+1)), for 0 <= p < n;
+    columns in ``top_faces(p)`` order.
+
+    Each of the (n+1)! fragments of a vertex's cell in T has volume
+    |T|/(n+1)!, so a vertex gets |T|/(n+1) from every top containing it.
+    """
+    n, d = gc.complex_dim, gc.embed_dim
+    coords = gc.vertices[ac.simplex_arrays[n]]  # (m, n+1, d)
+    if p == 0:
+        return np.repeat(_simplex_volumes(coords)[:, None] / (n + 1), n + 1, axis=1)
+    frags = _simplex_volumes((_dual_fragments(n, p) @ coords).reshape(-1, n - p + 1, d))
+    return frags.reshape(len(coords), math.comb(n + 1, p + 1), -1).sum(axis=2)
 
 
 def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple:
@@ -416,25 +431,19 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple
     array per primal degree.
 
     Entry i of array p is the total unsigned (n-p)-volume of the barycentric
-    dual cell fragments around p-simplex i.  The dual cell of a p-simplex
+    dual cell fragments around p-simplex i: the sum over the top simplices
+    containing it of its ``_dual_shares``.  The dual cell of a p-simplex
     sigma is swept out, inside each top simplex T containing sigma, by the
     simplices spanned by the barycenters of the strictly increasing face
-    chains sigma = s_p < s_{p+1} < ... < s_n = T.  Each of the (n+1)!
-    fragments of a vertex's cells in T has volume |T|/(n+1)!, so a vertex
-    gets |T|/(n+1) from every top containing it.  For p = n the primal
+    chains sigma = s_p < s_{p+1} < ... < s_n = T.  For p = n the primal
     volume is recorded.
     """
-    n, d = gc.complex_dim, gc.embed_dim
-    coords = gc.vertices[ac.simplex_arrays[n]]  # (m, n+1, d)
-    tops = _simplex_volumes(coords)
-    vertex_shares = np.repeat(tops / (n + 1), n + 1)
-    vols = [np.bincount(ac.top_faces(0).ravel(), vertex_shares, ac.num_simplices(0))]
-    for p in range(1, n):
-        weights, owners = _dual_fragments(n, p)
-        frags = _simplex_volumes((weights @ coords).reshape(-1, n - p + 1, d))
-        ids = ac.top_faces(p)[:, owners].ravel()
-        vols.append(np.bincount(ids, weights=frags, minlength=ac.num_simplices(p)))
-    vols.append(tops)
+    n = gc.complex_dim
+    vols = [
+        np.bincount(ac.top_faces(p).ravel(), _dual_shares(gc, ac, p).ravel(), ac.num_simplices(p))
+        for p in range(n)
+    ]
+    vols.append(_simplex_volumes(gc.vertices[ac.simplex_arrays[n]]))
     for p in range(n + 1):
         if np.any(vols[p] <= 0):
             raise MeshValidationError(f"non-positive dual volume at degree {p}")

@@ -1,26 +1,32 @@
 """Model Poisson solves, uniform refinement and convergence studies.
 
-The 0-form Dirichlet problem is assembled as coboundary^T * (degree-1
-Hodge) * coboundary, with the load vector equal to the degree-0 Hodge
-applied to the integrated source.  With the Whitney mass matrix this is
-exactly the piecewise-linear Galerkin stiffness system; an independent
+The 0-form Dirichlet problem is coboundary^T * (degree-1 Hodge) *
+coboundary, with the load vector equal to the degree-0 Hodge applied to
+the integrated source.  It is assembled top by top, by naturality:
+restricting to the closure of a top simplex T commutes with d, and in the
+canonical vertex order the coboundary restricted there is one constant
++-1 table D.  So the stiffness is the sum of the local blocks
+D^T M1_T D of the local Hodge blocks M1_T, and no global Hodge matrix or
+boundary matrix is built.  With the Whitney mass this is exactly the
+piecewise-linear Galerkin stiffness system; an independent
 cotangent-formula assembly of the same stiffness is provided for
-cross-checking.
+cross-checking (``verify`` compares it with the global route d0^T M1 d0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .chains import matrices_for
+from .batched import _local_faces
 from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
 from .quadrature import simplex_rule
 from .whitney import _batch_values, mesh_geometry
-from .hodge import _hodges
+from .hodge import _local_hodges
 
 __all__ = [
     "LinearSystem",
@@ -98,6 +104,21 @@ def boundary_vertex_ids(ac: AbstractComplex) -> list:
     return np.unique(facets).tolist()
 
 
+@lru_cache(maxsize=None)
+def _local_stiffness_map(n: int) -> sp.csr_matrix:
+    """Sparse linear map from a local degree-1 Hodge block M of an n-simplex
+    to its local stiffness D^T M D, both flattened, for blocks stored one
+    per column.  D is the coboundary from the simplex's vertices to its
+    edges; in the canonical vertex order it is the same for every top.  Its
+    CSR product runs on one thread, like ``_moment_table``'s.
+    """
+    ends = _local_faces(n, 1)
+    cob = np.zeros((len(ends), n + 1))
+    cob[np.arange(len(ends)), ends[:, 1]] = 1.0
+    cob[np.arange(len(ends)), ends[:, 0]] = -1.0
+    return sp.csr_matrix(np.kron(cob, cob).T)
+
+
 def assemble_poisson(
     gc: GeometricComplex,
     ac: AbstractComplex,
@@ -111,28 +132,39 @@ def assemble_poisson(
     coordinate functions called once on all vertices they need; the boundary
     data is imposed at every boundary vertex by symmetric row/column
     elimination, which keeps the reduced matrix symmetric positive definite.
+    Each top simplex T contributes the stiffness block D^T M1_T D and the
+    load M0_T f_T - D^T M1_T D g_T from its local Hodge blocks, with g the
+    boundary data; the blocks lose the rows and columns of boundary
+    vertices and are scattered once, with a unit diagonal on those vertices.
     """
     boundary_ids = boundary_vertex_ids(ac)
     if not boundary_ids:
         raise MeshValidationError("mesh has no boundary; Dirichlet problem is not posed")
-    cm = matrices_for(ac)
-    d0 = cm.coboundary_csr(0)
-    hodges = _hodges(gc, ac, hodge_kind, (0, 1))
-    stiffness = (d0.T @ hodges[1] @ d0).tocsr()
-    size = stiffness.shape[0]
+    n, m = ac.complex_dim, ac.num_simplices(ac.complex_dim)
+    mass0, mass1 = (_local_hodges(gc, ac, hodge_kind, p) for p in (0, 1))
+    stiffness = (_local_stiffness_map(n) @ mass1.reshape(m, -1).T).T.reshape(m, n + 1, n + 1)
+    size = ac.num_simplices(0)
     x = gc.vertices[ac.simplex_arrays[0][:, 0]].T  # canonical vertices, coordinate-first
-    rhs = hodges[0] @ _batch_values(source(x), (size,), "source")
+    f = _batch_values(source(x), (size,), "source")
     fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
     values = _batch_values(dirichlet(x[:, fixed]), fixed.shape, "dirichlet")
     constrained = list(zip(fixed.tolist(), values.tolist()))
     lifted = np.zeros(size)
     lifted[fixed] = values
-    rhs = rhs - stiffness @ lifted
+    verts = ac.top_faces(0)
+    load = np.einsum("mij,mj->mi", mass0, f[verts])
+    load -= np.einsum("mij,mj->mi", stiffness, lifted[verts])
+    rhs = np.bincount(verts.ravel(), load.ravel(), size)
     rhs[fixed] = values
     free = np.ones(size)
     free[fixed] = 0.0
-    proj = sp.diags(free)
-    matrix = (proj @ stiffness @ proj + sp.diags(1.0 - free)).tocsr()
+    free = free[verts]
+    stiffness *= free[:, :, None] * free[:, None, :]
+    rows = np.concatenate([np.repeat(verts, n + 1, axis=1).ravel(), fixed])
+    cols = np.concatenate([np.tile(verts, n + 1).ravel(), fixed])
+    data = np.concatenate([stiffness.ravel(), np.ones(len(fixed))])
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+    matrix.eliminate_zeros()
     return LinearSystem(matrix=matrix, rhs=rhs, constrained=constrained)
 
 

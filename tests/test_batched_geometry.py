@@ -55,7 +55,7 @@ from decfem.poisson import ManufacturedSolution, uniform_refine
 from decfem.quadrature import simplex_rule
 from decfem.whitney import Cochain, FormField, analytic_form, mesh_geometry
 
-from conftest import FIXTURE_NAMES, random_delaunay_mesh, two_tets
+from conftest import FIXTURE_NAMES, kuhn_cube, random_delaunay_mesh, two_tets
 
 REL_TOL = 1e-14
 DEGENERATE_RTOL = 1e-12
@@ -706,6 +706,50 @@ def test_assemble_poisson_matches(mesh, kind):
     assert_integrals_close(system.rhs, old[1])
     assert [i for i, _ in system.constrained] == [i for i, _ in old[2]]
     assert_integrals_close([v for _, v in system.constrained], [v for _, v in old[2]])
+
+
+# Poisson is assembled top by top, D^T M1_T D with the constant local
+# coboundary D; ``old_assemble_poisson`` is the global route d0^T M1 d0
+# through ``matrices_for`` with the projected elimination.
+@pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+@pytest.mark.parametrize("name", ["triangle", "square", "disk", "annulus", "kuhn_cube"])
+def test_top_by_top_poisson_matches_the_global_route(fixture_set, name, kind):
+    gc = kuhn_cube(2) if name == "kuhn_cube" else fixture_set[name]
+    ac = abstr(gc)
+    system = assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u)
+    matrix, rhs, _ = old_assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u)
+    assert abs(system.matrix - matrix).max() <= 1e-15 * abs(matrix).max()
+    assert np.abs(system.rhs - rhs).max() <= 1e-15 * np.abs(rhs).max()
+    assert (system.matrix.data != 0).all()
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+def test_top_by_top_poisson_keeps_the_sparsity_pattern(kind):
+    """The Galerkin stiffness of the right-angled split_square levels has
+    exact zeros, which both routes drop."""
+    gc = split_square()
+    for _ in range(4):
+        gc = uniform_refine(gc)
+        ac = abstr(gc)
+        new = assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u).matrix
+        old = old_assemble_poisson(gc, ac, kind, CUBIC.source, CUBIC.u)[0]
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "torus", "delaunay", "two_tets", "kuhn_cube"])
+def test_summed_diagonal_blocks_are_dual_over_primal(fixture_set, name):
+    builders = {"delaunay": lambda: random_delaunay_mesh(3), "two_tets": two_tets}
+    builders["kuhn_cube"] = lambda: kuhn_cube(2)
+    gc = builders[name]() if name in builders else fixture_set[name]
+    ac = abstr(gc)
+    n = ac.complex_dim
+    dual = barycentric_dual_volumes(gc, ac)
+    for p in range(n + 1):
+        primal = np.array([old_unsigned_volume(gc, s) for s in ac.simplex_arrays[p].tolist()])
+        expected = (1.0 if p == n else dual[p]) / primal
+        new = diagonal_hodge(gc, ac, p).diagonal()
+        assert (np.abs(new - expected) <= 1e-15 * expected).all()
 
 
 # Written for one point: on a batch they give a scalar or a constant vector,

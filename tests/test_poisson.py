@@ -101,18 +101,25 @@ class TestAssembly:
 
     @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
     def test_builds_only_the_hodges_it_reads(self, monkeypatch, kind):
-        degrees = []
-        for name in ("galerkin_mass_matrix", "_diagonal_hodge"):
-            original = getattr(hodge, name)
-
-            def recording(*args, original=original):
-                degrees.append(args[2])
-                return original(*args)
-
-            monkeypatch.setattr(hodge, name, recording)
+        """Only local Hodge blocks: no global Hodge matrix, no boundary
+        matrices, and one COO to CSR conversion per system."""
         gc = uniform_refine(meshes.split_square())
-        assemble_poisson(gc, abstr(gc), kind, lambda x: 1.0 + 0 * x[0], lambda x: 0 * x[0])
-        assert degrees == [0, 1]
+        source, dirichlet = lambda x: 1.0 + 0 * x[0], lambda x: 0 * x[0]
+        assemble_poisson(gc, abstr(gc), kind, source, dirichlet)  # fills the constant tables
+        calls = []
+        for name in ("galerkin_mass_matrix", "diagonal_hodge", "build_hodges"):
+            monkeypatch.setattr(hodge, name, lambda *args, name=name: calls.append(name))
+        to_csr = sp.coo_matrix.tocsr
+
+        def counted(self, *args, **kwargs):
+            calls.append("tocsr")
+            return to_csr(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.coo_matrix, "tocsr", counted)
+        ac = abstr(gc)
+        assemble_poisson(gc, ac, kind, source, dirichlet)
+        assert calls == ["tocsr"]
+        assert ac._matrices is None
 
     def test_dirichlet_dict_accepted(self):
         gc = meshes.split_square()
