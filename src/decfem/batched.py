@@ -4,6 +4,12 @@ Every function here works on all simplices of a level at once, as numpy
 arrays: local face tables and permutation parities, volumes and barycentric
 gradients of (m, k+1, d) coordinate stacks, and lexicographic sorting and
 lookup of simplex rows (stable sorts only, no row packed into one key).  ``mesh``, ``whitney`` and ``hodge`` build on them.
+
+Determinants, volumes and gradients of simplices with k <= 3 are closed
+forms in the entries of the edge matrix E (through ``_minors``).  When
+k = d they are read off E itself, so their error follows the condition
+number of E; only in codimension (k < d) do they go through the Gram
+matrix E E^T, whose condition number is that of E squared.
 """
 
 from __future__ import annotations
@@ -31,53 +37,77 @@ def _permutation_sign(rows):
     return 1 - 2 * (inversions % 2)
 
 
+def _determinants(matrices: np.ndarray) -> np.ndarray:
+    """Determinant of each k x k matrix of an (m, k, k) stack (``_minors``)."""
+    full = np.arange(matrices.shape[1])
+    return _minors(matrices, full, full)
+
+
 def _simplex_volumes(coords: np.ndarray) -> np.ndarray:
     """Unsigned volumes of m k-simplices, ``coords`` of shape (m, k+1, d).
 
-    The volume is the Gram volume sqrt(det(E E^T))/k! of the edge rows
-    E = [v1-v0, ..., vk-v0] (1 for a vertex).
+    The volume is |det E|/k! of the edge rows E = [v1-v0, ..., vk-v0] when
+    k = d, and the Gram volume sqrt(det(E E^T))/k! when k < d (1 for a
+    vertex).
     """
     edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
-    vols = np.sqrt(np.maximum(np.linalg.det(edges @ edges.transpose(0, 2, 1)), 0.0))
-    vols /= math.factorial(edges.shape[1])
-    return vols
+    k, d = edges.shape[1:]
+    if k == d:
+        vols = np.abs(_determinants(edges))
+    else:
+        vols = np.sqrt(np.maximum(_determinants(edges @ edges.transpose(0, 2, 1)), 0.0))
+    return vols / math.factorial(k)
 
 
 def _signed_volumes(coords: np.ndarray):
     """Signed volumes and longest-edge lengths of m k-simplices.
 
     The signed volume is det(E)/k! when k = d and the unsigned volume of
-    ``_simplex_volumes`` otherwise; for k = d the two differ only by
-    rounding.
+    ``_simplex_volumes`` otherwise.
     """
     edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
     k, d = edges.shape[1:]
-    signed = np.linalg.det(edges) / math.factorial(k) if k == d else _simplex_volumes(coords)
+    signed = _determinants(edges) / math.factorial(k) if k == d else _simplex_volumes(coords)
     return signed, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0)
 
 
 def _simplex_gradients(coords: np.ndarray) -> np.ndarray:
-    """Barycentric gradients of m non-degenerate k-simplices, shape (m, k+1, d).
+    """Barycentric gradients of m non-degenerate k-simplices, k >= 1, shape
+    (m, k+1, d).
 
     Row i of a simplex is grad(lambda_i) for its i-th vertex, tangential to
-    the simplex plane when k < d.
+    the simplex plane when k < d.  Rows 1..k are E^-T when k = d and G^-1 E
+    with G = E E^T when k < d; the inverse is the cofactor matrix (the
+    (k-1) x (k-1) minors of ``_minors``) over the determinant (its first-row
+    expansion), so LAPACK enters only through minors larger than 3 x 3.
     """
     edges = coords[:, 1:] - coords[:, :1]
-    rest = np.linalg.solve(edges @ edges.transpose(0, 2, 1), edges)
+    k, d = edges.shape[1:]
+    square = edges if k == d else edges @ edges.transpose(0, 2, 1)
+    full = np.arange(k)
+    omit = np.array([np.delete(full, i) for i in full])
+    cofactors = _minors(square, omit[:, None], omit[None]) * (-1.0) ** np.add.outer(full, full)
+    det = np.einsum("mj,mj->m", square[:, 0], cofactors[:, 0])
+    inverse_t = cofactors / det[:, None, None]
+    rest = inverse_t if k == d else inverse_t @ edges  # G is symmetric
     return np.concatenate([-rest.sum(axis=1, keepdims=True), rest], axis=1)
 
 
 def _minors(matrices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """k x k minors [t, ...] of rows ``rows[..., :]`` and columns
     ``cols[..., :]`` (index arrays of width k, leading axes broadcast) of
-    each matrix t; 0 x 0 minors are ones.
+    each matrix t.
 
-    1 x 1 and 2 x 2 minors are written out, as a view of a minors-first
-    array: LAPACK's determinant is slow on tiny matrices and rounds even a
-    1 x 1 one.
+    Up to k = 3 they are closed forms, as a view of a minors-first array: 0 x 0
+    minors are ones, 1 x 1 ones are read off, 2 x 2 ones written out and
+    3 x 3 ones expanded along their first row into 2 x 2 ones.  LAPACK's
+    determinant is slow on tiny matrices and rounds even a 1 x 1 one; it
+    takes only k > 3.
     """
     k = rows.shape[-1]
-    if k not in (1, 2):
+    if k == 0:
+        return np.ones((len(matrices),) + np.broadcast_shapes(rows.shape[:-1], cols.shape[:-1]))
+    if k > 3:
         return np.linalg.det(matrices[:, rows[..., :, None], cols[..., None, :]])
     # Stored matrix-last, each entry is a contiguous row of the copy, and one
     # minor at a time keeps its rows in cache.
@@ -86,7 +116,16 @@ def _minors(matrices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     out = np.empty(at.shape[:-2] + flat.shape[1:])
     for m in np.ndindex(at.shape[:-2]):
         e = [flat[i] for i in at[m].ravel()]
-        out[m] = e[0] if k == 1 else e[0] * e[3] - e[1] * e[2]
+        if k == 1:
+            out[m] = e[0]
+        elif k == 2:
+            out[m] = e[0] * e[3] - e[1] * e[2]
+        else:
+            out[m] = (
+                e[0] * (e[4] * e[8] - e[5] * e[7])
+                - e[1] * (e[3] * e[8] - e[5] * e[6])
+                + e[2] * (e[3] * e[7] - e[4] * e[6])
+            )
     return np.moveaxis(out, -1, 0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .batched import _facet_rows, _local_faces, _minors, _simplex_volumes
+from .batched import _determinants, _facet_rows, _local_faces, _minors, _simplex_volumes
 from .chains import matrices_for
 from .mesh import AbstractComplex, GeometricComplex, _dual_shares
 from .whitney import Cochain, coboundary_apply, mesh_geometry
@@ -114,7 +114,7 @@ def _galerkin_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int, material
     if p == 0:
         local = geo.vols[:, None] * (_moment_table(n, 0) @ np.ones(1))
     elif p == n and (metric is None or n == d):
-        local = (1.0 if metric is None else np.linalg.det(metric)) / geo.vols
+        local = (1.0 if metric is None else _determinants(metric)) / geo.vols
     else:
         lifted = geo.grads if metric is None else geo.grads @ metric
         # A contiguous right operand makes the stacked product 3x faster.

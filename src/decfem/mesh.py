@@ -53,8 +53,11 @@ __all__ = [
 ]
 
 # A simplex counts as degenerate when n! * volume <= RTOL * (longest edge)^n.
-# The barycentric gradients invert E E^T for the edge matrix E, whose
-# determinant is (n! * volume)^2: below about sqrt(machine epsilon) it is lost.
+# In codimension (n < d) the barycentric gradients invert E E^T for the edge
+# matrix E, whose determinant is (n! * volume)^2: below about sqrt(machine
+# epsilon) it is lost.  When n = d they come from E itself and lose digits
+# only as cond(E); the one bound still applies there, as moving it for
+# n = d needs its own measurements.
 _DEGENERATE_RTOL = 1e-7
 
 

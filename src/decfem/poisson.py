@@ -15,6 +15,7 @@ cross-checking (``verify`` compares it with the global route d0^T M1 d0).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -238,23 +239,25 @@ def cotangent_stiffness(gc: GeometricComplex) -> sp.csr_matrix:
     """Classical piecewise-linear stiffness via the cotangent formula.
 
     Independent of the Whitney assembly route: per triangle, the entry for
-    an edge pair is minus half the cotangent of the opposite angle.  Works
-    in any embedding dimension.
+    an edge pair is minus half the cotangent of the opposite angle, in plain
+    Python floats.  Works in any embedding dimension: |a x b|^2 is the sum
+    of the squared 2 x 2 minors of the edge pair (a, b), which does not
+    cancel on a needle the way |a|^2 |b|^2 - (a.b)^2 does (Kahan).
     """
     if gc.complex_dim != 2:
         raise MeshValidationError("cotangent stiffness requires a 2-d complex")
     m0 = gc.num_vertices
+    vertices = gc.vertices.tolist()
+    pairs = list(itertools.combinations(range(gc.embed_dim), 2))
     rows, cols, data = [], [], []
-    for tri in gc.top_simplices:
-        vids = [int(v) for v in tri]
+    for vids in gc.top_simplices.tolist():
         for k in range(3):
             c = vids[k]
             a, b = vids[(k + 1) % 3], vids[(k + 2) % 3]
-            ea = gc.vertices[a] - gc.vertices[c]
-            eb = gc.vertices[b] - gc.vertices[c]
-            cross_sq = float(ea @ ea) * float(eb @ eb) - float(ea @ eb) ** 2
-            cot = float(ea @ eb) / math.sqrt(max(cross_sq, 0.0))
-            w = 0.5 * cot
+            ea = [x - y for x, y in zip(vertices[a], vertices[c])]
+            eb = [x - y for x, y in zip(vertices[b], vertices[c])]
+            cross_sq = sum((ea[i] * eb[j] - ea[j] * eb[i]) ** 2 for i, j in pairs)
+            w = 0.5 * sum(x * y for x, y in zip(ea, eb)) / math.sqrt(cross_sq)
             rows += [a, b, a, b]
             cols += [b, a, a, b]
             data += [-w, -w, w, w]

@@ -350,6 +350,31 @@ def test_verify_lists_every_check_past_a_violated_gap(capsys, tmp_path):
     assert diagonal["detail"].startswith("harmonic gap violated at degree 1")
 
 
+# Quarter-decade scan of the sliver square from eps = 1e-2 down to 1.8e-7,
+# just above the validation threshold (relative volume 1e-7).
+SLIVER_EPS = [10 ** (-j / 4) for j in range(8, 28)]
+
+
+@pytest.mark.parametrize("eps", SLIVER_EPS, ids=lambda eps: f"{eps:.1e}")
+def test_verify_float_checks_on_slivers(capsys, tmp_path, eps):
+    """Interpolate-then-integrate and cup Leibniz hold at every eps that
+    validation accepts: the geometry of a planar triangle is read off its edge
+    matrix E, never its Gram matrix, so it loses digits as cond(E), not
+    cond(E)^2.  The stiffness entries grow as 1/eps, and the two routes agree
+    within a few ulps of the largest one, which is below the absolute 1e-12
+    tolerance down to eps = 1e-3."""
+    path = sliver_file(tmp_path, eps)
+    _, out, _ = run(capsys, "verify", path, "--json")
+    checks = {check["check"]: check for check in json.loads(out)}
+    assert checks["interpolate-then-integrate = identity (<= 1e-12)"]["pass"]
+    assert checks["cup Leibniz rule (<= 1e-10)"]["pass"]
+    stiffness = checks["stiffness coincidence (<= 1e-12)"]
+    largest = np.abs(poisson.cotangent_stiffness(load_mesh(path.read_text())).toarray()).max()
+    assert float(stiffness["detail"].split()[-1]) <= 8 * np.finfo(float).eps * largest
+    if eps >= 1e-3:
+        assert stiffness["pass"]
+
+
 def test_verify_text_format_mesh(capsys, tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text("2 2 3 1\n0 0\n1 0\n0 1\n0 1 2\n")

@@ -101,7 +101,9 @@ class TestLoadMesh:
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-8])
     def test_sliver_beyond_gradient_precision_rejected(self, eps):
-        # The barycentric gradients of such a sliver need a singular E E^T.
+        # Relative volume at most 1e-7: in codimension the gradients of such
+        # a sliver would need a singular E E^T, and the one bound also holds
+        # in the plane, where they come from E alone.
         with pytest.raises(MeshValidationError, match="degenerate simplex 3"):
             load_mesh(sliver_square_json(eps))
 

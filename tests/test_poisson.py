@@ -1,5 +1,8 @@
 """Poisson assembly, conjugate gradients, refinement and convergence."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +18,7 @@ from decfem import (
     cotangent_stiffness,
     galerkin_mass_matrix,
     l2_and_energy_error,
+    load_mesh,
     matrices_for,
     meshes,
     sin_sin_solution,
@@ -25,7 +29,7 @@ from decfem.mesh import MeshValidationError
 from decfem.poisson import LinearSystem, SolverError
 from decfem.whitney import analytic_form, de_rham_map
 
-from conftest import FIXTURE_NAMES, random_delaunay_mesh
+from conftest import FIXTURE_NAMES, random_delaunay_mesh, sliver_square_json
 
 
 def whitney_stiffness(gc, ac):
@@ -67,6 +71,65 @@ class TestStiffness:
             whitney = whitney_stiffness(gc, ac).toarray()
             cotan = cotangent_stiffness(gc).toarray()
             assert np.abs(whitney - cotan).max() <= 1e-12 * np.abs(cotan).max()
+
+    def test_cotangent_matches_the_difference_of_squares_route(self, fixture_set):
+        surfaces = [gc for gc in fixture_set.values() if gc.complex_dim == 2]
+        assert len(surfaces) == 8
+        for gc in surfaces:
+            new, old = cotangent_stiffness(gc).toarray(), old_cotangent_stiffness(gc)
+            assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1.8e-7])
+    def test_cotangent_exact_on_the_sliver_square(self, eps):
+        """The squared minors do not cancel on the needle: a few ulps of the
+        largest entry, where |a|^2 |b|^2 - (a.b)^2 loses 5e-14 of it already
+        at eps = 1e-2."""
+        gc = load_mesh(sliver_square_json(eps))
+        exact = exact_planar_cotangent_stiffness(gc)
+
+        def error(values):
+            return float(max(abs(Fraction(v) - e) for v, e in zip(values.ravel().tolist(), exact.ravel())))
+
+        new = cotangent_stiffness(gc).toarray()
+        largest = np.abs(new).max()
+        assert error(new) <= 4 * np.finfo(float).eps * largest
+        assert error(old_cotangent_stiffness(gc)) > 100 * np.finfo(float).eps * largest
+
+
+def old_cotangent_stiffness(gc):
+    """The cotangent route as it was, with sin^2 = |a|^2 |b|^2 - (a.b)^2."""
+    m0 = gc.num_vertices
+    rows, cols, data = [], [], []
+    for tri in gc.top_simplices:
+        vids = [int(v) for v in tri]
+        for k in range(3):
+            c = vids[k]
+            a, b = vids[(k + 1) % 3], vids[(k + 2) % 3]
+            ea = gc.vertices[a] - gc.vertices[c]
+            eb = gc.vertices[b] - gc.vertices[c]
+            cross_sq = float(ea @ ea) * float(eb @ eb) - float(ea @ eb) ** 2
+            w = 0.5 * float(ea @ eb) / math.sqrt(max(cross_sq, 0.0))
+            rows += [a, b, a, b]
+            cols += [b, a, a, b]
+            data += [-w, -w, w, w]
+    full = sp.coo_matrix((data, (rows, cols)), shape=(m0, m0)).tocsr()
+    order = abstr(gc).simplex_arrays[0][:, 0]
+    return full[np.ix_(order, order)].toarray()
+
+
+def exact_planar_cotangent_stiffness(gc):
+    """Over Fractions: in the plane the cotangent (a.b) / |a x b| is rational."""
+    m0 = gc.num_vertices
+    stiffness = np.full((m0, m0), Fraction(0), dtype=object)
+    points = [[Fraction(x) for x in row] for row in gc.vertices.tolist()]
+    for vids in gc.top_simplices.tolist():
+        for k in range(3):
+            c, a, b = vids[k], vids[(k + 1) % 3], vids[(k + 2) % 3]
+            (ax, ay), (bx, by) = ([p - q for p, q in zip(points[v], points[c])] for v in (a, b))
+            w = (ax * bx + ay * by) / abs(ax * by - ay * bx) / 2
+            stiffness[[a, b, a, b], [b, a, a, b]] += [-w, -w, w, w]
+    order = abstr(gc).simplex_arrays[0][:, 0]
+    return stiffness[np.ix_(order, order)]
 
 
 class TestAssembly:
