@@ -3,7 +3,10 @@
 Every function here works on all simplices of a level at once, as numpy
 arrays: local face tables and permutation parities, volumes and barycentric
 gradients of (m, k+1, d) coordinate stacks, and lexicographic sorting and
-lookup of simplex rows (stable sorts only, no row packed into one key).  ``mesh``, ``whitney`` and ``hodge`` build on them.
+lookup of simplex rows.  Sorts are stable; a face is packed into one int64
+key (``_face_keys``) only as its prefix face's id and its last vertex's
+rank, never as all its vertex ids.  ``mesh``, ``whitney`` and ``hodge``
+build on them.
 
 Determinants, volumes and gradients of simplices with k <= 3 are closed
 forms in the entries of the edge matrix E (through ``_minors``).  When

@@ -188,15 +188,31 @@ def _real_coordinates(verts: np.ndarray) -> np.ndarray:
     return verts
 
 
-def _vertex_indices(tops: np.ndarray) -> np.ndarray:
+def _vertex_indices(tops: np.ndarray, row_name: str = "simplex") -> np.ndarray:
     """Vertex indices as a fresh int array; floats must be integral, other types raise."""
     if tops.dtype.kind == "f":
         bad = ~(np.isfinite(tops) & (tops == np.round(tops))).all(axis=1)
         if bad.any():
-            raise MeshValidationError(f"non-integer vertex index in simplex {int(np.argmax(bad))}")
+            raise MeshValidationError(f"non-integer vertex index in {row_name} {int(np.argmax(bad))}")
     elif tops.dtype.kind not in "iu":
         raise MeshValidationError(f"vertex indices must be integers, not {tops.dtype}")
     return tops.astype(int)
+
+
+def _checked_levels(complex_dim, simplices) -> list:
+    """The simplex levels as checked, read-only int64 arrays."""
+    if len(simplices) != complex_dim + 1:
+        raise MeshValidationError("need one simplex list per dimension 0..n")
+    levels = []
+    for p, level in enumerate(simplices):
+        arr = _level_array(level, p)
+        if arr is None or (arr[:, 1:] <= arr[:, :-1]).any():
+            raise MeshValidationError(f"{p}-simplices must be strictly ascending tuples")
+        if not _rows_strictly_increasing(arr):
+            raise MeshValidationError(f"{p}-simplex list must be sorted and duplicate-free")
+        arr.setflags(write=False)
+        levels.append(arr)
+    return levels
 
 
 class AbstractComplex:
@@ -208,48 +224,43 @@ class AbstractComplex:
     incidence of degree p, the id of each p-simplex's face omitting each of
     its vertices, and ``simplex_ids`` finds rows of vertex ids among the
     simplices.  ``orientation_signs`` holds one +-1 per top simplex, in the
-    order the top simplices were given geometrically.  Derived data is
-    cached on the instance: the face tables of ``top_faces``, the geometry
-    of one embedding (``whitney.mesh_geometry``) and the boundary matrices
-    (``chains.matrices_for``).
+    order the top simplices were given geometrically.  ``abstr`` hands over
+    the face tables it built; this constructor derives them by sorted
+    lookups.  Derived data is cached on the instance: the face tables of
+    ``top_faces``, the geometry of one embedding (``whitney.mesh_geometry``)
+    and the boundary matrices (``chains.matrices_for``).
     """
 
     def __init__(self, complex_dim, simplices, orientation_signs):
-        if len(simplices) != complex_dim + 1:
-            raise MeshValidationError("need one simplex list per dimension 0..n")
-        self.complex_dim = int(complex_dim)
-        levels = []
-        for p, level in enumerate(simplices):
-            arr = _level_array(level, p)
-            if arr is None or (arr[:, 1:] <= arr[:, :-1]).any():
-                raise MeshValidationError(f"{p}-simplices must be strictly ascending tuples")
-            if not _rows_strictly_increasing(arr):
-                raise MeshValidationError(f"{p}-simplex list must be sorted and duplicate-free")
-            arr.setflags(write=False)
-            levels.append(arr)
+        levels = _checked_levels(complex_dim, simplices)
         vertices = levels[0][:, 0]
-        self._keys = [vertices]  # face keys by level, see ``_chain_ids``
-        self._boundary_faces = {}
-        for p in range(1, self.complex_dim + 1):
+        keys, boundary_faces = [vertices], {}  # face keys by level, see ``_chain_ids``
+        for p in range(1, len(levels)):
             ranks = _sorted_ids(vertices, levels[p])
             # faces[k] omits vertex k; looked up one face kind at a time, the
             # faces of a sorted level come in long presorted runs.
             faces = ranks[:, _local_faces(p, p - 1)[::-1]].transpose(1, 0, 2)  # (p+1, m_p, p)
-            ids = _chain_ids(self._keys, faces.reshape(-1, p)).reshape(p + 1, -1).T.copy()
+            ids = _chain_ids(keys, faces.reshape(-1, p)).reshape(p + 1, -1).T.copy()
             open_rows = (ids < 0).any(axis=1)
             if open_rows.any():
                 s = tuple(levels[p][int(np.argmax(open_rows))].tolist())
                 raise MeshValidationError(f"complex not closed under faces at {s}")
-            ids.setflags(write=False)
-            self._boundary_faces[p] = ids
-            self._keys.append(_face_keys(ids[:, p], ranks[:, p], levels[p - 1], vertices))
+            boundary_faces[p] = ids
+            keys.append(_face_keys(ids[:, p], ranks[:, p], levels[p - 1], vertices))
+        self._set_fields(levels, orientation_signs, keys, boundary_faces, {})
+
+    def _set_fields(self, levels, orientation_signs, keys, boundary_faces, top_faces):
         signs = np.array(orientation_signs, dtype=int)
         if signs.shape != (len(levels[-1]),) or not np.all(np.abs(signs) == 1):
             raise MeshValidationError("orientation signs must be one +-1 per top simplex")
-        signs.setflags(write=False)
+        for table in itertools.chain([signs], boundary_faces.values(), top_faces.values()):
+            table.setflags(write=False)
+        self.complex_dim = len(levels) - 1
         self.orientation_signs = signs
         self.simplex_arrays = tuple(levels)
-        self._top_faces: dict = {}
+        self._keys = keys
+        self._boundary_faces = boundary_faces
+        self._top_faces: dict = top_faces
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
         self._matrices = None  # boundary operators, see chains.matrices_for
 
@@ -375,26 +386,38 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
     used[tops] = True
     vertices = np.flatnonzero(used)
     ranks = (np.cumsum(used) - 1)[tops]
-    # ids[t, f]: id of local (p-1)-face f of top t, for the current p.  Each
-    # p-face's key (see ``_face_keys``) comes from the id of its local
+    # ids[p][t, f]: id of local p-face f of top t, in as-given top order.
+    # Each p-face's key (see ``_face_keys``) comes from the id of its local
     # prefix face and decodes back to that face and the last vertex.
-    simplices, ids = [vertices[:, None]], ranks
+    simplices, keys, ids, boundary_faces = [vertices[:, None]], [vertices], [ranks], {}
     for p in range(1, n + 1):
         lower = _local_faces(n, p - 1).tolist()
         local = _local_faces(n, p).tolist()
         prefix = [lower.index(f[:-1]) for f in local]
-        keys = _face_keys(ids[:, prefix], ranks[:, [f[-1] for f in local]], simplices[p - 1], vertices)
-        keys, ids = _lex_unique(keys.T.reshape(-1, 1))  # local face by local face
-        keys = keys[:, 0]
-        ids = ids.reshape(-1, len(tops)).T
+        level = _face_keys(ids[-1][:, prefix], ranks[:, [f[-1] for f in local]], simplices[-1], vertices)
+        level, level_ids = _lex_unique(level.T.reshape(-1, 1))  # local face by local face
+        keys.append(level[:, 0])
+        ids.append(level_ids.reshape(-1, len(tops)).T)
+        # Every top writes the facets of each of its local p-faces.
+        boundary_faces[p] = np.empty((len(keys[p]), p + 1), dtype=np.int64)
+        boundary_faces[p][ids[p]] = ids[p - 1][:, _facet_rows(n, p)]
         simplices.append(
-            np.column_stack([simplices[p - 1][keys // len(vertices)], vertices[keys % len(vertices)]])
+            np.column_stack([simplices[-1][keys[p] // len(vertices)], vertices[keys[p] % len(vertices)]])
         )
+    order = np.empty(len(tops), dtype=np.int64)  # as-given index of each sorted top
+    order[ids[n][:, 0]] = np.arange(len(tops))
     if n == gc.embed_dim:
         signs = np.where(gc.top_volumes > 0, 1, -1)
     else:
         signs = _permutation_sign(gc.top_simplices)
-    return AbstractComplex(n, simplices, signs)
+    levels = _checked_levels(n, simplices)
+    keys[0] = levels[0][:, 0]  # a view, as in the public constructor
+    for p in (*range(n - 1), n):  # one table at a time into sorted-top order
+        ids[p] = np.take(ids[p], order, axis=0)
+    ids[n - 1] = boundary_faces[n][:, ::-1]  # local facet j omits vertex n - j
+    ac = AbstractComplex.__new__(AbstractComplex)
+    ac._set_fields(levels, signs, keys, boundary_faces, dict(enumerate(ids)))
+    return ac
 
 
 @lru_cache(maxsize=None)
@@ -455,8 +478,13 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple
 
 
 def relabel_vertices(gc: GeometricComplex, permutation) -> GeometricComplex:
-    """Apply a vertex-index bijection, permuting coordinates and simplex entries."""
-    perm = np.asarray(permutation, dtype=int)
+    """Apply a vertex-index bijection, permuting coordinates and simplex
+    entries; its entries are checked like simplex entries."""
+    column = permutation[:, None] if isinstance(permutation, np.ndarray) else [[v] for v in permutation]
+    entry = _first_boolean_row(column)
+    if entry is not None:
+        raise MeshValidationError(f"boolean vertex index in permutation entry {entry}")
+    perm = _vertex_indices(np.asarray(column), "permutation entry")[:, 0]
     if sorted(perm.tolist()) != list(range(gc.num_vertices)):
         raise MeshValidationError("permutation must be a bijection on vertex indices")
     new_verts = np.empty_like(gc.vertices)

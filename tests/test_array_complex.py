@@ -33,7 +33,8 @@ from decfem.cli import _exact_checks
 from decfem.coreduction import coreduce
 from decfem.hodge import build_hodges
 from decfem.batched import _permutation_sign
-from decfem.mesh import AbstractComplex, GeometricComplex, MeshValidationError
+from decfem import batched, mesh as mesh_module
+from decfem.mesh import AbstractComplex, GeometricComplex, MeshValidationError, relabel_vertices
 from decfem.poisson import _max_edge_length, boundary_vertex_ids, uniform_refine
 from decfem.whitney import analytic_form, de_rham_map
 
@@ -276,6 +277,72 @@ def test_large_vertex_ids_match_the_small_complex():
         assert (cm_big.boundary_csr(p) != cm_small.boundary_csr(p)).nnz == 0
         assert cm_big.boundary[p] == cm_small.boundary[p]
     assert_boundaries_match(ac_big, old_abstr(big)[0])
+
+
+def refined_relabelled_square(times, seed):
+    gc = meshes.split_square()
+    for _ in range(times):
+        gc = uniform_refine(gc)
+    return relabel_vertices(gc, np.random.default_rng(seed).permutation(gc.num_vertices))
+
+
+def square_with_an_unused_vertex():
+    gc = meshes.split_square()
+    return GeometricComplex(np.vstack([gc.vertices, [[5.0, 5.0]]]), gc.top_simplices)
+
+
+HANDOVER_MESHES = {
+    **{name: lambda fixtures, name=name: fixtures[name] for name in FIXTURE_NAMES},
+    "torus_grid": lambda fixtures: meshes.torus_grid(),
+    "kuhn_cube-3": lambda fixtures: kuhn_cube(3),
+    "refined_square-2": lambda fixtures: refined_relabelled_square(2, 5),
+    "refined_square-3": lambda fixtures: refined_relabelled_square(3, 6),
+    "unused_vertex": lambda fixtures: square_with_an_unused_vertex(),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("name", HANDOVER_MESHES)
+def test_abstr_hands_over_the_tables_the_constructor_derives(fixture_set, name, seed):
+    """``abstr`` passes its face keys, boundary faces and top-face tables
+    to the complex; the public constructor derives them by sorted lookups
+    from the simplex arrays alone."""
+    gc = HANDOVER_MESHES[name](fixture_set)
+    if seed is not None:
+        gc = relabel_vertices(gc, np.random.default_rng(seed).permutation(gc.num_vertices))
+    ac = abstr(gc)
+    n = ac.complex_dim
+    ref = AbstractComplex(n, ac.simplex_arrays, ac.orientation_signs)
+    assert np.array_equal(ac.orientation_signs, ref.orientation_signs)
+    assert len(ac._keys) == len(ref._keys) == n + 1
+    for p in range(n + 1):
+        assert np.array_equal(ac.simplex_arrays[p], ref.simplex_arrays[p])
+        assert np.array_equal(ac._keys[p], ref._keys[p])
+        handed, derived = ac.top_faces(p), ref.top_faces(p)
+        assert handed.dtype == derived.dtype == np.int64 and not handed.flags.writeable
+        assert np.array_equal(handed, derived)
+        if p:
+            handed, derived = ac.boundary_faces(p), ref.boundary_faces(p)
+            assert handed.dtype == derived.dtype == np.int64 and not handed.flags.writeable
+            assert np.array_equal(handed, derived)
+
+
+def test_abstr_makes_no_sorted_lookup_and_fills_every_top_face_table(fixture_set, monkeypatch):
+    built = [build_mesh(fixture_set) for build_mesh in HANDOVER_MESHES.values()]
+    calls = []
+    for module in (mesh_module, batched):
+        for name in ("_sorted_ids", "_chain_ids"):
+            original = getattr(module, name)
+
+            def counted(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    for gc in built:
+        ac = abstr(gc)
+        assert sorted(ac._top_faces) == list(range(ac.complex_dim + 1))
+    assert calls == []
 
 
 def test_simplex_ids_finds_present_rows_and_flags_absent_ones():

@@ -165,6 +165,24 @@ class TestRejectedInput:
         with pytest.raises(MeshValidationError, match="boolean coordinate in vertex 0"):
             load_mesh(triangle_json(vertices=[[0.5, True], [1, 0], [0, 1]]))
 
+    def test_relabel_reads_an_integral_float_as_an_integer(self):
+        gc = meshes.split_square()
+        relabeled = relabel_vertices(gc, [0, 1.0, 3, np.float64(2)])
+        assert np.array_equal(relabeled.top_simplices, relabel_vertices(gc, [0, 1, 3, 2]).top_simplices)
+
+    @pytest.mark.parametrize(
+        "permutation, message",
+        [
+            ([0, 1.7, 2, 3], "non-integer vertex index in permutation entry 1"),
+            ([0, 1, 2, float("nan")], "non-integer vertex index in permutation entry 3"),
+            ([True, False, 2, 3], "boolean vertex index in permutation entry 0"),
+            ([1, 0, np.True_, 3], "boolean vertex index in permutation entry 2"),
+        ],
+    )
+    def test_relabel_rejects_what_a_simplex_rejects(self, permutation, message):
+        with pytest.raises(MeshValidationError, match=message):
+            relabel_vertices(meshes.split_square(), permutation)
+
     def test_index_beyond_int64(self):
         with pytest.raises(MeshValidationError, match="vertex indices must be integers"):
             load_mesh(triangle_json(simplices=[[0, 1, 10**30]]))
