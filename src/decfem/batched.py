@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,6 +139,23 @@ def _facet_rows(n: int, p: int) -> np.ndarray:
     rows = _local_faces(n, p - 1).tolist()
     faces = _local_faces(n, p).tolist()
     return np.array([[rows.index(f[:k] + f[k + 1:]) for k in range(p + 1)] for f in faces])
+
+
+@lru_cache(maxsize=None)
+def _local_coboundary(n: int, p: int) -> np.ndarray:
+    """The coboundary of an n-simplex from its local p-faces to its local
+    (p+1)-faces, read-only, shape (C(n+1, p+2), C(n+1, p+1)), both in
+    ``_local_faces`` order: entry [f, g] is (-1)^k when local p-face g is
+    (p+1)-face f without its k-th vertex (``_facet_rows``).
+
+    With the vertices of every top in ascending order, it is the global
+    coboundary restricted to each top's closure, the same for every top.
+    """
+    facets = _facet_rows(n, p + 1)
+    cob = np.zeros((len(facets), math.comb(n + 1, p + 1)))
+    cob[np.arange(len(facets))[:, None], facets] = (-1.0) ** np.arange(p + 2)
+    cob.setflags(write=False)
+    return cob
 
 
 def _level_array(level, p: int):

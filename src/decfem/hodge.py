@@ -5,22 +5,21 @@ product (symmetric positive definite, non-local inverse) and the diagonal
 dual-volume operator of cochain methods (cheap, low accuracy on barycentric
 duals).  Both feed the weak codifferential, the Hodge Laplacian and the
 harmonic-cochain solver, whose dimensions reproduce the Betti numbers.
+Their local blocks, one per top simplex, come from ``elements``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .batched import _determinants, _facet_rows, _local_faces, _minors, _simplex_volumes
 from .chains import matrices_for
-from .mesh import AbstractComplex, GeometricComplex, _dual_shares
-from .whitney import Cochain, coboundary_apply, mesh_geometry
+from .elements import _diagonal_blocks, _galerkin_blocks, _local_operators
+from .mesh import AbstractComplex, GeometricComplex
+from .whitney import Cochain, coboundary_apply
 
 __all__ = [
     "HarmonicBasis",
@@ -64,92 +63,6 @@ class HarmonicBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-
-def _material_tensors(material, count: int, d: int) -> np.ndarray:
-    """The d x d material tensor of every top simplex, shape (count, d, d)."""
-    get = material if callable(material) else material.__getitem__
-    tensors = [np.asarray(get(t), dtype=float) for t in range(count)]
-    if any(g.shape != (d, d) for g in tensors):
-        raise ValueError(f"material tensor must be {d}x{d}")
-    return np.array(tensors)
-
-
-@lru_cache(maxsize=None)
-def _moment_table(n: int, p: int) -> sp.csr_matrix:
-    """Sparse linear map from the p x p minors [a, b], a <= b (``np.triu_indices``
-    order), of an n-simplex's gradient Gram matrix G to its local Whitney
-    p-form mass [f, g] per unit volume.  Its CSR product runs on one thread:
-    a dense BLAS product went multithreaded from about 32k tops and then ran
-    up to 40x slower on a busy 2-core machine.
-
-    The form of face f is p! sum_k (-1)^k lambda_{f_k} dlambda_{f - f_k};
-    the product of dlambda_a and dlambda_b is G[a, b] (Cauchy-Binet), and
-    lambda_i lambda_j averages (1 + delta_ij) / ((n+1)(n+2)) over the simplex.
-    G is symmetric, so the [b, a] moment folds onto the [a, b] minor.
-    """
-    faces, omit = _local_faces(n, p), _facet_rows(n, p)
-    f, k, g, l = np.ix_(*map(range, omit.shape * 2))
-    table = np.zeros((math.comb(n + 1, p),) * 2 + (len(faces),) * 2)
-    table[omit[f, k], omit[g, l], f, g] = (-1.0) ** (k + l) * (1 + (faces[f, k] == faces[g, l]))
-    table *= math.factorial(p) ** 2 / ((n + 1) * (n + 2))
-    a, b = np.triu_indices(len(table))
-    folded = table[a, b] + table[b, a] * (a != b)[:, None, None]
-    return sp.csr_matrix(folded.reshape(len(a), -1).T)
-
-
-def _galerkin_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int, material=None):
-    """Local Whitney p-form mass of every top simplex, shape (num_top, k, k)
-    with k = C(n+1, p+1), rows and columns in ``top_faces(p)`` order.
-
-    The local mass is |T| times the p x p minors of the Gram matrix
-    G = grad(lambda) A grad(lambda)^T through ``_moment_table``; the
-    top-degree form is constant, so its mass is 1 / |T|, or det(A) / |T|
-    when n = d.
-    """
-    n, d = ac.complex_dim, gc.embed_dim
-    geo = mesh_geometry(gc, ac)
-    m, k = len(geo.vols), math.comb(n + 1, p + 1)
-    metric = None if material is None else _material_tensors(material, m, d)
-    if p == 0:
-        local = geo.vols[:, None] * (_moment_table(n, 0) @ np.ones(1))
-    elif p == n and (metric is None or n == d):
-        local = (1.0 if metric is None else _determinants(metric)) / geo.vols
-    else:
-        lifted = geo.grads if metric is None else geo.grads @ metric
-        # A contiguous right operand makes the stacked product 3x faster.
-        gram = lifted @ np.ascontiguousarray(geo.grads.transpose(0, 2, 1))
-        faces = _local_faces(n, p - 1)
-        a, b = np.triu_indices(len(faces))
-        local = (_moment_table(n, p) @ _minors(gram, faces[a], faces[b]).T).T * geo.vols[:, None]
-    return local.reshape(m, k, k)
-
-
-def _diagonal_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.ndarray:
-    """Local dual-volume over primal-volume Hodge of every top simplex, shape
-    (num_top, k, k) like ``_galerkin_blocks``: diagonal, with the share of
-    each local p-face's barycentric dual cell inside the top (``_dual_shares``)
-    over the face's primal volume.
-
-    The dual cell of a top simplex is a point with unit measure, and a
-    primal 0-simplex likewise counts as unit measure.
-    """
-    n = ac.complex_dim
-    primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
-    if p == n:
-        diag = 1.0 / primal[:, None]
-    else:
-        diag = _dual_shares(gc, ac, p) / primal[ac.top_faces(p)]
-    return diag[:, :, None] * np.eye(diag.shape[1])
-
-
-def _local_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, p: int) -> np.ndarray:
-    """The local degree-p Hodge blocks of the given kind, shape (num_top, k, k)."""
-    if kind == "galerkin":
-        return _galerkin_blocks(gc, ac, p)
-    if kind == "diagonal":
-        return _diagonal_blocks(gc, ac, p)
-    raise ValueError(f"unknown hodge kind {kind!r}")
 
 
 def galerkin_mass_matrix(
@@ -222,20 +135,6 @@ def hodge_laplacian_apply(c: Cochain, hodges: dict) -> Cochain:
     return Cochain(ac, p, total)
 
 
-def _stack_csr(blocks, col_offsets, cells: int) -> sp.csr_matrix:
-    """cells x cells CSR matrix whose leading rows are the blocks' rows in
-    order, block i's columns shifted by ``col_offsets[i]``; rows past the
-    last block are empty."""
-    nnz = np.cumsum([0] + [b.nnz for b in blocks])
-    indptr = np.full(cells + 1, nnz[-1])
-    indptr[0] = 0
-    stacked = np.concatenate([b.indptr[1:] + k for b, k in zip(blocks, nnz)])
-    indptr[1 : len(stacked) + 1] = stacked
-    indices = np.concatenate([b.indices + c for b, c in zip(blocks, col_offsets)])
-    data = np.concatenate([b.data for b in blocks])
-    return sp.csr_matrix((data, indices, indptr), shape=(cells, cells))
-
-
 def _symmetric_lu(matrix):
     """SuperLU of a symmetric matrix in a symmetric fill-reducing order,
     taking every nonzero diagonal pivot: with no zero pivot there is no row
@@ -266,6 +165,84 @@ def _require_positive_definite(hodge, p: int):
         ok = False
     if not ok:
         raise AssertionError(f"degree-{p} Hodge matrix is not positive definite")
+
+
+def _product_operators(ac: AbstractComplex, hodges: dict):
+    """The blocks of ``elements._local_operators`` from supplied Hodge
+    matrices, by sparse products with the boundary matrices, each entry a
+    1 x 1 block."""
+    mass = [hodges[p] for p in range(ac.complex_dim + 1)]
+    bounds = [matrices_for(ac).boundary_csr(p) for p in range(1, len(mass))]
+    cob_mass = [b @ m for b, m in zip(bounds, mass[1:])]
+    lap = [c @ b.T for c, b in zip(cob_mass, bounds)]
+    return [
+        [(a.row[:, None], a.col[:, None], a.data[:, None, None]) for a in map(sp.coo_matrix, part)]
+        for part in (mass, lap, cob_mass)
+    ]
+
+
+def _shifted_system(gc: GeometricComplex, ac: AbstractComplex, kind: str, hodges):
+    """The Hodge matrix M of every degree, the shift S of every cell and the
+    system matrix [[-M_<n, C], [C^T, d^T M d + S M]] of ``harmonic_bases``.
+
+    The entries of M, d^T M d and C per degree come from the local Hodge
+    blocks of ``kind`` (``elements._local_operators``), or from a supplied
+    Hodge set (``_product_operators``), and are scattered with one COO to
+    CSR conversion; the shift and the system are read off the result.
+    """
+    n, counts = ac.complex_dim, ac.face_counts()
+    if hodges is None:
+        parts = _local_operators(gc, ac, kind)
+    else:
+        for p in range(n + 1):
+            shape, got = (counts[p], counts[p]), hodges[p].shape if p in hodges else None
+            if got != shape:
+                raise ValueError(f"degree-{p} Hodge matrix must have shape {shape}, got {got}")
+        for p in range(n + 1):
+            _require_positive_definite(hodges[p].tocsr(), p)
+        parts = _product_operators(ac, hodges)
+    off = np.cumsum([0] + counts)  # off[p]: global index of the first p-cell
+    cells, inner = int(off[-1]), int(off[n])  # inner: the cells of degree < n
+
+    # One tall matrix: the rows of M, then of d^T M d, then of C (degree < n).
+    # Zero entries, such as those off a diagonal Hodge, are dropped: the
+    # factorisation would treat them as nonzeros and fill in around them.
+    placed = [
+        (row_ids + base + off[p], col_ids + off[p + shift], blocks, blocks.ravel() != 0)
+        for part, base, shift in zip(parts, (0, cells, 2 * cells), (0, 0, 1))
+        for p, (row_ids, col_ids, blocks) in enumerate(part)
+    ]
+    rows = np.concatenate([np.repeat(r, b.shape[2], axis=1).ravel()[k] for r, _, b, k in placed])
+    cols = np.concatenate([np.tile(c, b.shape[1]).ravel()[k] for _, c, b, k in placed])
+    vals = np.concatenate([b.ravel()[k] for _, _, b, k in placed])
+    del parts, placed  # the blocks, copied: freed before the scatter and the system
+    ops = sp.csr_matrix((vals, (rows, cols)), shape=(2 * cells + inner, cells))
+    row = np.repeat(np.arange(ops.shape[0], dtype=ops.indices.dtype), np.diff(ops.indptr))
+    ends = ops.indptr[[0, cells, 2 * cells, -1]]
+    (m_row, m_col, m_val), (l_row, l_col, l_val), (c_row, c_col, c_val) = (
+        (row[a:b] - base, ops.indices[a:b], ops.data[a:b])
+        for a, b, base in zip(ends[:-1], ends[1:], (0, cells, 2 * cells))
+    )
+
+    # Gershgorin bound of diag(M)^-1 (d^T M d + M d diag(M)^-1 d^T M) per degree.
+    mass = sp.csr_matrix((m_val, m_col, ops.indptr[: cells + 1]), shape=(cells, cells))
+    diag = mass.diagonal()
+    c_abs = np.abs(c_val)
+    c_sums = np.bincount(c_row, c_abs, cells) / diag
+    row_bound = np.bincount(l_row, np.abs(l_val), cells)
+    row_bound += np.bincount(c_col, c_abs * c_sums[c_row], cells)
+    cell_shift = HARMONIC_SHIFT * np.repeat(np.maximum.reduceat(row_bound / diag, off[:-1]), counts)
+
+    # Unknowns: a sign-flipped copy of every cell of degree < n, then every cell.
+    low = m_row < inner
+    rows = [m_row[low], c_row, inner + c_col, inner + l_row, inner + m_row]
+    cols = [m_col[low], inner + c_col, c_row, inner + l_col, inner + m_col]
+    vals = [-m_val[low], c_val, c_val, l_val, cell_shift[m_row] * m_val]
+    size = inner + cells
+    system = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    )
+    return mass, cell_shift, system
 
 
 def harmonic_bases(
@@ -299,42 +276,20 @@ def harmonic_bases(
     gap, independently of integer homology, and an eigenvalue inside the
     gap raises ValueError naming the degree.  When every column comes
     out harmonic the column count doubles.
+
+    M, C and d^T M d are scattered at once from the local Hodge blocks of
+    ``kind`` and the constant local coboundaries, with no global Hodge
+    matrix or sparse product.  A supplied ``hodges`` set goes through sparse
+    products with the boundary matrices instead; a missing degree or a
+    wrong shape raises ValueError, and a matrix that is not positive
+    definite AssertionError, each naming the degree.
     """
-    n = ac.complex_dim
-    if hodges is None:
-        hodges = build_hodges(gc, ac, kind)
-    else:
-        for p in range(n + 1):
-            _require_positive_definite(hodges[p].tocsr(), p)
-    counts = ac.face_counts()
-    off = np.cumsum([0] + counts)  # off[p]: global index of the first p-cell
-    cells, inner = int(off[-1]), int(off[n])  # inner: the cells of degree < n
-    cm = matrices_for(ac)
-    mass = _stack_csr([hodges[p].tocsr() for p in range(n + 1)], off[:-1], cells)
-    bound = _stack_csr([cm.boundary_csr(p) for p in range(1, n + 1)], off[1:], cells)
-    cob_mass = bound @ mass  # block (p, p+1): (M_{p+1} d_p)^T
-    lap = cob_mass @ bound.T  # block (p, p): d_p^T M_{p+1} d_p
-
-    # Gershgorin bound of diag(M)^-1 (d^T M d + M d diag(M)^-1 d^T M) per degree.
-    diag = mass.diagonal()
-    m, lp, c = mass.tocoo(), lap.tocoo(), cob_mass.tocoo()  # rows of c: degree < n
-    c_abs = np.abs(c.data)
-    c_sums = np.bincount(c.row, c_abs, cells) / diag
-    row_bound = np.bincount(lp.row, np.abs(lp.data), cells)
-    row_bound += np.bincount(c.col, c_abs * c_sums[c.row], cells)
-    cell_shift = HARMONIC_SHIFT * np.repeat(np.maximum.reduceat(row_bound / diag, off[:-1]), counts)
-
-    # Unknowns: a sign-flipped copy of every cell of degree < n, then every cell.
-    low = m.row < inner
-    rows = [m.row[low], c.row, inner + c.col, inner + lp.row, inner + m.row]
-    cols = [m.col[low], inner + c.col, c.row, inner + lp.col, inner + m.col]
-    vals = [-m.data[low], c.data, c.data, lp.data, cell_shift[m.row] * m.data]
-    size = inner + cells
-    system = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
-    )
+    mass, cell_shift, system = _shifted_system(gc, ac, kind, hodges)
+    (cells, _), (size, _) = mass.shape, system.shape
+    inner = size - cells  # the cells of degree < n
     lu = _symmetric_lu(system)
-    blocks = [slice(off[p], off[p + 1]) for p in range(n + 1)]
+    off = np.cumsum([0] + ac.face_counts())  # off[p]: global index of the first p-cell
+    blocks = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
 
     def step(x):
         """T x for every degree at once, with the M-Gram matrix of each degree's block."""
@@ -362,8 +317,9 @@ def harmonic_bases(
                     f"harmonic gap violated at degree {p}: M-Gram eigenvalues {ritz.tolist()}"
                 )
             harmonic = ritz >= HARMONIC_MIN
-            vectors = second[b] @ (v[:, harmonic] / np.sqrt(ritz[harmonic]))
-            gram = vectors.T @ (hodges[p] @ vectors)
+            scale = v[:, harmonic] / np.sqrt(ritz[harmonic])
+            vectors = second[b] @ scale
+            gram = np.einsum("ai,ab,bj->ij", scale, gram, scale)  # the M-Gram matrix of vectors
             bases[p] = HarmonicBasis(p, [Cochain(ac, p, h) for h in vectors.T], gram)
         if all(b.dimension < width for b in bases.values()):
             return bases

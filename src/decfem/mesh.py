@@ -227,8 +227,9 @@ class AbstractComplex:
     order the top simplices were given geometrically.  ``abstr`` hands over
     the face tables it built; this constructor derives them by sorted
     lookups.  Derived data is cached on the instance: the face tables of
-    ``top_faces``, the geometry of one embedding (``whitney.mesh_geometry``)
-    and the boundary matrices (``chains.matrices_for``).
+    ``top_faces``, the geometry of one embedding (``whitney.mesh_geometry``),
+    the boundary matrices (``chains.matrices_for``) and the hash of the
+    simplex lists (``whitney.complex_fingerprint``).
     """
 
     def __init__(self, complex_dim, simplices, orientation_signs):
@@ -263,6 +264,7 @@ class AbstractComplex:
         self._top_faces: dict = top_faces
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
         self._matrices = None  # boundary operators, see chains.matrices_for
+        self._fingerprint = None  # hash of the simplex lists, see whitney.complex_fingerprint
 
     def num_simplices(self, p: int) -> int:
         return len(self.simplex_arrays[p])

@@ -23,11 +23,11 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .batched import _local_faces
+from .batched import _local_coboundary
 from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
 from .quadrature import simplex_rule
 from .whitney import _batch_values, mesh_geometry
-from .hodge import _local_hodges
+from .elements import _local_hodges
 
 __all__ = [
     "LinearSystem",
@@ -110,13 +110,10 @@ def _local_stiffness_map(n: int) -> sp.csr_matrix:
     """Sparse linear map from a local degree-1 Hodge block M of an n-simplex
     to its local stiffness D^T M D, both flattened, for blocks stored one
     per column.  D is the coboundary from the simplex's vertices to its
-    edges; in the canonical vertex order it is the same for every top.  Its
-    CSR product runs on one thread, like ``_moment_table``'s.
+    edges (``batched._local_coboundary(n, 0)``), the same for every top.
+    Its CSR product runs on one thread, like ``elements._moment_table``'s.
     """
-    ends = _local_faces(n, 1)
-    cob = np.zeros((len(ends), n + 1))
-    cob[np.arange(len(ends)), ends[:, 1]] = 1.0
-    cob[np.arange(len(ends)), ends[:, 0]] = -1.0
+    cob = _local_coboundary(n, 0)
     return sp.csr_matrix(np.kron(cob, cob).T)
 
 

@@ -310,9 +310,15 @@ def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:
 
 
 def complex_fingerprint(ac: AbstractComplex) -> str:
-    """Hash of the canonical simplex lists; guards cochain (de)serialization."""
-    payload = json.dumps([level.tolist() for level in ac.simplex_arrays], separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Hash of the canonical simplex lists; guards cochain (de)serialization.
+
+    The lists are read-only arrays, so the hash is computed once and cached
+    on the complex (``ac._fingerprint``).
+    """
+    if ac._fingerprint is None:
+        payload = json.dumps([level.tolist() for level in ac.simplex_arrays], separators=(",", ":"))
+        ac._fingerprint = hashlib.sha256(payload.encode()).hexdigest()
+    return ac._fingerprint
 
 
 def cochain_to_json(c: Cochain) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from decfem import abstr, cup_product, diagonal_hodge, load_mesh, matrix_to_coordinate_text, meshes
-from decfem import cli, poisson
+from decfem import cli, poisson, whitney
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
@@ -122,6 +123,37 @@ def test_harmonic_export(capsys, tmp_path, torus_file):
     ac = abstr(meshes.torus_minimal())
     restored = cochain_from_json(ac, payload["1"]["vectors"][0])
     assert restored.degree == 1
+
+
+def uncached_fingerprint(ac):
+    """The complex hash as computed before it was cached on the complex."""
+    payload = json.dumps([level.tolist() for level in ac.simplex_arrays], separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_harmonic_json_is_unchanged_by_the_cached_fingerprint(capsys, monkeypatch):
+    argv = ("harmonic", FIXTURES / "torus.json", "--json")
+    code, cached, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(whitney, "complex_fingerprint", uncached_fingerprint)
+    code, uncached, _ = run(capsys, *argv)
+    assert code == 0
+    assert cached == uncached
+    assert sum(len(degree["vectors"]) for degree in json.loads(cached).values()) == 4
+
+
+def test_harmonic_hashes_the_complex_once(capsys, monkeypatch):
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    code, _, _ = run(capsys, "harmonic", FIXTURES / "torus.json", "--json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_harmonic_help_says_degree_selects_the_output_only(capsys):

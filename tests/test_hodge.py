@@ -21,7 +21,11 @@ from decfem import (
     matrix_to_coordinate_text,
     meshes,
 )
-from decfem.mesh import GeometricComplex
+from decfem import hodge
+from decfem.batched import _local_coboundary
+from decfem.elements import _local_operators
+from decfem.hodge import _product_operators
+from decfem.mesh import AbstractComplex, GeometricComplex
 from decfem.whitney import Cochain
 
 from conftest import FIXTURE_NAMES, kuhn_cube, two_tets
@@ -284,6 +288,21 @@ class TestHarmonicBases:
         with pytest.raises(AssertionError, match="degree-1 Hodge"):
             harmonic_bases(gc, ac, kind, hodges)
 
+    @pytest.mark.parametrize("defect", ["wrong_shape", "missing_degree"])
+    def test_malformed_hodge_set_raises_naming_its_degree(self, defect):
+        """Rejected before any sparse construction: a matrix of the wrong
+        shape would otherwise reach the sparse LU unchecked."""
+        gc = meshes.torus_grid(4, 4)
+        ac = abstr(gc)
+        hodges = build_hodges(gc, ac, "galerkin")
+        if defect == "wrong_shape":
+            hodges[1] = hodges[0]
+        else:
+            del hodges[2]
+        p, count = {"wrong_shape": (1, 48), "missing_degree": (2, 32)}[defect]
+        with pytest.raises(ValueError, match=rf"degree-{p} Hodge .*\({count}, {count}\)"):
+            harmonic_bases(gc, ac, "galerkin", hodges)
+
     @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
     def test_torus_with_6144_cells(self, kind):
         gc = meshes.torus_grid(32, 32)
@@ -431,3 +450,75 @@ def test_matrix_coordinate_text_round_trip():
         r, c, v = line.split()
         entries[(int(r), int(c))] = float(v)
     assert entries == {(0, 1): 1.5, (1, 0): -2.25}
+
+
+def oracle_or_fixture(fixture_set, name):
+    return ORACLE_MESHES[name]() if name in ORACLE_MESHES else fixture_set[name]
+
+
+def scattered(blocks, shape):
+    """The matrix of one (row ids, column ids, blocks) set, dense."""
+    rows, cols, vals = blocks
+    a, b = vals.shape[1:]
+    entries = (np.repeat(rows, b, axis=1).ravel(), np.tile(cols, a).ravel())
+    return sp.coo_matrix((vals.ravel(), entries), shape=shape).toarray()
+
+
+class TestLocalAssembly:
+    """The default route of ``harmonic_bases`` (local Hodge blocks and local
+    coboundaries) against the route of a supplied Hodge set (global Hodge
+    matrices and sparse products with the boundary matrices)."""
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_operators_match_the_product_route(self, fixture_set, name, kind):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        counts = ac.face_counts()
+        local = _local_operators(gc, ac, kind)
+        product = _product_operators(ac, build_hodges(gc, ac, kind))
+        for op, (new, old) in enumerate(zip(local, product)):
+            assert len(new) == len(old) == ac.complex_dim + (op == 0)
+            for p, (a, b) in enumerate(zip(new, old)):
+                shape = (counts[p], counts[p + (op == 2)])
+                a, b = scattered(a, shape), scattered(b, shape)
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_bases_match_the_product_route(self, fixture_set, name, kind):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        new = harmonic_bases(gc, ac, kind)
+        old = harmonic_bases(gc, ac, kind, build_hodges(gc, ac, kind))
+        for p, basis in new.items():
+            size = ac.num_simplices(p)
+            assert basis.dimension == old[p].dimension
+            gap = span_projector([v.values for v in basis.vectors], size) - span_projector(
+                [v.values for v in old[p].vectors], size
+            )
+            assert np.abs(gap).max() <= 1e-12
+            np.testing.assert_allclose(basis.gram, np.eye(basis.dimension), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    def test_default_call_builds_no_global_hodge(self, monkeypatch, fixture_set, kind):
+        gc = fixture_set["torus"]
+        calls = []
+        for name in ("galerkin_mass_matrix", "diagonal_hodge", "build_hodges"):
+            monkeypatch.setattr(hodge, name, lambda *args, name=name: calls.append(name))
+        bases = harmonic_bases(gc, abstr(gc), kind)
+        assert [b.dimension for b in bases.values()] == [1, 2, 1]
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["hollow_triangle", "torus", "two_tets", "kuhn_cube_2"])
+    def test_local_coboundary_is_the_global_one_on_every_top(self, fixture_set, name):
+        ac = abstr(oracle_or_fixture(fixture_set, name))
+        n = ac.complex_dim
+        # The face tables handed over by ``abstr`` and derived by the constructor.
+        for complex_ in (ac, AbstractComplex(n, ac.simplex_arrays, ac.orientation_signs)):
+            cm = matrices_for(complex_)
+            for p in range(n):
+                rows, cols = complex_.top_faces(p + 1), complex_.top_faces(p)
+                restricted = cm.coboundary_csr(p).toarray()[rows[:, :, None], cols[:, None, :]]
+                local = _local_coboundary(n, p)
+                np.testing.assert_array_equal(restricted, np.broadcast_to(local, restricted.shape))
