@@ -17,10 +17,7 @@ from .mesh import (
     GeometricComplex,
     AbstractComplex,
     load_mesh,
-    signed_volume,
-    unsigned_volume,
     abstr,
-    barycentric_gradients,
     barycentric_dual_volumes,
     relabel_vertices,
 )
@@ -44,7 +41,6 @@ from .whitney import (
     Cochain,
     FormField,
     analytic_form,
-    whitney_basis,
     whitney_interpolate,
     de_rham_map,
     de_rham_whitney_matrix,

@@ -152,25 +152,31 @@ class ComplexMatrices:
 
     ``boundary_csr(p)`` is the degree-p boundary as an int64 CSR matrix,
     the primary form; ``coboundary_csr(p)`` is the transpose of
-    ``boundary_csr(p + 1)``.  Integer data mixes with float vectors and
-    matrices exactly, since every entry is +-1.  ``boundary`` holds the
-    same boundaries as IntSparseMatrix objects keyed by degree, built from
-    the CSR matrices on first access.  ``homology`` fills ``_reduction``
-    with the coreduced complex and the Betti numbers and torsion of every
-    degree read off it.
+    ``boundary_csr(p + 1)``, built once and shared, with read-only arrays.
+    Integer data mixes with float vectors and matrices exactly, since every
+    entry is +-1.  ``boundary`` holds the same boundaries as IntSparseMatrix
+    objects keyed by degree, built from the CSR matrices on first access.
+    ``homology`` fills ``_reduction`` with the coreduced complex and the
+    Betti numbers and torsion of every degree read off it.
     """
 
     complex_dim: int
     counts: list
     _boundary: dict = field(repr=False)
     _exact_views: dict = field(default=None, repr=False)
+    _coboundaries: dict = field(default_factory=dict, repr=False)
     _reduction: object = field(default=None, repr=False)
 
     def boundary_csr(self, p: int) -> sp.csr_matrix:
         return self._boundary[p]
 
     def coboundary_csr(self, p: int) -> sp.csr_matrix:
-        return self._boundary[p + 1].T.tocsr()
+        if p not in self._coboundaries:
+            cob = self._boundary[p + 1].T.tocsr()
+            for array in (cob.data, cob.indices, cob.indptr):
+                array.setflags(write=False)
+            self._coboundaries[p] = cob
+        return self._coboundaries[p]
 
     @property
     def boundary(self) -> dict:

@@ -84,10 +84,10 @@ def _galerkin_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int, material
 
 
 def _diagonal_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.ndarray:
-    """Local dual-volume over primal-volume Hodge of every top simplex, shape
-    (num_top, k, k) like ``_galerkin_blocks``: diagonal, with the share of
-    each local p-face's barycentric dual cell inside the top (``_dual_shares``)
-    over the face's primal volume.
+    """Local dual-volume over primal-volume Hodge of every top simplex as its
+    diagonal, shape (num_top, k) with k = C(n+1, p+1) in ``top_faces(p)``
+    order: the share of each local p-face's barycentric dual cell inside the
+    top (``_dual_shares``) over the face's primal volume.
 
     The dual cell of a top simplex is a point with unit measure, and a
     primal 0-simplex likewise counts as unit measure.
@@ -95,14 +95,13 @@ def _diagonal_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.nd
     n = ac.complex_dim
     primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
     if p == n:
-        diag = 1.0 / primal[:, None]
-    else:
-        diag = _dual_shares(gc, ac, p) / primal[ac.top_faces(p)]
-    return diag[:, :, None] * np.eye(diag.shape[1])
+        return 1.0 / primal[:, None]
+    return _dual_shares(gc, ac, p) / primal[ac.top_faces(p)]
 
 
 def _local_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, p: int) -> np.ndarray:
-    """The local degree-p Hodge blocks of the given kind, shape (num_top, k, k)."""
+    """The local degree-p Hodge blocks of the given kind: full (num_top, k, k)
+    Galerkin blocks or (num_top, k) diagonals."""
     if kind == "galerkin":
         return _galerkin_blocks(gc, ac, p)
     if kind == "diagonal":
@@ -116,14 +115,25 @@ def _local_operators(gc: GeometricComplex, ac: AbstractComplex, kind: str):
     (num_top, b) and (num_top, a, b), in degree-local ids.  Restricted to a
     top's closure, d_p is the constant local coboundary D_p, so the blocks
     of C_p are D_p^T M_{p+1},T and those of d_p^T M_{p+1} d_p are
-    D_p^T M_{p+1},T D_p, from the local Hodge blocks M_{p+1},T.
+    D_p^T M_{p+1},T D_p, from the local Hodge blocks M_{p+1},T.  A diagonal
+    M_T with entries w gives k 1 x 1 blocks per top, and D_p^T M_{p+1},T is
+    the broadcast product D_p^T w.
     """
     n = ac.complex_dim
     mass = [_local_hodges(gc, ac, kind, p) for p in range(n + 1)]
     ids = [ac.top_faces(p) for p in range(n + 1)]
-    cob_mass = [_local_coboundary(n, p).T @ mass[p + 1] for p in range(n)]
+    cob_mass = [_hodge_product(_local_coboundary(n, p).T, mass[p + 1]) for p in range(n)]
     lap = [c @ _local_coboundary(n, p) for p, c in enumerate(cob_mass)]
-    return [
+    parts = [
         [(ids[p], ids[p + shift], blocks) for p, blocks in enumerate(part)]
         for part, shift in ((mass, 0), (lap, 0), (cob_mass, 1))
     ]
+    if kind == "diagonal":
+        parts[0] = [(i.reshape(-1, 1), i.reshape(-1, 1), w.reshape(-1, 1, 1)) for i, w in zip(ids, mass)]
+    return parts
+
+
+def _hodge_product(left: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """left @ M_T for every top: a matrix product with full Hodge blocks
+    (num_top, k, k), a column scaling by diagonal ones (num_top, k)."""
+    return left * blocks[:, None] if blocks.ndim == 2 else left @ blocks

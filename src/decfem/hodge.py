@@ -98,7 +98,7 @@ def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    diag = np.diagonal(_diagonal_blocks(gc, ac, p), axis1=1, axis2=2)
+    diag = _diagonal_blocks(gc, ac, p)
     return sp.diags(np.bincount(ac.top_faces(p).ravel(), diag.ravel(), ac.num_simplices(p))).tocsr()
 
 

@@ -32,7 +32,6 @@ from .batched import (
     _permutation_sign,
     _rows_strictly_increasing,
     _signed_volumes,
-    _simplex_gradients,
     _simplex_volumes,
     _sorted_ids,
 )
@@ -44,10 +43,7 @@ __all__ = [
     "GeometricComplex",
     "AbstractComplex",
     "load_mesh",
-    "signed_volume",
-    "unsigned_volume",
     "abstr",
-    "barycentric_gradients",
     "barycentric_dual_volumes",
     "relabel_vertices",
 ]
@@ -227,7 +223,8 @@ class AbstractComplex:
     order the top simplices were given geometrically.  ``abstr`` hands over
     the face tables it built; this constructor derives them by sorted
     lookups.  Derived data is cached on the instance: the face tables of
-    ``top_faces``, the geometry of one embedding (``whitney.mesh_geometry``),
+    ``top_faces``, the owners of ``top_containing``, the geometry of one
+    embedding with its quadrature tables (``whitney.mesh_geometry``),
     the boundary matrices (``chains.matrices_for``) and the hash of the
     simplex lists (``whitney.complex_fingerprint``).
     """
@@ -262,6 +259,7 @@ class AbstractComplex:
         self._keys = keys
         self._boundary_faces = boundary_faces
         self._top_faces: dict = top_faces
+        self._owners: dict = {}  # owning top of each p-simplex, see ``top_containing``
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
         self._matrices = None  # boundary operators, see chains.matrices_for
         self._fingerprint = None  # hash of the simplex lists, see whitney.complex_fingerprint
@@ -313,12 +311,16 @@ class AbstractComplex:
 
     def top_containing(self, p: int) -> np.ndarray:
         """For each p-simplex, the index (into simplex_arrays[n]) of the first
-        top simplex containing it, or -1 when none does."""
-        table = self.top_faces(p)
-        owner = np.full(self.num_simplices(p), -1, dtype=int)
-        faces, first = np.unique(table, return_index=True)
-        owner[faces] = first // table.shape[1]
-        return owner
+        top simplex containing it, or -1 when none does; one shared,
+        read-only array per degree."""
+        if p not in self._owners:
+            table = self.top_faces(p)
+            owner = np.full(self.num_simplices(p), -1, dtype=int)
+            faces, first = np.unique(table, return_index=True)
+            owner[faces] = first // table.shape[1]
+            owner.setflags(write=False)
+            self._owners[p] = owner
+        return self._owners[p]
 
     def facet_coface_counts(self) -> np.ndarray:
         """Number of top simplices containing each (n-1)-simplex."""
@@ -330,46 +332,6 @@ class AbstractComplex:
 
     def __repr__(self):
         return f"AbstractComplex(n={self.complex_dim}, counts={self.face_counts()})"
-
-
-def _simplex_coords(gc: GeometricComplex, simplex: tuple) -> np.ndarray:
-    """Coordinates of one simplex as a (1, size, d) stack; ids outside the vertex array raise."""
-    if min(simplex) < 0 or max(simplex) >= gc.num_vertices:
-        raise MeshValidationError("vertex index out of range")
-    return gc.vertices[np.array(simplex)][None]
-
-
-def signed_volume(gc: GeometricComplex, simplex) -> float:
-    """Oriented n-volume of a top-dimensional simplex.
-
-    Equals det[v1-v0, ..., vn-v0]/n! when the complex fills its embedding
-    dimension; for n < d the unsigned volume from the Gram determinant is
-    returned instead.
-    """
-    simplex = tuple(int(v) for v in simplex)
-    n = gc.complex_dim
-    if len(simplex) != n + 1:
-        raise MeshValidationError(
-            f"expected {n + 1} vertices, got {len(simplex)}"
-        )
-    if len(set(simplex)) != n + 1:
-        raise MeshValidationError("repeated vertex in simplex")
-    return float(_signed_volumes(_simplex_coords(gc, simplex))[0][0])
-
-
-def unsigned_volume(gc: GeometricComplex, simplex) -> float:
-    """Unsigned p-volume of any p-simplex given by vertex indices."""
-    return float(_simplex_volumes(_simplex_coords(gc, tuple(int(v) for v in simplex)))[0])
-
-
-def barycentric_gradients(gc: GeometricComplex, top_simplex_id: int) -> np.ndarray:
-    """Constant gradients of the n+1 barycentric coordinates of a top simplex.
-
-    Row i is grad(lambda_i) for the i-th vertex in the as-given vertex order;
-    for n < d these are tangential gradients within the simplex plane.
-    """
-    simplex = gc.top_simplices[int(top_simplex_id)]
-    return _simplex_gradients(gc.vertices[simplex][None])[0]
 
 
 def abstr(gc: GeometricComplex) -> AbstractComplex:

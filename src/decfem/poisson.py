@@ -27,7 +27,7 @@ from .batched import _local_coboundary
 from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
 from .quadrature import simplex_rule
 from .whitney import _batch_values, mesh_geometry
-from .elements import _local_hodges
+from .elements import _hodge_product, _local_hodges
 
 __all__ = [
     "LinearSystem",
@@ -140,7 +140,10 @@ def assemble_poisson(
         raise MeshValidationError("mesh has no boundary; Dirichlet problem is not posed")
     n, m = ac.complex_dim, ac.num_simplices(ac.complex_dim)
     mass0, mass1 = (_local_hodges(gc, ac, hodge_kind, p) for p in (0, 1))
-    stiffness = (_local_stiffness_map(n) @ mass1.reshape(m, -1).T).T.reshape(m, n + 1, n + 1)
+    if mass1.ndim == 2:  # diagonal blocks: D^T M1_T D as a scaled product
+        stiffness = _hodge_product(_local_coboundary(n, 0).T, mass1) @ _local_coboundary(n, 0)
+    else:
+        stiffness = (_local_stiffness_map(n) @ mass1.reshape(m, -1).T).T.reshape(m, n + 1, n + 1)
     size = ac.num_simplices(0)
     x = gc.vertices[ac.simplex_arrays[0][:, 0]].T  # canonical vertices, coordinate-first
     f = _batch_values(source(x), (size,), "source")
@@ -150,7 +153,7 @@ def assemble_poisson(
     lifted = np.zeros(size)
     lifted[fixed] = values
     verts = ac.top_faces(0)
-    load = np.einsum("mij,mj->mi", mass0, f[verts])
+    load = mass0 * f[verts] if mass0.ndim == 2 else np.einsum("mij,mj->mi", mass0, f[verts])
     load -= np.einsum("mij,mj->mi", stiffness, lifted[verts])
     rhs = np.bincount(verts.ravel(), load.ravel(), size)
     rhs[fixed] = values
@@ -259,7 +262,7 @@ def cotangent_stiffness(gc: GeometricComplex) -> sp.csr_matrix:
             cols += [b, a, a, b]
             data += [-w, -w, w, w]
     full = sp.coo_matrix((data, (rows, cols)), shape=(m0, m0)).tocsr()
-    order = abstr(gc).simplex_arrays[0][:, 0]
+    order = np.unique(gc.top_simplices)  # the vertices in use: those of abstr(gc)
     return full[np.ix_(order, order)].tocsr()
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .batched import (
-    _facet_rows, _local_faces, _minors, _permutation_sign, _simplex_gradients, _simplex_volumes
+    _facet_rows, _local_faces, _minors, _simplex_gradients, _simplex_volumes
 )
 from .chains import matrices_for
 from .exterior import index_combinations, num_components, wedge
@@ -34,7 +34,6 @@ __all__ = [
     "Cochain",
     "FormField",
     "analytic_form",
-    "whitney_basis",
     "whitney_interpolate",
     "de_rham_map",
     "de_rham_whitney_matrix",
@@ -122,6 +121,22 @@ class _MeshGeometry:
         self.origin = coords[:, 0]
         self._tables: dict = {}
 
+    def cached(self, key: tuple, rule, build):
+        """The read-only arrays ``build()`` returns, built once per ``key``.
+
+        A ``QuadratureRule`` holds arrays, so it cannot be hashed: a key
+        carries the rule's ``id`` and its entry the rule itself, which a hit
+        must be.  The entry keeps the rule alive, so that id is not reused
+        while the entry exists.
+        """
+        entry = self._tables.get(key)
+        if entry is None or entry[0] is not rule:
+            arrays = build()
+            for array in arrays if isinstance(arrays, tuple) else (arrays,):
+                array.setflags(write=False)
+            entry = self._tables[key] = (rule, arrays)
+        return entry[1]
+
     def barycentric(self, top_ids, points: np.ndarray) -> np.ndarray:
         """Barycentric coordinates (..., n+1) of points (..., d) in the tops
         ``top_ids`` (broadcast against ...), by one small matrix product per
@@ -139,7 +154,7 @@ class _MeshGeometry:
         vertices of local face f (``batched._local_faces(n, p)``) other than its
         k-th, in ascending order.
         """
-        if p not in self._tables:
+        def build():
             n, d = self.complex_dim, self.gc.embed_dim
             # Each wedge of p gradients is the vector of p x p minors of their
             # rows in the gradient array, one minor per ambient index combination.
@@ -147,8 +162,9 @@ class _MeshGeometry:
             cols = np.array(index_combinations(d, p), dtype=int)
             minors = _minors(self.grads, rows[:, None], cols[None])
             signs = math.factorial(p) * (-1.0) ** np.arange(p + 1)
-            self._tables[p] = minors[:, _facet_rows(n, p)] * signs[:, None]
-        return self._tables[p]
+            return minors[:, _facet_rows(n, p)] * signs[:, None]
+
+        return self.cached(("wedge", p), None, build)
 
     def whitney_values(self, p: int, top_ids, lam: np.ndarray) -> np.ndarray:
         """Every local Whitney p-form of the tops ``top_ids`` at their
@@ -165,29 +181,6 @@ def mesh_geometry(gc: GeometricComplex, ac: AbstractComplex) -> _MeshGeometry:
         geo = _MeshGeometry(gc, ac)
         ac._geometry = geo
     return geo
-
-
-def whitney_basis(
-    gc: GeometricComplex,
-    ac: AbstractComplex,
-    sigma,
-    top_id: int,
-    point,
-) -> np.ndarray:
-    """Whitney form of one p-simplex, evaluated at a barycentric point of a
-    containing top simplex; returns ambient covector components."""
-    n = ac.complex_dim
-    sigma = tuple(int(v) for v in sigma)
-    top = tuple(ac.simplex_arrays[n][int(top_id)].tolist())
-    if len(set(sigma)) != len(sigma) or not set(sigma) <= set(top):
-        raise ValueError(f"{sigma} is not a face of top simplex {top}")
-    lam = np.asarray(point, dtype=float)
-    if lam.shape != (n + 1,) or np.any(lam < -1e-12) or abs(lam.sum() - 1.0) > 1e-9:
-        raise ValueError("point must be nonnegative barycentric coordinates summing to 1")
-    pos = [top.index(v) for v in sigma]
-    p = len(sigma) - 1
-    face = _local_faces(n, p).tolist().index(sorted(pos))
-    return _permutation_sign(pos) * mesh_geometry(gc, ac).whitney_values(p, int(top_id), lam)[face]
 
 
 def whitney_interpolate(gc: GeometricComplex, c: Cochain) -> FormField:
@@ -211,17 +204,31 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
     the owner (m, nq, n+1) and the p x p minors of its edge frame divided
     by p! (m, C(d, p)), so that a form with components c at the points
     integrates to ``einsum("q,mqc,mc->m", rule.weights, c, minors)``.
+    Built once per degree and rule, read-only (``_MeshGeometry.cached``).
     """
     geo = mesh_geometry(gc, ac)
-    owners = ac.top_containing(p)
-    coords = gc.vertices[ac.simplex_arrays[p]]  # (m, p+1, d)
-    points = (rule.points[:, None, :] @ coords[:, None])[:, :, 0]
-    lam = geo.barycentric(owners[:, None], points)
-    # One minor per ambient index combination, taken from the (d, p) edge frame.
-    frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)
-    combos = np.array(index_combinations(gc.embed_dim, p), dtype=int)
-    minors = _minors(frame, combos, np.arange(p)) / math.factorial(p)
-    return owners, points, lam, minors
+
+    def build():
+        owners = ac.top_containing(p)
+        coords = gc.vertices[ac.simplex_arrays[p]]  # (m, p+1, d)
+        points = (rule.points[:, None, :] @ coords[:, None])[:, :, 0]
+        lam = geo.barycentric(owners[:, None], points)
+        # One minor per ambient index combination, taken from the (d, p) edge frame.
+        frame = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)
+        combos = np.array(index_combinations(gc.embed_dim, p), dtype=int)
+        minors = _minors(frame, combos, np.arange(p)) / math.factorial(p)
+        return owners, points, lam, minors
+
+    return geo.cached(("quadrature", p, id(rule)), rule, build)
+
+
+def _quadrature_whitney(gc: GeometricComplex, ac: AbstractComplex, k: int, p: int, rule: QuadratureRule):
+    """Every local Whitney k-form of the owner of each p-simplex at the
+    rule's points on it (``_simplex_quadrature``), shape
+    (m, nq, C(n+1, k+1), C(d, k)); built once per k, degree and rule."""
+    owners, _, lam, _ = _simplex_quadrature(gc, ac, p, rule)
+    geo = mesh_geometry(gc, ac)
+    return geo.cached(("whitney", k, p, id(rule)), rule, lambda: geo.whitney_values(k, owners[:, None], lam))
 
 
 def de_rham_map(
@@ -234,7 +241,9 @@ def de_rham_map(
     """Integrate a p-form over every canonical p-simplex.
 
     Exact whenever the form restricted to each simplex is polynomial within
-    the rule's exactness degree.
+    the rule's exactness degree.  ``f.evaluate`` receives the shared
+    quadrature tables of the complex: the owner ids and the points as
+    read-only views, which it must not write to.
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
@@ -265,13 +274,18 @@ def de_rham_whitney_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) ->
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
+    values, cols = _de_rham_whitney_entries(gc, ac, p)
+    rows = np.repeat(np.arange(len(values)), values.shape[1])
+    return sp.csr_matrix((values.ravel(), (rows, cols.ravel())), shape=(len(values),) * 2)
+
+
+def _de_rham_whitney_entries(gc: GeometricComplex, ac: AbstractComplex, p: int):
+    """The entries of ``de_rham_whitney_matrix`` row by row: the values
+    (m, C(n+1, p+1)) and their columns, the p-faces of each row's owner."""
     rule = simplex_rule(p, DEFAULT_EXACTNESS)
-    owners, _, lam, minors = _simplex_quadrature(gc, ac, p, rule)
-    basis = mesh_geometry(gc, ac).whitney_values(p, owners[:, None], lam)
-    values = np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors)
-    m = len(owners)
-    rows = np.repeat(np.arange(m), values.shape[1])
-    return sp.csr_matrix((values.ravel(), (rows, ac.top_faces(p)[owners].ravel())), shape=(m, m))
+    owners, _, _, minors = _simplex_quadrature(gc, ac, p, rule)
+    basis = _quadrature_whitney(gc, ac, p, p, rule)
+    return np.einsum("q,mqfc,mc->mf", rule.weights, basis, minors), ac.top_faces(p)[owners]
 
 
 def coboundary_apply(c: Cochain) -> Cochain:
@@ -279,8 +293,7 @@ def coboundary_apply(c: Cochain) -> Cochain:
     ac = c.complex
     if c.degree >= ac.complex_dim:
         raise ValueError("coboundary undefined at top degree")
-    coboundary = matrices_for(ac).boundary_csr(c.degree + 1).T  # a transposed view, no copy
-    return Cochain(ac, c.degree + 1, coboundary @ c.values)
+    return Cochain(ac, c.degree + 1, matrices_for(ac).coboundary_csr(c.degree) @ c.values)
 
 
 def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:
@@ -298,11 +311,10 @@ def cup_product(gc: GeometricComplex, a: Cochain, b: Cochain) -> Cochain:
     if p + q > ac.complex_dim:
         raise ValueError(f"cup degree {p + q} exceeds complex dimension")
     rule = simplex_rule(p + q, DEFAULT_EXACTNESS)
-    owners, _, lam, minors = _simplex_quadrature(gc, ac, p + q, rule)
-    geo = mesh_geometry(gc, ac)
+    owners, _, _, minors = _simplex_quadrature(gc, ac, p + q, rule)
     wa, wb = (
         np.einsum("mf,mqfc->mqc", c.values[ac.top_faces(c.degree)[owners]],
-                  geo.whitney_values(c.degree, owners[:, None], lam))
+                  _quadrature_whitney(gc, ac, c.degree, p + q, rule))
         for c in (a, b)
     )
     product = wedge(wa, p, wb, q, gc.embed_dim)

@@ -36,7 +36,6 @@ from decfem import (
     abstr,
     assemble_poisson,
     barycentric_dual_volumes,
-    barycentric_gradients,
     boundary_vertex_ids,
     build_hodges,
     cup_product,
@@ -44,10 +43,7 @@ from decfem import (
     diagonal_hodge,
     galerkin_mass_matrix,
     l2_and_energy_error,
-    signed_volume,
     standard_test_forms,
-    unsigned_volume,
-    whitney_basis,
     whitney_interpolate,
 )
 from decfem.batched import (
@@ -605,14 +601,14 @@ def test_top_volumes_match_validation_loop(mesh):
 def test_volume_functions_match(mesh):
     gc, ac = mesh
     assert_close_or_nearer_exact(
-        [signed_volume(gc, s) for s in gc.top_simplices],
+        _signed_volumes(gc.vertices[gc.top_simplices])[0],
         [old_signed_volume(gc, s) for s in gc.top_simplices],
         lambda: [exact_signed_volume(gc, s) for s in gc.top_simplices],
     )
     for p in range(ac.complex_dim + 1):
         simplices = ac.simplex_arrays[p].tolist()
         assert_close_or_nearer_exact(
-            [unsigned_volume(gc, s) for s in simplices],
+            _simplex_volumes(gc.vertices[ac.simplex_arrays[p]]),
             [old_unsigned_volume(gc, s) for s in simplices],
             lambda: [exact_simplex(gc.vertices[s])[0] for s in simplices],
         )
@@ -621,7 +617,7 @@ def test_volume_functions_match(mesh):
 def test_gradients_match(mesh):
     gc, ac = mesh
     assert_close_or_nearer_exact(
-        [barycentric_gradients(gc, t) for t in range(gc.num_top)],
+        _simplex_gradients(gc.vertices[gc.top_simplices]),
         [old_affine_gradients(gc.vertices[s]) for s in gc.top_simplices],
         lambda: [exact_simplex(gc.vertices[s])[1] for s in gc.top_simplices],
     )
@@ -660,20 +656,20 @@ def test_whitney_basis_matches(mesh):
     rng = np.random.default_rng(3)
     grads, _, _ = old_top_geometry(gc, ac)
     exact = functools.cache(lambda: exact_top_geometry(gc, ac))
+    geo = mesh_geometry(gc, ac)
     for top_id in range(0, ac.num_simplices(n), 3):
         top = ac.simplex_arrays[n][top_id].tolist()
         lam = rng.exponential(size=n + 1)
         lam /= lam.sum()
         for p in range(n + 1):
-            for sigma in itertools.combinations(top, p + 1):
-                for ordered in (sigma, sigma[::-1]):
-                    assert_close_or_nearer_exact(
-                        whitney_basis(gc, ac, ordered, top_id, lam),
-                        old_whitney_basis(grads, ac, ordered, top_id, lam, gc.embed_dim),
-                        lambda: exact_whitney_basis(
-                            exact()[top_id][1], ac, ordered, top_id, lam, gc.embed_dim
-                        ),
-                    )
+            # One value per local p-face, in ``itertools.combinations`` order.
+            values = geo.whitney_values(p, top_id, lam)
+            for sigma, value in zip(itertools.combinations(top, p + 1), values, strict=True):
+                assert_close_or_nearer_exact(
+                    value,
+                    old_whitney_basis(grads, ac, sigma, top_id, lam, gc.embed_dim),
+                    lambda: exact_whitney_basis(exact()[top_id][1], ac, sigma, top_id, lam, gc.embed_dim),
+                )
 
 
 def test_galerkin_matches(mesh):

@@ -407,6 +407,23 @@ def test_verify_float_checks_on_slivers(capsys, tmp_path, eps):
         assert stiffness["pass"]
 
 
+@pytest.mark.parametrize("eps", [None] + SLIVER_EPS[::4], ids=lambda eps: f"{eps:.1e}" if eps else "torus")
+def test_stiffness_row_reads_the_deviation_of_the_dense_routes(capsys, tmp_path, eps):
+    """The stiffness row compares the two sparse routes on the union of their
+    patterns; its deviation is bitwise that of the dense m0 x m0 arrays."""
+    gc = meshes.torus_grid(8, 8) if eps is None else load_mesh(sliver_square_json(eps))
+    path = tmp_path / "mesh.json"
+    path.write_text(meshes.mesh_to_json(gc))
+    ac = abstr(gc)
+    d0 = cli.matrices_for(ac).coboundary_csr(0)
+    whitney_route, cotan_route = d0.T @ cli.galerkin_mass_matrix(gc, ac, 1) @ d0, poisson.cotangent_stiffness(gc)
+    dense = float(np.abs(whitney_route.toarray() - cotan_route.toarray()).max())
+    assert float(abs(whitney_route - cotan_route).max()).hex() == dense.hex()
+    _, out, _ = run(capsys, "verify", path, "--json")
+    (row,) = [c for c in json.loads(out) if c["check"] == "stiffness coincidence (<= 1e-12)"]
+    assert row["detail"] == f"max dev {dense:.2e}" and row["pass"] == (dense <= 1e-12)
+
+
 def test_verify_text_format_mesh(capsys, tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text("2 2 3 1\n0 0\n1 0\n0 1\n0 1 2\n")

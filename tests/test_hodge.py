@@ -21,9 +21,9 @@ from decfem import (
     matrix_to_coordinate_text,
     meshes,
 )
-from decfem import hodge
+from decfem import elements, hodge, poisson
 from decfem.batched import _local_coboundary
-from decfem.elements import _local_operators
+from decfem.elements import _diagonal_blocks, _local_operators
 from decfem.hodge import _product_operators
 from decfem.mesh import AbstractComplex, GeometricComplex
 from decfem.whitney import Cochain
@@ -464,6 +464,26 @@ def scattered(blocks, shape):
     return sp.coo_matrix((vals.ravel(), entries), shape=shape).toarray()
 
 
+def dense(diagonals):
+    """Diagonal Hodge blocks (num_top, k) as the full (num_top, k, k) blocks
+    they were stored as before."""
+    return diagonals[:, :, None] * np.eye(diagonals.shape[1])
+
+
+def dense_diagonal_operators(gc, ac):
+    """``_local_operators(gc, ac, "diagonal")`` as built from full diagonal
+    blocks, by matrix products with the local coboundaries."""
+    n = ac.complex_dim
+    mass = [dense(_diagonal_blocks(gc, ac, p)) for p in range(n + 1)]
+    ids = [ac.top_faces(p) for p in range(n + 1)]
+    cob_mass = [_local_coboundary(n, p).T @ mass[p + 1] for p in range(n)]
+    lap = [c @ _local_coboundary(n, p) for p, c in enumerate(cob_mass)]
+    return [
+        [(ids[p], ids[p + shift], blocks) for p, blocks in enumerate(part)]
+        for part, shift in ((mass, 0), (lap, 0), (cob_mass, 1))
+    ]
+
+
 class TestLocalAssembly:
     """The default route of ``harmonic_bases`` (local Hodge blocks and local
     coboundaries) against the route of a supplied Hodge set (global Hodge
@@ -499,6 +519,30 @@ class TestLocalAssembly:
             )
             assert np.abs(gap).max() <= 1e-12
             np.testing.assert_allclose(basis.gram, np.eye(basis.dimension), atol=1e-10)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_diagonal_operators_match_the_dense_route(self, fixture_set, name):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        counts = ac.face_counts()
+        for op, (new, old) in enumerate(zip(_local_operators(gc, ac, "diagonal"), dense_diagonal_operators(gc, ac))):
+            for p, (a, b) in enumerate(zip(new, old, strict=True)):
+                shape = (counts[p], counts[p + (op == 2)])
+                a, b = scattered(a, shape), scattered(b, shape)
+                assert np.abs(a - b).max() <= np.spacing(np.abs(b).max())
+
+    @pytest.mark.parametrize("name", ["triangle", "square", "disk", "annulus", "two_tets", "kuhn_cube_2", "perforated_grid_3"])
+    def test_diagonal_poisson_matches_the_dense_route(self, monkeypatch, fixture_set, name):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        source, boundary = (lambda x: np.sin(x[0]) + x[1]), (lambda x: x[0] * x[1])
+        new = poisson.assemble_poisson(gc, ac, "diagonal", source, boundary)
+        diagonal = elements._local_hodges
+        monkeypatch.setattr(poisson, "_local_hodges", lambda *args: dense(diagonal(*args)))
+        old = poisson.assemble_poisson(gc, ac, "diagonal", source, boundary)
+        for a, b in ((new.matrix.toarray(), old.matrix.toarray()), (new.rhs, old.rhs)):
+            assert np.abs(a - b).max() <= np.spacing(np.abs(b).max())
+        assert new.constrained == old.constrained
 
     @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
     def test_default_call_builds_no_global_hodge(self, monkeypatch, fixture_set, kind):

@@ -20,7 +20,6 @@ from decfem import (
     matrices_for,
     meshes,
     standard_test_forms,
-    whitney_basis,
     whitney_interpolate,
 )
 from decfem.exterior import index_combinations, wedge
@@ -37,38 +36,24 @@ def random_barycentric(rng, n):
 
 
 class TestWhitneyBasis:
+    """Local Whitney forms of the one top of the reference triangle, faces in
+    ``itertools.combinations`` order: edges (0, 1), (0, 2), (1, 2)."""
+
     def test_edge_form_at_barycenter(self):
         gc = meshes.reference_triangle()
-        ac = abstr(gc)
-        value = whitney_basis(gc, ac, (0, 1), 0, [1 / 3, 1 / 3, 1 / 3])
+        value = mesh_geometry(gc, abstr(gc)).whitney_values(1, 0, np.array([1 / 3, 1 / 3, 1 / 3]))[0]
         np.testing.assert_allclose(value, [2 / 3, 1 / 3], atol=1e-14)
 
     def test_edge_form_at_vertex(self):
         gc = meshes.reference_triangle()
-        ac = abstr(gc)
-        value = whitney_basis(gc, ac, (0, 1), 0, [1.0, 0.0, 0.0])
+        value = mesh_geometry(gc, abstr(gc)).whitney_values(1, 0, np.array([1.0, 0.0, 0.0]))[0]
         np.testing.assert_allclose(value, [1.0, 0.0], atol=1e-14)
 
     def test_vertex_form_is_barycentric(self):
         gc = meshes.reference_triangle()
-        ac = abstr(gc)
-        assert whitney_basis(gc, ac, (2,), 0, [0, 0, 1])[0] == pytest.approx(1.0)
-        assert whitney_basis(gc, ac, (2,), 0, [1, 0, 0])[0] == pytest.approx(0.0)
-
-    def test_rejects_non_face(self):
-        gc = meshes.split_square()
-        ac = abstr(gc)
-        # top simplex 0 is (0,1,2); vertex 3 is not in it
-        with pytest.raises(ValueError, match="not a face"):
-            whitney_basis(gc, ac, (0, 3), 0, [1 / 3, 1 / 3, 1 / 3])
-        with pytest.raises(ValueError, match="not a face"):
-            whitney_basis(gc, ac, (1, 1), 0, [1 / 3, 1 / 3, 1 / 3])
-
-    def test_rejects_bad_barycentric_point(self):
-        gc = meshes.reference_triangle()
-        ac = abstr(gc)
-        with pytest.raises(ValueError, match="barycentric"):
-            whitney_basis(gc, ac, (0, 1), 0, [0.9, 0.4, -0.3])
+        geo = mesh_geometry(gc, abstr(gc))
+        assert geo.whitney_values(0, 0, np.array([0.0, 0.0, 1.0]))[2][0] == pytest.approx(1.0)
+        assert geo.whitney_values(0, 0, np.array([1.0, 0.0, 0.0]))[2][0] == pytest.approx(0.0)
 
 
 class TestInterpolateIntegrateIdentity:
