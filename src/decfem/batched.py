@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -67,12 +67,14 @@ def _signed_volumes(coords: np.ndarray):
     """Signed volumes and longest-edge lengths of m k-simplices.
 
     The signed volume is det(E)/k! when k = d and the unsigned volume of
-    ``_simplex_volumes`` otherwise.
+    ``_simplex_volumes`` otherwise.  Squared lengths are summed column by
+    column, in ``np.linalg.norm``'s order, and the root taken of the largest.
     """
     edges = coords[:, 1:] - coords[:, :1]  # (m, k, d)
     k, d = edges.shape[1:]
     signed = _determinants(edges) / math.factorial(k) if k == d else _simplex_volumes(coords)
-    return signed, np.linalg.norm(edges, axis=2).max(axis=1, initial=0.0)
+    squares = sum(edges[:, :, j] ** 2 for j in range(d))
+    return signed, np.sqrt(reduce(np.maximum, squares.T, np.zeros(len(edges))))
 
 
 def _simplex_gradients(coords: np.ndarray) -> np.ndarray:
@@ -182,17 +184,17 @@ def _rows_strictly_increasing(rows: np.ndarray) -> bool:
     return bool(greater.all())
 
 
-def _lex_unique(rows: np.ndarray):
-    """The distinct rows in lexicographic order, and each row's rank among them."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.zeros(len(rows), dtype=bool)
+def _lex_unique(keys: np.ndarray):
+    """Index of the first occurrence of each distinct 1-d key, in ascending
+    key order, and each key's rank among the distinct keys."""
+    order = np.lexsort((keys,))
+    ranked = keys[order]
+    starts = np.zeros(len(keys), dtype=bool)
     starts[:1] = True
-    for column in ranked.T:
-        starts[1:] |= column[1:] != column[:-1]
-    ranks = np.empty(len(rows), dtype=np.int64)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ranks = np.empty(len(keys), dtype=np.int64)
     ranks[order] = np.cumsum(starts) - 1
-    return ranked[starts], ranks
+    return order[starts], ranks
 
 
 def _face_keys(prefix_ids, last_ranks, lower: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -213,7 +215,7 @@ def _sorted_ids(keys: np.ndarray, queries) -> np.ndarray:
     queries = np.asarray(queries)
     # One stable sort of keys and queries together, the queries column by
     # column: sorted levels then form long presorted runs.
-    ranks = _lex_unique(np.concatenate([keys, queries.T.ravel()])[:, None])[1]
+    ranks = _lex_unique(np.concatenate([keys, queries.T.ravel()]))[1]
     position = np.full(len(ranks), -1, dtype=np.int64)
     position[ranks[: len(keys)]] = np.arange(len(keys))
     return position[ranks[len(keys):]].reshape(queries.T.shape).T

@@ -123,14 +123,27 @@ class GeometricComplex:
         return self.top_simplices.shape[0]
 
     def _validate(self) -> np.ndarray:
-        """Top volumes; the lowest faulty simplex raises, its checks in order."""
+        """Top volumes; the lowest faulty simplex raises, its checks in order.
+
+        The checks run column by column.  Rows are range-checked only when
+        the whole array fails, and out-of-range rows then enter as zero rows.
+        Duplicates are ranked one sorted column at a time, keyed by prefix
+        rank and next vertex (``_face_keys``); the last stable sort puts the
+        lowest simplex of each vertex set first.
+        """
         tops, n = self.top_simplices, self.complex_dim
-        in_range = (tops.min(axis=1) >= 0) & (tops.max(axis=1) < self.num_vertices)
+        in_range = np.ones(len(tops), dtype=bool)
+        if tops.min() < 0 or tops.max() >= self.num_vertices:
+            in_range = ((tops >= 0) & (tops < self.num_vertices)).all(axis=1)
+            tops = np.where(in_range[:, None], tops, 0)
         ordered = np.sort(tops, axis=1)
-        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        ranks = _lex_unique(ordered)[1]
-        first = np.unique(ranks, return_index=True)[1][ranks]  # lowest simplex with this vertex set
-        vols, scales = _signed_volumes(self.vertices[np.where(in_range[:, None], tops, 0)])
+        repeated = np.zeros(len(tops), dtype=bool)
+        ranks, lower = ordered[:, 0], self.vertices
+        for c in range(1, n + 1):
+            repeated |= ordered[:, c] == ordered[:, c - 1]
+            lower, ranks = _lex_unique(_face_keys(ranks, ordered[:, c], lower, self.vertices))
+        first = lower[ranks]  # lowest simplex with the same vertex set
+        vols, scales = _signed_volumes(self.vertices[tops])
         finite = np.isfinite(vols)
         flat = np.abs(vols) * math.factorial(n) <= _DEGENERATE_RTOL * scales**n
         faulty = ~in_range | repeated | (first < np.arange(len(tops))) | ~finite | flat
@@ -220,13 +233,15 @@ class AbstractComplex:
     incidence of degree p, the id of each p-simplex's face omitting each of
     its vertices, and ``simplex_ids`` finds rows of vertex ids among the
     simplices.  ``orientation_signs`` holds one +-1 per top simplex, in the
-    order the top simplices were given geometrically.  ``abstr`` hands over
-    the face tables it built; this constructor derives them by sorted
-    lookups.  Derived data is cached on the instance: the face tables of
-    ``top_faces``, the owners of ``top_containing``, the geometry of one
-    embedding with its quadrature tables (``whitney.mesh_geometry``),
-    the boundary matrices (``chains.matrices_for``) and the hash of the
-    simplex lists (``whitney.complex_fingerprint``).
+    order the top simplices were given geometrically, and ``_top_ids`` their
+    rows in ``simplex_arrays[n]``.  ``abstr`` hands over the face tables and
+    top ids it built; this constructor derives the tables by sorted lookups,
+    and its tops are given sorted.  Derived data is cached on the instance:
+    the face tables of ``top_faces``, the owners of ``top_containing``, the
+    geometry of one embedding with its quadrature tables
+    (``whitney.mesh_geometry``), the boundary matrices
+    (``chains.matrices_for``) and the hash of the simplex lists
+    (``whitney.complex_fingerprint``).
     """
 
     def __init__(self, complex_dim, simplices, orientation_signs):
@@ -245,13 +260,13 @@ class AbstractComplex:
                 raise MeshValidationError(f"complex not closed under faces at {s}")
             boundary_faces[p] = ids
             keys.append(_face_keys(ids[:, p], ranks[:, p], levels[p - 1], vertices))
-        self._set_fields(levels, orientation_signs, keys, boundary_faces, {})
+        self._set_fields(levels, orientation_signs, keys, boundary_faces, {}, np.arange(len(levels[-1])))
 
-    def _set_fields(self, levels, orientation_signs, keys, boundary_faces, top_faces):
+    def _set_fields(self, levels, orientation_signs, keys, boundary_faces, top_faces, top_ids):
         signs = np.array(orientation_signs, dtype=int)
         if signs.shape != (len(levels[-1]),) or not np.all(np.abs(signs) == 1):
             raise MeshValidationError("orientation signs must be one +-1 per top simplex")
-        for table in itertools.chain([signs], boundary_faces.values(), top_faces.values()):
+        for table in itertools.chain([signs, top_ids], boundary_faces.values(), top_faces.values()):
             table.setflags(write=False)
         self.complex_dim = len(levels) - 1
         self.orientation_signs = signs
@@ -259,6 +274,7 @@ class AbstractComplex:
         self._keys = keys
         self._boundary_faces = boundary_faces
         self._top_faces: dict = top_faces
+        self._top_ids = top_ids
         self._owners: dict = {}  # owning top of each p-simplex, see ``top_containing``
         self._geometry = None  # affine data of one embedding, see whitney.mesh_geometry
         self._matrices = None  # boundary operators, see chains.matrices_for
@@ -341,7 +357,8 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
     canonical ascending/lexicographic order.  The orientation sign of each
     top simplex is the sign of its oriented volume in the as-given vertex
     order (for n < d, where no oriented volume exists, the permutation
-    parity relative to ascending order).
+    parity relative to ascending order).  ``_top_ids`` hands over the row
+    of each given top among the sorted ones, which ``abstr`` finds anyway.
     """
     n = gc.complex_dim
     tops = np.sort(gc.top_simplices, axis=1)
@@ -359,8 +376,9 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
         local = _local_faces(n, p).tolist()
         prefix = [lower.index(f[:-1]) for f in local]
         level = _face_keys(ids[-1][:, prefix], ranks[:, [f[-1] for f in local]], simplices[-1], vertices)
-        level, level_ids = _lex_unique(level.T.reshape(-1, 1))  # local face by local face
-        keys.append(level[:, 0])
+        level = level.T.ravel()  # local face by local face
+        first, level_ids = _lex_unique(level)
+        keys.append(level[first])
         ids.append(level_ids.reshape(-1, len(tops)).T)
         # Every top writes the facets of each of its local p-faces.
         boundary_faces[p] = np.empty((len(keys[p]), p + 1), dtype=np.int64)
@@ -368,8 +386,9 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
         simplices.append(
             np.column_stack([simplices[-1][keys[p] // len(vertices)], vertices[keys[p] % len(vertices)]])
         )
+    top_ids = ids[n][:, 0]
     order = np.empty(len(tops), dtype=np.int64)  # as-given index of each sorted top
-    order[ids[n][:, 0]] = np.arange(len(tops))
+    order[top_ids] = np.arange(len(tops))
     if n == gc.embed_dim:
         signs = np.where(gc.top_volumes > 0, 1, -1)
     else:
@@ -380,7 +399,7 @@ def abstr(gc: GeometricComplex) -> AbstractComplex:
         ids[p] = np.take(ids[p], order, axis=0)
     ids[n - 1] = boundary_faces[n][:, ::-1]  # local facet j omits vertex n - j
     ac = AbstractComplex.__new__(AbstractComplex)
-    ac._set_fields(levels, signs, keys, boundary_faces, dict(enumerate(ids)))
+    ac._set_fields(levels, signs, keys, boundary_faces, dict(enumerate(ids)), top_ids)
     return ac
 
 
@@ -449,7 +468,9 @@ def relabel_vertices(gc: GeometricComplex, permutation) -> GeometricComplex:
     if entry is not None:
         raise MeshValidationError(f"boolean vertex index in permutation entry {entry}")
     perm = _vertex_indices(np.asarray(column), "permutation entry")[:, 0]
-    if sorted(perm.tolist()) != list(range(gc.num_vertices)):
+    n = gc.num_vertices
+    in_range = len(perm) == n and perm.min() >= 0 and perm.max() < n
+    if not in_range or (np.bincount(perm, minlength=n) != 1).any():
         raise MeshValidationError("permutation must be a bijection on vertex indices")
     new_verts = np.empty_like(gc.vertices)
     new_verts[perm] = gc.vertices

@@ -147,7 +147,9 @@ def assemble_poisson(
     size = ac.num_simplices(0)
     x = gc.vertices[ac.simplex_arrays[0][:, 0]].T  # canonical vertices, coordinate-first
     f = _batch_values(source(x), (size,), "source")
-    fixed = ac.simplex_ids(np.array(boundary_ids)[:, None])
+    rank = np.zeros(gc.num_vertices, dtype=np.int64)  # canonical index of each used vertex id
+    rank[ac.simplex_arrays[0][:, 0]] = np.arange(size)
+    fixed = rank[boundary_ids]
     values = _batch_values(dirichlet(x[:, fixed]), fixed.shape, "dirichlet")
     constrained = list(zip(fixed.tolist(), values.tolist()))
     lifted = np.zeros(size)
@@ -213,24 +215,24 @@ def uniform_refine(gc: GeometricComplex) -> GeometricComplex:
 
 
 def _refine(gc: GeometricComplex, ac: AbstractComplex) -> GeometricComplex:
-    """uniform_refine of gc, reading edges and faces from ac = abstr(gc)."""
+    """uniform_refine of gc, reading edges and faces from ac = abstr(gc):
+    each given triangle's edges are its row ``ac._top_ids`` of the face table."""
     if gc.complex_dim != 2:
         raise MeshValidationError("uniform refinement implemented for 2-d complexes only")
     edges = ac.simplex_arrays[1]
     tris = gc.top_simplices
     midpoints = (gc.vertices[edges[:, 0]] + gc.vertices[edges[:, 1]]) / 2.0
     # New vertex m0 + e is the midpoint of edge e.  The face table lists the
-    # edges of each canonical triangle by the sorted positions (i, j) of
-    # their ends, in column i + j - 1.
-    mid_ids = gc.num_vertices + ac.top_faces(1)[ac.simplex_ids(np.sort(tris, axis=1))]
-    pos = (tris[:, None, :] < tris[:, :, None]).sum(axis=2)  # sorted position of each vertex
+    # edges of a triangle by the sorted position k of the vertex they omit,
+    # in column 2 - k: the number of the edge's ends above that vertex.
+    mid_ids = gc.num_vertices + ac.top_faces(1)[ac._top_ids]
     rows = np.arange(len(tris))
 
-    def mid(i, j):
-        return mid_ids[rows, pos[:, i] + pos[:, j] - 1]
+    def mid(u, v, w):  # midpoint of edge uv of the triangle with third vertex w
+        return mid_ids[rows, (w < u).astype(np.int64) + (w < v)]
 
     a, b, c = tris.T
-    mab, mbc, mca = mid(0, 1), mid(1, 2), mid(2, 0)
+    mab, mbc, mca = mid(a, b, c), mid(b, c, a), mid(c, a, b)
     new_tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
     return GeometricComplex(np.vstack([gc.vertices, midpoints]), new_tris.reshape(-1, 3))
 
