@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"decfem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, degree=None, hodge=False, tol=None, levels=False, out=False):
+    def add(name, help_text, degree=None, hodge=False, tol=None, levels=False, out=False, emits_json=True):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("mesh", help="mesh file (.json or .txt)")
         if degree:
@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--levels", type=int, default=4)
         if out:
             cmd.add_argument("--out", type=Path, default=None, help="write output here")
-        cmd.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if emits_json:
+            cmd.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return cmd
 
     add("info", "face counts and Euler characteristic")
@@ -86,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("generators", "integer homology generator chains", degree="cochain degree p")
     degree = "output degree p only (every degree is computed, from one factorisation)"
     add("harmonic", "harmonic cochain basis", degree=degree, hodge=True, out=True)
-    add("hodge", "export a discrete Hodge matrix", degree="cochain degree p", hodge=True, out=True)
+    # A Hodge matrix has one output format, the coordinate text: no --json.
+    add("hodge", "export a discrete Hodge matrix", degree="cochain degree p", hodge=True, out=True, emits_json=False)
     add("solve", "Dirichlet Poisson solve", hodge=True, tol=1e-10).add_argument(
         "--manufactured", choices=("sinsin", "affine", "none"), default="sinsin"
     )

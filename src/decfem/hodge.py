@@ -43,7 +43,6 @@ HARMONIC_COLUMNS = 4
 HARMONIC_KEEP = 1e-10
 HARMONIC_MIN = 0.5
 NONHARMONIC_MAX = 1e-4
-HODGE_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,59 +147,17 @@ def _symmetric_lu(matrix):
     )
 
 
-def _require_positive_definite(hodge, p: int):
-    """Raise AssertionError unless the degree-p Hodge matrix M factors as
-    LDL^T with every pivot above HODGE_PIVOT_TOL times the largest diagonal
-    entry of M.
-
-    A symmetric positive definite matrix factors so in any order, with
-    pivots no smaller than its least eigenvalue; a singular or indefinite
-    one cannot, up to roundoff.
-    """
-    try:
-        lu = _symmetric_lu(hodge)
-        floor = HODGE_PIVOT_TOL * hodge.diagonal().max()
-        ok = np.array_equal(lu.perm_r, lu.perm_c) and bool((lu.U.diagonal() > floor).all())
-    except RuntimeError:  # an exactly zero pivot
-        ok = False
-    if not ok:
-        raise AssertionError(f"degree-{p} Hodge matrix is not positive definite")
-
-
-def _product_operators(ac: AbstractComplex, hodges: dict):
-    """The blocks of ``elements._local_operators`` from supplied Hodge
-    matrices, by sparse products with the boundary matrices, each entry a
-    1 x 1 block."""
-    mass = [hodges[p] for p in range(ac.complex_dim + 1)]
-    bounds = [matrices_for(ac).boundary_csr(p) for p in range(1, len(mass))]
-    cob_mass = [b @ m for b, m in zip(bounds, mass[1:])]
-    lap = [c @ b.T for c, b in zip(cob_mass, bounds)]
-    return [
-        [(a.row[:, None], a.col[:, None], a.data[:, None, None]) for a in map(sp.coo_matrix, part)]
-        for part in (mass, lap, cob_mass)
-    ]
-
-
-def _shifted_system(gc: GeometricComplex, ac: AbstractComplex, kind: str, hodges):
+def _shifted_system(gc: GeometricComplex, ac: AbstractComplex, kind: str):
     """The Hodge matrix M of every degree, the shift S of every cell and the
     system matrix [[-M_<n, C], [C^T, d^T M d + S M]] of ``harmonic_bases``.
 
     The entries of M, d^T M d and C per degree come from the local Hodge
-    blocks of ``kind`` (``elements._local_operators``), or from a supplied
-    Hodge set (``_product_operators``), and are scattered with one COO to
-    CSR conversion; the shift and the system are read off the result.
+    blocks of ``kind`` (``elements._local_operators``) and are scattered
+    with one COO to CSR conversion; the shift and the system are read off
+    the result.
     """
     n, counts = ac.complex_dim, ac.face_counts()
-    if hodges is None:
-        parts = _local_operators(gc, ac, kind)
-    else:
-        for p in range(n + 1):
-            shape, got = (counts[p], counts[p]), hodges[p].shape if p in hodges else None
-            if got != shape:
-                raise ValueError(f"degree-{p} Hodge matrix must have shape {shape}, got {got}")
-        for p in range(n + 1):
-            _require_positive_definite(hodges[p].tocsr(), p)
-        parts = _product_operators(ac, hodges)
+    parts = _local_operators(gc, ac, kind)
     off = np.cumsum([0] + counts)  # off[p]: global index of the first p-cell
     cells, inner = int(off[-1]), int(off[n])  # inner: the cells of degree < n
 
@@ -245,12 +202,7 @@ def _shifted_system(gc: GeometricComplex, ac: AbstractComplex, kind: str, hodges
     return mass, cell_shift, system
 
 
-def harmonic_bases(
-    gc: GeometricComplex,
-    ac: AbstractComplex,
-    kind: str = "galerkin",
-    hodges: dict | None = None,
-) -> dict:
+def harmonic_bases(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerkin") -> dict:
     """M-orthonormal bases of the harmonic cochains of every degree, keyed by degree.
 
     Harmonic means closed (d h = 0) and weakly coclosed (orthogonal to
@@ -279,12 +231,9 @@ def harmonic_bases(
 
     M, C and d^T M d are scattered at once from the local Hodge blocks of
     ``kind`` and the constant local coboundaries, with no global Hodge
-    matrix or sparse product.  A supplied ``hodges`` set goes through sparse
-    products with the boundary matrices instead; a missing degree or a
-    wrong shape raises ValueError, and a matrix that is not positive
-    definite AssertionError, each naming the degree.
+    matrix or sparse product.
     """
-    mass, cell_shift, system = _shifted_system(gc, ac, kind, hodges)
+    mass, cell_shift, system = _shifted_system(gc, ac, kind)
     (cells, _), (size, _) = mass.shape, system.shape
     inner = size - cells  # the cells of degree < n
     lu = _symmetric_lu(system)
@@ -327,16 +276,12 @@ def harmonic_bases(
 
 
 def harmonic_basis(
-    gc: GeometricComplex,
-    ac: AbstractComplex,
-    p: int,
-    kind: str = "galerkin",
-    hodges: dict | None = None,
+    gc: GeometricComplex, ac: AbstractComplex, p: int, kind: str = "galerkin"
 ) -> HarmonicBasis:
     """The degree-p entry of ``harmonic_bases``."""
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    return harmonic_bases(gc, ac, kind, hodges)[p]
+    return harmonic_bases(gc, ac, kind)[p]
 
 
 def matrix_to_coordinate_text(matrix) -> str:

@@ -25,23 +25,21 @@ class SnfResult:
     """Smith normal form U A V = D with unimodular U, V.
 
     ``diag`` lists the positive invariant factors d1 | d2 | ...; ``rank`` is
-    their count.  ``left_inv`` is U^-1 and ``right``/``right_inv`` are V and
-    V^-1, so A V = U^-1 D: kernel and image bases are read off without
-    further elimination.
+    their count.  ``left_inv`` is U^-1 and ``right`` is V, so A V = U^-1 D:
+    kernel and image bases are read off without further elimination.
     """
 
     diag: list
     rank: int
     right: IntSparseMatrix
     left_inv: IntSparseMatrix
-    right_inv: IntSparseMatrix
 
 
 class _Eliminator:
     """Sparse integer elimination with transform tracking.
 
     The working matrix lives in dict-of-dict rows plus a column index.
-    U^-T, V^T and V^-1 are stored row-major so that every elementary matrix
+    U^-T and V^T are stored row-major so that every elementary matrix
     operation reduces to a row operation on the bookkeeping tables.
 
     Every operation records the rows and columns in which an entry value, a
@@ -61,7 +59,6 @@ class _Eliminator:
         self.dirty_cols: set = set()
         self.UinvT = {i: {i: 1} for i in range(self.m)}
         self.VT = {j: {j: 1} for j in range(self.n)}
-        self.Vinv = {j: {j: 1} for j in range(self.n)}
 
     @staticmethod
     def _axpy(table: dict, dst: int, src: int, q: int):
@@ -107,7 +104,7 @@ class _Eliminator:
         self._axpy(self.UinvT, t, i, -q)
 
     def col_sub(self, j: int, t: int, q: int):
-        """A col_j -= q * col_t, mirrored on V^T and V^-1."""
+        """A col_j -= q * col_t, mirrored on V^T."""
         self.dirty_cols.add(j)
         for r in list(self.colrows.get(t, ())):
             v = self.rows[r][t]
@@ -123,7 +120,6 @@ class _Eliminator:
                 self.colrows.get(j, set()).discard(r)
                 self.dirty_rows.add(r)
         self._axpy(self.VT, j, t, q)
-        self._axpy(self.Vinv, t, j, -q)
 
     def row_swap(self, i: int, t: int):
         if i == t:
@@ -163,7 +159,6 @@ class _Eliminator:
         if cj:
             self.colrows[t] = cj
         self._swap_rows(self.VT, j, t)
-        self._swap_rows(self.Vinv, j, t)
 
     def row_negate(self, i: int):
         self._negate_row(self.rows, i)
@@ -268,8 +263,8 @@ def _process_pivot(elim: _Eliminator, t: int):
 def smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
     """Smith normal form over the integers.
 
-    Returns positive invariant factors d1 | d2 | ..., the rank, and U^-1,
-    V and V^-1 of unimodular U, V with U A V = diag(d1, ..., dr, 0, ...).
+    Returns positive invariant factors d1 | d2 | ..., the rank, and U^-1
+    and V of unimodular U, V with U A V = diag(d1, ..., dr, 0, ...).
     The pivot rule is total-ordered, so identical inputs give identical
     outputs.
     """
@@ -288,23 +283,17 @@ def smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
         t += 1
     rank = len(diag)
 
-    def build(table: dict, size: int, transposed: bool = False) -> IntSparseMatrix:
-        # Rows leave the table as they are copied, and the entries (nonzero,
-        # in range, unique) bypass the constructor's checking copy, so no
-        # transform is held twice.
+    def build(table: dict, size: int) -> IntSparseMatrix:
+        # The transpose of a row-major table.  Rows leave the table as they
+        # are copied, and the entries (nonzero, in range, unique) bypass the
+        # constructor's checking copy, so no transform is held twice.
         out = IntSparseMatrix(size, size)
         for r in list(table):
             for c, v in table.pop(r).items():
-                out.entries[(c, r) if transposed else (r, c)] = v
+                out.entries[(c, r)] = v
         return out
 
-    return SnfResult(
-        diag,
-        rank,
-        right=build(elim.VT, elim.n, transposed=True),
-        left_inv=build(elim.UinvT, elim.m, transposed=True),
-        right_inv=build(elim.Vinv, elim.n),
-    )
+    return SnfResult(diag, rank, right=build(elim.VT, elim.n), left_inv=build(elim.UinvT, elim.m))
 
 
 @dataclass

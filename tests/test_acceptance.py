@@ -155,7 +155,7 @@ def test_criterion_05_harmonic_equals_betti(fixture_set):
         assert sum(ac.face_counts()) <= 2000
         betti = betti_numbers(matrices_for(ac))
         for kind in ("galerkin", "diagonal"):
-            bases = harmonic_bases(gc, ac, kind, build_hodges(gc, ac, kind))
+            bases = harmonic_bases(gc, ac, kind)
             dims = [basis.dimension for basis in bases.values()]
             if dims != betti:
                 ok = False

@@ -191,6 +191,20 @@ def test_hodge_rejects_a_degree_outside_the_complex(capsys, kind, degree):
     assert "outside 0..2" in err
 
 
+def test_hodge_rejects_json_as_a_usage_error(capsys):
+    code, out, err = run(capsys, "hodge", FIXTURES / "triangle.json", "--degree", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: decfem")
+    assert "unrecognized arguments: --json" in err
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"hodge"}))
+def test_every_other_command_accepts_json(command):
+    cochains = ["a.json", "b.json"] if command == "cup" else []
+    assert cli._build_parser().parse_args([command, "mesh.json", *cochains, "--json"]).json is True
+
+
 @pytest.mark.parametrize("degree", ["-1", "3"])
 def test_harmonic_rejects_a_degree_outside_the_complex(capsys, degree):
     code, out, err = run(capsys, "harmonic", FIXTURES / "square.json", "--degree", degree)

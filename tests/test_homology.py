@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,12 +39,56 @@ def snf_of(dense, **kw):
 
 
 def assert_valid_snf(a, res):
-    """A V = U^-1 D with |det U^-1| = |det V| = 1, and V V^-1 = I."""
+    """A V = U^-1 D with |det U^-1| = |det V| = 1."""
     d = IntSparseMatrix(a.rows, a.cols, {(i, i): v for i, v in enumerate(res.diag)})
     assert a @ res.right == res.left_inv @ d
     assert abs(exact_determinant(res.left_inv.to_dense())) == 1
     assert abs(exact_determinant(res.right.to_dense())) == 1
-    assert res.right @ res.right_inv == IntSparseMatrix.identity(a.cols)
+
+
+def exact_inverse(v: IntSparseMatrix) -> IntSparseMatrix:
+    """V^-1 of a square integer matrix V, by sparse Gauss-Jordan elimination
+    over the rationals; every entry of the inverse must be an integer.
+
+    The inverse is unique, so the pivot order (shortest live row first)
+    only bounds the fill-in.
+    """
+    n = v.rows
+    assert v.cols == n
+    rows = [{} for _ in range(n)]  # V, reduced in place to a permutation
+    colrows = [set() for _ in range(n)]
+    for (r, c), x in v.entries.items():
+        rows[r][c] = Fraction(x)
+        colrows[c].add(r)
+    inv = [{r: Fraction(1)} for r in range(n)]  # the identity, transformed alike
+    pivot_rows, free = [], set(range(n))
+    for col in range(n):
+        p = min(colrows[col] & free, key=lambda r: (len(rows[r]), r))
+        free.discard(p)
+        pivot_rows.append(p)
+        scale = rows[p][col]
+        rows[p] = {c: x / scale for c, x in rows[p].items()}
+        inv[p] = {c: x / scale for c, x in inv[p].items()}
+        for r in colrows[col] - {p}:
+            f = rows[r][col]
+            for table, index in ((rows, colrows), (inv, None)):
+                row = table[r]
+                for c, x in table[p].items():
+                    y = row.get(c, 0) - f * x
+                    if y:
+                        row[c] = y
+                        if index is not None:
+                            index[c].add(r)
+                    else:
+                        del row[c]
+                        if index is not None:
+                            index[c].discard(r)
+    entries = {}
+    for col, p in enumerate(pivot_rows):
+        for c, x in inv[p].items():
+            assert x.denominator == 1, f"V^-1[{col}, {c}] = {x} is not an integer"
+            entries[(col, c)] = int(x)
+    return IntSparseMatrix(n, n, entries)
 
 
 class TestSmithNormalForm:
@@ -129,7 +174,7 @@ class TestSmithNormalForm:
     def test_snf_properties_random(self, dense):
         a = IntSparseMatrix.from_dense(dense)
         res = smith_normal_form(a)
-        # A V = U^-1 D with unimodular U^-1 and V, and V^-1 exact
+        # A V = U^-1 D with unimodular U^-1 and V
         assert_valid_snf(a, res)
         # positive, divisibility chain
         assert all(v > 0 for v in res.diag)
@@ -322,7 +367,7 @@ def full_scan_pivot(elim, t):
 
 
 def snf_fields(res):
-    return (res.diag, res.rank, res.right, res.left_inv, res.right_inv)
+    return (res.diag, res.rank, res.right, res.left_inv)
 
 
 def assert_same_as_full_scan(mat):
@@ -458,7 +503,8 @@ def full_snf_generators(cm, p):
     if p >= 1:
         snf_a = smith_normal_form(cm.boundary[p])
         r = snf_a.rank
-        vmat, vinv = snf_a.right, snf_a.right_inv
+        vmat = snf_a.right
+        vinv = exact_inverse(vmat)
     else:
         r = 0
         vmat = vinv = IntSparseMatrix.identity(n_p)
@@ -642,7 +688,7 @@ def two_snf_generators(cm, p):
         return []
     kernel_cols = columns(snf_a.right, r)
     bmat = red.residual[p + 1]
-    coeff = snf_a.right_inv @ bmat
+    coeff = exact_inverse(snf_a.right) @ bmat
     assert all(rr >= r for (rr, _cc) in coeff.entries), "boundary chain escaped the cycle lattice"
     ymat = IntSparseMatrix(
         z,
@@ -710,11 +756,13 @@ class TestAgainstTwoSnfGenerators:
 
 def snf_digest(mats):
     """sha256 of diag, rank and the sorted entries of U^-1, V and V^-1 of
-    each matrix."""
+    each matrix, with V^-1 from ``exact_inverse``."""
     digest = hashlib.sha256()
     for mat in mats:
         res = smith_normal_form(mat)
-        transforms = [sorted(t.entries.items()) for t in (res.left_inv, res.right, res.right_inv)]
+        transforms = [
+            sorted(t.entries.items()) for t in (res.left_inv, res.right, exact_inverse(res.right))
+        ]
         digest.update(repr((res.diag, res.rank, transforms)).encode())
     return digest.hexdigest()
 
@@ -797,7 +845,20 @@ SNF_DIGESTS = {
 
 class TestFrozenSnfDigests:
     """Pivots, invariant factors, U^-1, V and V^-1 are those of the Smith
-    normal form that also tracked U and compacted its pivot heap."""
+    normal form that also tracked U, V^-1 and compacted its pivot heap."""
+
+    @pytest.mark.parametrize("name", [f"non_unit_{k}" for k in range(len(NON_UNIT_MATRICES))] + ["torus_16"])
+    def test_exact_inverse_inverts_v(self, name):
+        if name == "torus_16":
+            mat = matrices_for(REDUCTION_INPUTS[name]()).boundary[1]
+        else:
+            mat = IntSparseMatrix.from_dense(NON_UNIT_MATRICES[int(name.rsplit("_", 1)[1])])
+        v = smith_normal_form(mat).right
+        assert v @ exact_inverse(v) == IntSparseMatrix.identity(v.cols)
+
+    def test_exact_inverse_rejects_a_non_integral_inverse(self):
+        with pytest.raises(AssertionError, match="not an integer"):
+            exact_inverse(IntSparseMatrix.from_dense([[1, 0], [0, 2]]))
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES + list(REDUCTION_INPUTS))
     def test_same_snf_as_recorded(self, abstract_set, name):
