@@ -65,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, degree=None, hodge=False, tol=None, levels=False, out=False, emits_json=True):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(command_parser=cmd)
         cmd.add_argument("mesh", help="mesh file (.json or .txt)")
         if degree:
             cmd.add_argument("--degree", type=int, default=None, help=degree)
@@ -416,7 +417,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # reported with the usage of the command, which names its options
+            args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -3,10 +3,11 @@ are the global operators of ``hodge`` and ``poisson``.
 
 A global operator of finite element exterior calculus is the sum of its
 local element matrices over the top simplices (Arnold, Falk & Winther).
-Here they are the local Hodge blocks of both kinds, rows and columns in
-``top_faces`` order, and the blocks D^T M and D^T M D that the constant
-local coboundary D of each degree (``batched._local_coboundary``) makes of
-them.
+Here they are the local Hodge blocks of both kinds, full or diagonal, rows
+and columns in ``top_faces`` order, and the blocks D^T M and D^T M D that
+the constant local coboundary D of each degree makes of them, by one
+cached CSR map per degree and block format (``_product_maps``).  Every
+global matrix is one ``_scatter`` of such blocks.
 """
 
 from __future__ import annotations
@@ -109,31 +110,56 @@ def _local_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str, p: int) 
     raise ValueError(f"unknown hodge kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def _product_maps(n: int, p: int, diagonal: bool) -> tuple:
+    """Sparse maps from a local degree-(p+1) Hodge block M of an n-simplex
+    (flattened) or its diagonal, one per column, to D^T M D and D^T M with
+    D = ``batched._local_coboundary(n, p)``; single-threaded CSR products."""
+    cob = _local_coboundary(n, p)
+    maps = np.kron(cob, cob).T, np.kron(cob.T, np.eye(len(cob)))
+    return tuple(sp.csr_matrix(m[:, :: len(cob) + 1] if diagonal else m) for m in maps)
+
+
+def _local_products(blocks: np.ndarray, n: int, p: int):
+    """D^T M D (num_top, a, a), then D^T M (num_top, a, k), each made when read,
+    of local degree-(p+1) Hodge blocks M, full (num_top, k, k) or diagonal (num_top, k)."""
+    m, a = len(blocks), math.comb(n + 1, p + 1)
+    flat = np.ascontiguousarray(blocks.reshape(m, -1).T)
+    return ((table @ flat).T.reshape(m, a, -1) for table in _product_maps(n, p, blocks.ndim == 2))
+
+
+def _block_apply(blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """M_T x_T for every top T, by full blocks (num_top, k, k) or diagonal ones (num_top, k)."""
+    return blocks * values if blocks.ndim == 2 else np.einsum("mij,mj->mi", blocks, values)
+
+
 def _local_operators(gc: GeometricComplex, ac: AbstractComplex, kind: str):
-    """M_p, d_p^T M_{p+1} d_p and C_p = d_p^T M_{p+1} per degree as one
-    block per top: (row ids, column ids, blocks) of shapes (num_top, a),
-    (num_top, b) and (num_top, a, b), in degree-local ids.  Restricted to a
-    top's closure, d_p is the constant local coboundary D_p, so the blocks
-    of C_p are D_p^T M_{p+1},T and those of d_p^T M_{p+1} d_p are
-    D_p^T M_{p+1},T D_p, from the local Hodge blocks M_{p+1},T.  A diagonal
-    M_T with entries w gives k 1 x 1 blocks per top, and D_p^T M_{p+1},T is
-    the broadcast product D_p^T w.
+    """M_p, d_p^T M_{p+1} d_p and C_p = d_p^T M_{p+1} per degree as parts of
+    ``_scatter``, in degree-local ids.  Restricted to a top's closure, d_p
+    is the constant local coboundary D_p, so the blocks of C_p and of
+    d_p^T M_{p+1} d_p are the ``_local_products`` of the local Hodge blocks.
     """
     n = ac.complex_dim
     mass = [_local_hodges(gc, ac, kind, p) for p in range(n + 1)]
     ids = [ac.top_faces(p) for p in range(n + 1)]
-    cob_mass = [_hodge_product(_local_coboundary(n, p).T, mass[p + 1]) for p in range(n)]
-    lap = [c @ _local_coboundary(n, p) for p, c in enumerate(cob_mass)]
-    parts = [
+    lap, cob_mass = zip(*(_local_products(mass[p + 1], n, p) for p in range(n)))
+    return [
         [(ids[p], ids[p + shift], blocks) for p, blocks in enumerate(part)]
         for part, shift in ((mass, 0), (lap, 0), (cob_mass, 1))
     ]
-    if kind == "diagonal":
-        parts[0] = [(i.reshape(-1, 1), i.reshape(-1, 1), w.reshape(-1, 1, 1)) for i, w in zip(ids, mass)]
-    return parts
 
 
-def _hodge_product(left: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """left @ M_T for every top: a matrix product with full Hodge blocks
-    (num_top, k, k), a column scaling by diagonal ones (num_top, k)."""
-    return left * blocks[:, None] if blocks.ndim == 2 else left @ blocks
+def _scatter(parts, shape: tuple) -> sp.csr_matrix:
+    """The sum of parts (row ids (m, a), column ids (m, b), blocks) as one
+    CSR matrix.  Full blocks (m, a, b) put entry [t, i, j] at (rows[t, i],
+    cols[t, j]), diagonal ones (m, a) entry [t, i] at (rows[t, i], cols[t, i]).
+    Exact zeros (a masked Dirichlet row) are dropped before the sum: a
+    factorisation would treat them as nonzeros and fill in around them."""
+    placed = []
+    for rows, cols, blocks in parts:
+        ids = (rows[:, :, None], cols[:, None, :]) if blocks.ndim == 3 else (rows, cols)
+        placed.append([np.broadcast_to(i, blocks.shape) for i in ids] + [blocks, blocks != 0])
+    del rows, cols, blocks
+    rows, cols, vals = (np.concatenate([part[k][part[3]] for part in placed]) for k in range(3))
+    del placed  # freed before the conversion, with the blocks if the caller holds none
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)

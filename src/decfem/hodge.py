@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import matrices_for
-from .elements import _diagonal_blocks, _galerkin_blocks, _local_operators
+from .elements import _diagonal_blocks, _galerkin_blocks, _local_operators, _scatter
 from .mesh import AbstractComplex, GeometricComplex
 from .whitney import Cochain, coboundary_apply
 
@@ -81,12 +81,7 @@ def galerkin_mass_matrix(
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     ids = ac.top_faces(p)
-    nloc = ids.shape[1]
-    rows = np.repeat(ids, nloc, axis=1).ravel()
-    cols = np.tile(ids, nloc).ravel()
-    size = ac.num_simplices(p)
-    local = _galerkin_blocks(gc, ac, p, material)
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
+    return _scatter([(ids, ids, _galerkin_blocks(gc, ac, p, material))], (ac.num_simplices(p),) * 2)
 
 
 def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
@@ -97,8 +92,8 @@ def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    diag = _diagonal_blocks(gc, ac, p)
-    return sp.diags(np.bincount(ac.top_faces(p).ravel(), diag.ravel(), ac.num_simplices(p))).tocsr()
+    ids = ac.top_faces(p)
+    return _scatter([(ids, ids, _diagonal_blocks(gc, ac, p))], (ac.num_simplices(p),) * 2)
 
 
 def build_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerkin") -> dict:
@@ -153,27 +148,24 @@ def _shifted_system(gc: GeometricComplex, ac: AbstractComplex, kind: str):
 
     The entries of M, d^T M d and C per degree come from the local Hodge
     blocks of ``kind`` (``elements._local_operators``) and are scattered
-    with one COO to CSR conversion; the shift and the system are read off
+    at once (``elements._scatter``); the shift and the system are read off
     the result.
     """
     n, counts = ac.complex_dim, ac.face_counts()
-    parts = _local_operators(gc, ac, kind)
     off = np.cumsum([0] + counts)  # off[p]: global index of the first p-cell
     cells, inner = int(off[-1]), int(off[n])  # inner: the cells of degree < n
 
     # One tall matrix: the rows of M, then of d^T M d, then of C (degree < n).
-    # Zero entries, such as those off a diagonal Hodge, are dropped: the
-    # factorisation would treat them as nonzeros and fill in around them.
-    placed = [
-        (row_ids + base + off[p], col_ids + off[p + shift], blocks, blocks.ravel() != 0)
-        for part, base, shift in zip(parts, (0, cells, 2 * cells), (0, 0, 1))
-        for p, (row_ids, col_ids, blocks) in enumerate(part)
-    ]
-    rows = np.concatenate([np.repeat(r, b.shape[2], axis=1).ravel()[k] for r, _, b, k in placed])
-    cols = np.concatenate([np.tile(c, b.shape[1]).ravel()[k] for _, c, b, k in placed])
-    vals = np.concatenate([b.ravel()[k] for _, _, b, k in placed])
-    del parts, placed  # the blocks, copied: freed before the scatter and the system
-    ops = sp.csr_matrix((vals, (rows, cols)), shape=(2 * cells + inner, cells))
+    # The parts are a generator that alone holds the blocks, so they are
+    # freed as soon as the scatter has read them.
+    ops = _scatter(
+        (
+            (row_ids + base + off[p], col_ids + off[p + shift], blocks)
+            for part, base, shift in zip(_local_operators(gc, ac, kind), (0, cells, 2 * cells), (0, 0, 1))
+            for p, (row_ids, col_ids, blocks) in enumerate(part)
+        ),
+        (2 * cells + inner, cells),
+    )
     row = np.repeat(np.arange(ops.shape[0], dtype=ops.indices.dtype), np.diff(ops.indptr))
     ends = ops.indptr[[0, cells, 2 * cells, -1]]
     (m_row, m_col, m_val), (l_row, l_col, l_val), (c_row, c_col, c_val) = (

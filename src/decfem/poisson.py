@@ -6,7 +6,8 @@ the integrated source.  It is assembled top by top, by naturality:
 restricting to the closure of a top simplex T commutes with d, and in the
 canonical vertex order the coboundary restricted there is one constant
 +-1 table D.  So the stiffness is the sum of the local blocks
-D^T M1_T D of the local Hodge blocks M1_T, and no global Hodge matrix or
+D^T M1_T D of the local Hodge blocks M1_T (``elements._local_products``),
+scattered once (``elements._scatter``), and no global Hodge matrix or
 boundary matrix is built.  With the Whitney mass this is exactly the
 piecewise-linear Galerkin stiffness system; an independent
 cotangent-formula assembly of the same stiffness is provided for
@@ -18,16 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .batched import _local_coboundary
 from .mesh import AbstractComplex, GeometricComplex, MeshValidationError, abstr
 from .quadrature import simplex_rule
 from .whitney import _batch_values, mesh_geometry
-from .elements import _hodge_product, _local_hodges
+from .elements import _block_apply, _local_hodges, _local_products, _scatter
 
 __all__ = [
     "LinearSystem",
@@ -105,18 +104,6 @@ def boundary_vertex_ids(ac: AbstractComplex) -> list:
     return np.unique(facets).tolist()
 
 
-@lru_cache(maxsize=None)
-def _local_stiffness_map(n: int) -> sp.csr_matrix:
-    """Sparse linear map from a local degree-1 Hodge block M of an n-simplex
-    to its local stiffness D^T M D, both flattened, for blocks stored one
-    per column.  D is the coboundary from the simplex's vertices to its
-    edges (``batched._local_coboundary(n, 0)``), the same for every top.
-    Its CSR product runs on one thread, like ``elements._moment_table``'s.
-    """
-    cob = _local_coboundary(n, 0)
-    return sp.csr_matrix(np.kron(cob, cob).T)
-
-
 def assemble_poisson(
     gc: GeometricComplex,
     ac: AbstractComplex,
@@ -138,12 +125,8 @@ def assemble_poisson(
     boundary_ids = boundary_vertex_ids(ac)
     if not boundary_ids:
         raise MeshValidationError("mesh has no boundary; Dirichlet problem is not posed")
-    n, m = ac.complex_dim, ac.num_simplices(ac.complex_dim)
     mass0, mass1 = (_local_hodges(gc, ac, hodge_kind, p) for p in (0, 1))
-    if mass1.ndim == 2:  # diagonal blocks: D^T M1_T D as a scaled product
-        stiffness = _hodge_product(_local_coboundary(n, 0).T, mass1) @ _local_coboundary(n, 0)
-    else:
-        stiffness = (_local_stiffness_map(n) @ mass1.reshape(m, -1).T).T.reshape(m, n + 1, n + 1)
+    stiffness = next(_local_products(mass1, ac.complex_dim, 0))  # D^T M1_T D alone
     size = ac.num_simplices(0)
     x = gc.vertices[ac.simplex_arrays[0][:, 0]].T  # canonical vertices, coordinate-first
     f = _batch_values(source(x), (size,), "source")
@@ -155,19 +138,15 @@ def assemble_poisson(
     lifted = np.zeros(size)
     lifted[fixed] = values
     verts = ac.top_faces(0)
-    load = mass0 * f[verts] if mass0.ndim == 2 else np.einsum("mij,mj->mi", mass0, f[verts])
-    load -= np.einsum("mij,mj->mi", stiffness, lifted[verts])
+    load = _block_apply(mass0, f[verts]) - _block_apply(stiffness, lifted[verts])
     rhs = np.bincount(verts.ravel(), load.ravel(), size)
     rhs[fixed] = values
     free = np.ones(size)
     free[fixed] = 0.0
     free = free[verts]
     stiffness *= free[:, :, None] * free[:, None, :]
-    rows = np.concatenate([np.repeat(verts, n + 1, axis=1).ravel(), fixed])
-    cols = np.concatenate([np.tile(verts, n + 1).ravel(), fixed])
-    data = np.concatenate([stiffness.ravel(), np.ones(len(fixed))])
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
-    matrix.eliminate_zeros()
+    unit = (fixed[:, None], fixed[:, None], np.ones((len(fixed), 1)))  # a diagonal part
+    matrix = _scatter([(verts, verts, stiffness), unit], (size, size))
     return LinearSystem(matrix=matrix, rhs=rhs, constrained=constrained)
 
 

@@ -21,10 +21,11 @@ import numpy as np
 __all__ = ["QuadratureRule", "simplex_rule"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Points (barycentric (dim+1)-tuples), weights summing to 1, and the
-    polynomial degree integrated exactly."""
+    polynomial degree integrated exactly.  A rule compares and hashes by
+    identity: its fields are arrays, which have no single truth value."""
 
     dim: int
     points: np.ndarray

@@ -121,21 +121,19 @@ class _MeshGeometry:
         self.origin = coords[:, 0]
         self._tables: dict = {}
 
-    def cached(self, key: tuple, rule, build):
+    def cached(self, key: tuple, build):
         """The read-only arrays ``build()`` returns, built once per ``key``.
 
-        A ``QuadratureRule`` holds arrays, so it cannot be hashed: a key
-        carries the rule's ``id`` and its entry the rule itself, which a hit
-        must be.  The entry keeps the rule alive, so that id is not reused
-        while the entry exists.
+        A key may hold a ``QuadratureRule``, which hashes by identity; the
+        key keeps the rule alive, so another rule never meets its entry.
         """
-        entry = self._tables.get(key)
-        if entry is None or entry[0] is not rule:
+        arrays = self._tables.get(key)
+        if arrays is None:
             arrays = build()
             for array in arrays if isinstance(arrays, tuple) else (arrays,):
                 array.setflags(write=False)
-            entry = self._tables[key] = (rule, arrays)
-        return entry[1]
+            self._tables[key] = arrays
+        return arrays
 
     def barycentric(self, top_ids, points: np.ndarray) -> np.ndarray:
         """Barycentric coordinates (..., n+1) of points (..., d) in the tops
@@ -164,7 +162,7 @@ class _MeshGeometry:
             signs = math.factorial(p) * (-1.0) ** np.arange(p + 1)
             return minors[:, _facet_rows(n, p)] * signs[:, None]
 
-        return self.cached(("wedge", p), None, build)
+        return self.cached(("wedge", p), build)
 
     def whitney_values(self, p: int, top_ids, lam: np.ndarray) -> np.ndarray:
         """Every local Whitney p-form of the tops ``top_ids`` at their
@@ -219,7 +217,7 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
         minors = _minors(frame, combos, np.arange(p)) / math.factorial(p)
         return owners, points, lam, minors
 
-    return geo.cached(("quadrature", p, id(rule)), rule, build)
+    return geo.cached(("quadrature", p, rule), build)
 
 
 def _quadrature_whitney(gc: GeometricComplex, ac: AbstractComplex, k: int, p: int, rule: QuadratureRule):
@@ -228,7 +226,7 @@ def _quadrature_whitney(gc: GeometricComplex, ac: AbstractComplex, k: int, p: in
     (m, nq, C(n+1, k+1), C(d, k)); built once per k, degree and rule."""
     owners, _, lam, _ = _simplex_quadrature(gc, ac, p, rule)
     geo = mesh_geometry(gc, ac)
-    return geo.cached(("whitney", k, p, id(rule)), rule, lambda: geo.whitney_values(k, owners[:, None], lam))
+    return geo.cached(("whitney", k, p, rule), lambda: geo.whitney_values(k, owners[:, None], lam))
 
 
 def de_rham_map(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decfem import abstr, cli, matrices_for, meshes
+from decfem import abstr, cli, matrices_for, meshes, quadrature
 from decfem.chains import ComplexMatrices
 from decfem.exterior import index_combinations
 from decfem.mesh import AbstractComplex
@@ -158,20 +158,22 @@ def test_another_rule_of_the_same_dimension_never_hits():
     ac = abstr(gc)
     first = QuadratureRule(1, np.array([[0.5, 0.5]]), np.array([1.0]), 1)
     other = QuadratureRule(1, np.array([[0.25, 0.75], [0.75, 0.25]]), np.array([0.5, 0.5]), 1)
-    tables = _simplex_quadrature(gc, ac, 1, first)
+    _simplex_quadrature(gc, ac, 1, first)
     for a, b in zip(_simplex_quadrature(gc, ac, 1, other), uncached_quadrature(gc, ac, 1, other), strict=True):
         assert_bitwise(a, b)
-    # A collected rule whose id another rule reuses: the entry under the
-    # new rule's id holds the old rule and its tables, and must miss.
-    fresh = abstr(gc)
-    geo = mesh_geometry(gc, fresh)
-    geo._tables[("quadrature", 1, id(other))] = (first, tables)
-    for a, b in zip(_simplex_quadrature(gc, fresh, 1, other), uncached_quadrature(gc, fresh, 1, other), strict=True):
-        assert_bitwise(a, b)
-    values = _quadrature_whitney(gc, fresh, 1, 1, other)
-    geo._tables[("whitney", 1, 1, id(first))] = (other, values)
-    owners, _, lam, _ = uncached_quadrature(gc, fresh, 1, first)
-    assert_bitwise(_quadrature_whitney(gc, fresh, 1, 1, first), geo.whitney_values(1, owners[:, None], lam))
+    _quadrature_whitney(gc, ac, 1, 1, first)
+    owners, _, lam, _ = uncached_quadrature(gc, ac, 1, other)
+    geo = mesh_geometry(gc, ac)
+    assert_bitwise(_quadrature_whitney(gc, ac, 1, 1, other), geo.whitney_values(1, owners[:, None], lam))
+
+
+def test_rules_compare_and_hash_by_identity():
+    # Field-wise comparison would ask arrays for one truth value and raise.
+    rule = simplex_rule(2, 2)
+    copy = QuadratureRule(rule.dim, rule.points, rule.weights, rule.exactness_degree)
+    assert rule == rule and rule != copy and rule != quadrature._triangle_midpoint()
+    assert hash(rule) == object.__hash__(rule)
+    assert len({rule, copy, simplex_rule(2, 2)}) == 2
 
 
 @pytest.mark.parametrize("name", ["square", "tetrahedron_boundary", "torus", "kuhn_cube_2"])
@@ -205,11 +207,10 @@ def build_counter(monkeypatch):
         _MeshGeometry.cached, AbstractComplex.top_containing, ComplexMatrices.coboundary_csr
     )
 
-    def counted_cached(self, key, rule, build):
-        entry = self._tables.get(key)
-        if key[0] == "quadrature" and (entry is None or entry[0] is not rule):
+    def counted_cached(self, key, build):
+        if key[0] == "quadrature" and key not in self._tables:
             counts["quadrature"] += 1
-        return cached(self, key, rule, build)
+        return cached(self, key, build)
 
     def counted_owners(self, p):
         if p not in self._owners:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from decfem import abstr, cup_product, diagonal_hodge, load_mesh, matrix_to_coordinate_text, meshes
-from decfem import cli, poisson, whitney
+from decfem import cli, hodge, poisson, whitney
 from decfem.cli import main
 from decfem.whitney import Cochain, cochain_from_json, cochain_to_json
 
 from conftest import sliver_square_json
+from test_hodge import old_galerkin_scatter
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -197,6 +198,38 @@ def test_hodge_rejects_json_as_a_usage_error(capsys):
     assert out == ""
     assert err.startswith("usage: decfem")
     assert "unrecognized arguments: --json" in err
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["hodge", "square.json", "--json"], ["--degree", "--hodge", "--out"]),
+        (["solve", "square.json", "--levels", "3"], ["--hodge", "--tol", "--manufactured"]),
+    ],
+)
+def test_usage_errors_come_from_the_command_parser(capsys, argv, options):
+    code, out, err = run(capsys, argv[0], FIXTURES / argv[1], *argv[2:])
+    assert code == 2
+    assert out == ""
+    usage = err.split(": error:")[0]
+    assert err.startswith(f"usage: decfem {argv[0]} ")
+    assert all(option in usage for option in options)
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+
+
+@pytest.mark.parametrize(
+    "name, header, zeros, stored",
+    [("square", "5 5 17", 8, "5 5 9"), ("triangle", "3 3 9", 4, "3 3 5"), ("tetrahedron_boundary", "6 6 30", 12, "6 6 18")],
+)
+def test_hodge_writes_no_stored_zeros(capsys, monkeypatch, name, header, zeros, stored):
+    code, out, _ = run(capsys, "hodge", FIXTURES / f"{name}.json", "--degree", "1")
+    assert code == 0
+    gc = load_mesh((FIXTURES / f"{name}.json").read_text())
+    monkeypatch.setattr(hodge, "_scatter", old_galerkin_scatter)  # the former one, zeros kept
+    old = matrix_to_coordinate_text(hodge.galerkin_mass_matrix(gc, abstr(gc), 1)).splitlines()
+    nonzero = [line for line in old[1:] if float(line.split()[2]) != 0]
+    assert (old[0], len(old) - 1 - len(nonzero)) == (header, zeros)
+    assert out.splitlines() == [stored, *nonzero]
 
 
 @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"hodge"}))

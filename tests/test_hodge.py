@@ -421,10 +421,15 @@ def oracle_or_fixture(fixture_set, name):
 
 
 def scattered(blocks, shape):
-    """The matrix of one (row ids, column ids, blocks) set, dense."""
+    """The matrix of one (row ids, column ids, blocks) set, dense: full
+    blocks (m, a, b) or diagonal ones (m, a), entry [t, i] at
+    (rows[t, i], cols[t, i])."""
     rows, cols, vals = blocks
-    a, b = vals.shape[1:]
-    entries = (np.repeat(rows, b, axis=1).ravel(), np.tile(cols, a).ravel())
+    if vals.ndim == 2:
+        entries = (rows.ravel(), cols.ravel())
+    else:
+        a, b = vals.shape[1:]
+        entries = (np.repeat(rows, b, axis=1).ravel(), np.tile(cols, a).ravel())
     return sp.coo_matrix((vals.ravel(), entries), shape=shape).toarray()
 
 
@@ -460,6 +465,145 @@ def _product_operators(ac: AbstractComplex, hodges: dict):
         [(a.row[:, None], a.col[:, None], a.data[:, None, None]) for a in map(sp.coo_matrix, part)]
         for part in (mass, lap, cob_mass)
     ]
+
+
+def old_local_stiffness_map(n):
+    """The map of the local Galerkin stiffness D^T M D that Poisson
+    assembly used before ``elements._product_maps``."""
+    cob = _local_coboundary(n, 0)
+    return sp.csr_matrix(np.kron(cob, cob).T)
+
+
+def old_hodge_product(left, blocks):
+    """left @ M_T for every top, as computed before ``elements._product_maps``:
+    a matrix product with full blocks, a column scaling by diagonal ones."""
+    return left * blocks[:, None] if blocks.ndim == 2 else left @ blocks
+
+
+def old_entries(parts):
+    """The coordinates of block parts as the former scatters laid them out,
+    a diagonal entry as a 1 x 1 block."""
+    rows, cols, vals = [], [], []
+    for r, c, v in parts:
+        if v.ndim == 2:
+            r, c, v = r.reshape(-1, 1), c.reshape(-1, 1), v.reshape(-1, 1, 1)
+        rows.append(np.repeat(r, v.shape[2], axis=1).ravel())
+        cols.append(np.tile(c, v.shape[1]).ravel())
+        vals.append(v.ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def old_galerkin_scatter(parts, shape):
+    """``galerkin_mass_matrix``'s former scatter: zeros kept."""
+    rows, cols, vals = old_entries(parts)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def old_diagonal_scatter(parts, shape):
+    """``diagonal_hodge``'s former scatter: a bincount of the diagonal."""
+    ((ids, _, diag),) = parts
+    return sp.diags(np.bincount(ids.ravel(), diag.ravel(), shape[0])).tocsr()
+
+
+def old_masked_scatter(parts, shape):
+    """``_shifted_system``'s former scatter: zeros dropped before the sum."""
+    rows, cols, vals = old_entries(parts)
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+def old_eliminating_scatter(parts, shape):
+    """``assemble_poisson``'s former scatter: zeros eliminated after the sum."""
+    rows, cols, vals = old_entries(parts)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def assert_same_but_dropped_zeros(new, old, ulps=1):
+    """Values within ``ulps`` ulp of the largest entry, the same nonzeros,
+    and stored entries only where the old matrix stores one."""
+    new, old = sp.csr_matrix(new), sp.csr_matrix(old)
+    assert new.shape == old.shape
+    assert abs(new - old).max() <= ulps * np.spacing(abs(old).max())
+    stored = lambda m: set(zip(*sp.coo_matrix(m).coords))  # noqa: E731
+    nonzero = lambda m: set(zip(*m.nonzero()))  # noqa: E731
+    assert nonzero(new) == nonzero(old)
+    assert stored(new) <= stored(old)
+
+
+POISSON_MESHES = ["triangle", "square", "disk", "annulus", "two_tets", "kuhn_cube_2", "perforated_grid_3"]
+
+
+class TestOneRoute:
+    """``elements._product_maps`` and ``elements._scatter`` against the
+    routes they replaced: ``_hodge_product(D^T, M) @ D``, the CSR stiffness
+    map of Poisson assembly and the four former scatters."""
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_products_match_the_former_routes(self, fixture_set, name, kind):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        n = ac.complex_dim
+        for p in range(n):
+            blocks = elements._local_hodges(gc, ac, kind, p + 1)
+            lap, cob = elements._local_products(blocks, n, p)
+            old_cob = old_hodge_product(_local_coboundary(n, p).T, blocks)
+            old_lap = old_cob @ _local_coboundary(n, p)
+            if p == 0 and kind == "galerkin":
+                mapped = (old_local_stiffness_map(n) @ blocks.reshape(len(blocks), -1).T).T
+                assert lap.reshape(len(blocks), -1).tobytes() == mapped.tobytes()
+            for new, old in ((lap, old_lap), (cob, old_cob)):
+                assert new.shape == old.shape
+                assert np.abs(new - old).max() <= np.spacing(np.abs(old).max())
+
+    def test_the_meshes_cover_every_dimension(self, fixture_set):
+        dims = {oracle_or_fixture(fixture_set, name).complex_dim for name in FIXTURE_NAMES + list(ORACLE_MESHES)}
+        assert dims == {1, 2, 3}
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_hodge_matrices_match_the_former_scatters(self, monkeypatch, fixture_set, name):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        for p in range(ac.complex_dim + 1):
+            new = galerkin_mass_matrix(gc, ac, p), diagonal_hodge(gc, ac, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(hodge, "_scatter", old_galerkin_scatter)
+                old_galerkin = galerkin_mass_matrix(gc, ac, p)
+                patch.setattr(hodge, "_scatter", old_diagonal_scatter)
+                old_diagonal = diagonal_hodge(gc, ac, p)
+            assert_same_but_dropped_zeros(new[0], old_galerkin)
+            assert_same_but_dropped_zeros(new[1], old_diagonal)
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(ORACLE_MESHES))
+    def test_harmonic_system_matches_the_former_scatter(self, monkeypatch, fixture_set, name, kind):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        new = hodge._shifted_system(gc, ac, kind)
+        monkeypatch.setattr(hodge, "_scatter", old_masked_scatter)
+        old = hodge._shifted_system(gc, ac, kind)
+        # The former scatter dropped zeros before the sum too: bit for bit.
+        for a, b in ((new[0], old[0]), (new[2], old[2])):
+            for field in ("indptr", "indices", "data"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert new[1].tobytes() == old[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
+    @pytest.mark.parametrize("name", POISSON_MESHES)
+    def test_poisson_matches_the_former_scatter(self, monkeypatch, fixture_set, name, kind):
+        gc = oracle_or_fixture(fixture_set, name)
+        ac = abstr(gc)
+        source, boundary = (lambda x: np.sin(x[0]) + x[1]), (lambda x: x[0] * x[1])
+        new = poisson.assemble_poisson(gc, ac, kind, source, boundary)
+        monkeypatch.setattr(poisson, "_scatter", old_eliminating_scatter)
+        old = poisson.assemble_poisson(gc, ac, kind, source, boundary)
+        # Dropping the masked zeros before the sum reorders the sums of
+        # scipy's unstable per-row sort: one ulp per summand at most.
+        summands = np.bincount(ac.top_faces(0).ravel()).max()
+        assert_same_but_dropped_zeros(new.matrix, old.matrix, ulps=summands)
+        assert new.rhs.tobytes() == old.rhs.tobytes()
 
 
 class TestLocalAssembly:
