@@ -59,7 +59,6 @@ from .hodge import (
     codifferential,
     harmonic_basis,
     harmonic_bases,
-    hodge_laplacian_apply,
     matrix_to_coordinate_text,
 )
 from .poisson import (

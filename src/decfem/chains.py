@@ -38,7 +38,8 @@ class IntSparseMatrix:
     """Sparse matrix over the integers with arbitrary-precision entries.
 
     Entries are stored as a dict (row, col) -> nonzero Python int, so
-    products and reductions never overflow.
+    products and reductions never overflow.  Two matrices compare by
+    identity; equal matrices share ``rows``, ``cols`` and ``entries``.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -59,30 +60,10 @@ class IntSparseMatrix:
                     raise ValueError(f"duplicate entry at ({r}, {c})")
                 self.entries[(r, c)] = v
 
-    @classmethod
-    def identity(cls, size: int) -> "IntSparseMatrix":
-        return cls(size, size, {(i, i): 1 for i in range(size)})
-
-    @classmethod
-    def from_dense(cls, dense) -> "IntSparseMatrix":
-        dense = [list(row) for row in dense]
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if v:
-                    ent[(i, j)] = int(v)
-        return cls(rows, cols, ent)
-
     @property
     def nnz(self) -> int:
+        """The count of stored nonzeros (``perfbench``'s tracer counts them)."""
         return len(self.entries)
-
-    def transpose(self) -> "IntSparseMatrix":
-        return IntSparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def __matmul__(self, other: "IntSparseMatrix") -> "IntSparseMatrix":
         if self.cols != other.rows:
@@ -98,28 +79,10 @@ class IntSparseMatrix:
         return IntSparseMatrix(self.rows, other.cols, {k: v for k, v in acc.items() if v})
 
     def matvec(self, vec) -> list:
-        """Exact integer matrix-vector product; vec entries must be ints."""
+        """Exact integer matrix-vector product (int entries); ``perfbench`` checks cycles with it."""
         out = [0] * self.rows
         for (r, c), v in self.entries.items():
             out[r] += v * int(vec[c])
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, IntSparseMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def to_dense(self) -> list:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
         return out
 
     def __repr__(self):
@@ -155,9 +118,10 @@ class ComplexMatrices:
     ``boundary_csr(p + 1)``, built once and shared, with read-only arrays.
     Integer data mixes with float vectors and matrices exactly, since every
     entry is +-1.  ``boundary`` holds the same boundaries as IntSparseMatrix
-    objects keyed by degree, built from the CSR matrices on first access.
-    ``homology`` fills ``_reduction`` with the coreduced complex and the
-    Betti numbers and torsion of every degree read off it.
+    objects keyed by degree, built from the CSR matrices on first access
+    for the Smith normal form and ``perfbench``.  ``homology`` fills
+    ``_reduction`` with the coreduced complex and the Betti numbers and
+    torsion of every degree read off it.
     """
 
     complex_dim: int

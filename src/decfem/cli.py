@@ -418,8 +418,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)
-        if unknown:  # reported with the usage of the command, which names its options
-            args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        if unknown:  # reported with the usage of the parser that read them
+            argv = sys.argv[1:] if argv is None else argv
+            before = argv[: argv.index(args.command)]  # what the top-level parser read
+            (parser if before else args.command_parser).error(f"unrecognized arguments: {' '.join(before or unknown)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -94,7 +94,7 @@ def _diagonal_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.nd
     primal 0-simplex likewise counts as unit measure.
     """
     n = ac.complex_dim
-    primal = _simplex_volumes(gc.vertices[ac.simplex_arrays[p]])
+    primal = _simplex_volumes(np.take(gc.vertices, ac.simplex_arrays[p], axis=0))
     if p == n:
         return 1.0 / primal[:, None]
     return _dual_shares(gc, ac, p) / primal[ac.top_faces(p)]

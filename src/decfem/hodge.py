@@ -3,8 +3,8 @@
 Two realizations are provided: the mass matrix of the Whitney-form inner
 product (symmetric positive definite, non-local inverse) and the diagonal
 dual-volume operator of cochain methods (cheap, low accuracy on barycentric
-duals).  Both feed the weak codifferential, the Hodge Laplacian and the
-harmonic-cochain solver, whose dimensions reproduce the Betti numbers.
+duals).  Both feed the weak codifferential and the harmonic-cochain
+solver, whose dimensions reproduce the Betti numbers.
 Their local blocks, one per top simplex, come from ``elements``.
 """
 
@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .chains import matrices_for
 from .elements import _diagonal_blocks, _galerkin_blocks, _local_operators, _scatter
 from .mesh import AbstractComplex, GeometricComplex
-from .whitney import Cochain, coboundary_apply
+from .whitney import Cochain
 
 __all__ = [
     "HarmonicBasis",
@@ -29,7 +29,6 @@ __all__ = [
     "codifferential",
     "harmonic_basis",
     "harmonic_bases",
-    "hodge_laplacian_apply",
     "matrix_to_coordinate_text",
 ]
 
@@ -50,14 +49,12 @@ class HarmonicBasis:
     """Cochains spanning ker(d) meet ker(weak codifferential) at one degree.
 
     The vectors are orthonormal in the Hodge inner product M of their
-    degree, and ``gram`` is their M-Gram matrix (the identity up to
-    roundoff).  Any such basis spans the same space; the one returned
-    depends on the seeded start of ``harmonic_bases``.
+    degree.  Any such basis spans the same space; the one returned depends
+    on the seeded start of ``harmonic_bases``.
     """
 
     degree: int
     vectors: list
-    gram: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -114,19 +111,6 @@ def codifferential(c: Cochain, hodges: dict) -> Cochain:
     boundary = cm.boundary_csr(p)  # transpose of the degree p-1 coboundary
     rhs = boundary @ (hodges[p] @ c.values)
     return Cochain(c.complex, p - 1, spla.spsolve(hodges[p - 1].tocsc(), rhs))
-
-
-def hodge_laplacian_apply(c: Cochain, hodges: dict) -> Cochain:
-    """Hodge Laplacian: codifferential of the coboundary plus coboundary of
-    the codifferential, with the absent term dropped at boundary degrees."""
-    ac = c.complex
-    p = c.degree
-    total = np.zeros_like(c.values)
-    if p < ac.complex_dim:
-        total += codifferential(coboundary_apply(c), hodges).values
-    if p > 0:
-        total += coboundary_apply(codifferential(c, hodges)).values
-    return Cochain(ac, p, total)
 
 
 def _symmetric_lu(matrix):
@@ -258,10 +242,8 @@ def harmonic_bases(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galer
                     f"harmonic gap violated at degree {p}: M-Gram eigenvalues {ritz.tolist()}"
                 )
             harmonic = ritz >= HARMONIC_MIN
-            scale = v[:, harmonic] / np.sqrt(ritz[harmonic])
-            vectors = second[b] @ scale
-            gram = np.einsum("ai,ab,bj->ij", scale, gram, scale)  # the M-Gram matrix of vectors
-            bases[p] = HarmonicBasis(p, [Cochain(ac, p, h) for h in vectors.T], gram)
+            vectors = second[b] @ (v[:, harmonic] / np.sqrt(ritz[harmonic]))
+            bases[p] = HarmonicBasis(p, [Cochain(ac, p, h) for h in vectors.T])
         if all(b.dimension < width for b in bases.values()):
             return bases
         width *= 2

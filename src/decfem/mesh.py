@@ -143,7 +143,7 @@ class GeometricComplex:
             repeated |= ordered[:, c] == ordered[:, c - 1]
             lower, ranks = _lex_unique(_face_keys(ranks, ordered[:, c], lower, self.vertices))
         first = lower[ranks]  # lowest simplex with the same vertex set
-        vols, scales = _signed_volumes(self.vertices[tops])
+        vols, scales = _signed_volumes(np.take(self.vertices, tops, axis=0))
         finite = np.isfinite(vols)
         flat = np.abs(vols) * math.factorial(n) <= _DEGENERATE_RTOL * scales**n
         faulty = ~in_range | repeated | (first < np.arange(len(tops))) | ~finite | flat
@@ -428,7 +428,7 @@ def _dual_shares(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.ndarra
     |T|/(n+1)!, so a vertex gets |T|/(n+1) from every top containing it.
     """
     n, d = gc.complex_dim, gc.embed_dim
-    coords = gc.vertices[ac.simplex_arrays[n]]  # (m, n+1, d)
+    coords = np.take(gc.vertices, ac.simplex_arrays[n], axis=0)  # (m, n+1, d)
     if p == 0:
         return np.repeat(_simplex_volumes(coords)[:, None] / (n + 1), n + 1, axis=1)
     frags = _simplex_volumes((_dual_fragments(n, p) @ coords).reshape(-1, n - p + 1, d))
@@ -452,7 +452,7 @@ def barycentric_dual_volumes(gc: GeometricComplex, ac: AbstractComplex) -> tuple
         np.bincount(ac.top_faces(p).ravel(), _dual_shares(gc, ac, p).ravel(), ac.num_simplices(p))
         for p in range(n)
     ]
-    vols.append(_simplex_volumes(gc.vertices[ac.simplex_arrays[n]]))
+    vols.append(_simplex_volumes(np.take(gc.vertices, ac.simplex_arrays[n], axis=0)))
     for p in range(n + 1):
         if np.any(vols[p] <= 0):
             raise MeshValidationError(f"non-positive dual volume at degree {p}")

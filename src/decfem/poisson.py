@@ -261,7 +261,7 @@ def l2_and_energy_error(
     geo = mesh_geometry(gc, ac)
     rule = simplex_rule(ac.complex_dim, 5)
     top_values = values[ac.top_faces(0)]  # (m, n+1)
-    coords = gc.vertices[ac.simplex_arrays[ac.complex_dim]]  # (m, n+1, d)
+    coords = np.take(gc.vertices, ac.simplex_arrays[ac.complex_dim], axis=0)  # (m, n+1, d)
     grad_h = np.einsum("mk,mkd->md", top_values, geo.grads)
     l2 = 0.0
     energy = 0.0

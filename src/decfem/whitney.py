@@ -115,7 +115,7 @@ class _MeshGeometry:
         # never refers to the complex: dropping the complex frees both.
         self.gc = gc
         self.complex_dim = n = ac.complex_dim
-        coords = gc.vertices[ac.simplex_arrays[n]]
+        coords = np.take(gc.vertices, ac.simplex_arrays[n], axis=0)
         self.vols = _simplex_volumes(coords)
         self.grads = _simplex_gradients(coords)
         self.origin = coords[:, 0]
@@ -208,7 +208,7 @@ def _simplex_quadrature(gc: GeometricComplex, ac: AbstractComplex, p: int, rule:
 
     def build():
         owners = ac.top_containing(p)
-        coords = gc.vertices[ac.simplex_arrays[p]]  # (m, p+1, d)
+        coords = np.take(gc.vertices, ac.simplex_arrays[p], axis=0)  # (m, p+1, d)
         points = (rule.points[:, None, :] @ coords[:, None])[:, :, 0]
         lam = geo.barycentric(owners[:, None], points)
         # One minor per ambient index combination, taken from the (d, p) edge frame.

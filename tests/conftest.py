@@ -9,6 +9,7 @@ import pytest
 import scipy.spatial
 
 from decfem import abstr, meshes
+from decfem.chains import IntSparseMatrix
 from decfem.mesh import AbstractComplex, GeometricComplex
 
 FIXTURE_NAMES = [
@@ -111,6 +112,33 @@ def rips_complex(seed: int, npts: int = 25, radius: float = 0.35) -> AbstractCom
     vertices = sorted({v for e in edges for v in e})
     simplices = [[(v,) for v in vertices], sorted(edges), sorted(triangles)]
     return AbstractComplex(2, simplices, [1] * len(triangles))
+
+
+def int_matrix(dense) -> IntSparseMatrix:
+    """The IntSparseMatrix of a table of integers given row by row."""
+    cols = len(dense[0]) if len(dense) else 0
+    return IntSparseMatrix(len(dense), cols, {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)})
+
+
+def int_identity(size: int) -> IntSparseMatrix:
+    return IntSparseMatrix(size, size, {(i, i): 1 for i in range(size)})
+
+
+def int_transpose(mat: IntSparseMatrix) -> IntSparseMatrix:
+    return IntSparseMatrix(mat.cols, mat.rows, {(c, r): v for (r, c), v in mat.entries.items()})
+
+
+def int_dense(mat: IntSparseMatrix) -> list:
+    """The entries of mat as a list of rows, zeros included."""
+    out = [[0] * mat.cols for _ in range(mat.rows)]
+    for (r, c), v in mat.entries.items():
+        out[r][c] = v
+    return out
+
+
+def int_key(mat: IntSparseMatrix) -> tuple:
+    """What two equal IntSparseMatrix objects share: the shape and the entries."""
+    return mat.rows, mat.cols, mat.entries
 
 
 def exact_determinant(dense) -> int:

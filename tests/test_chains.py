@@ -12,7 +12,16 @@ from decfem import (
 )
 from decfem.chains import ChainMapError, IntSparseMatrix, _exact
 
-from conftest import FIXTURE_NAMES, random_delaunay_mesh, rips_complex, two_tets
+from conftest import (
+    FIXTURE_NAMES,
+    int_dense,
+    int_key,
+    int_matrix,
+    int_transpose,
+    random_delaunay_mesh,
+    rips_complex,
+    two_tets,
+)
 
 
 class TestIntSparseMatrix:
@@ -23,24 +32,23 @@ class TestIntSparseMatrix:
             IntSparseMatrix(2, 2, [((0, 0), 1), ((0, 0), 2)])
 
     def test_matmul_exact(self):
-        a = IntSparseMatrix.from_dense([[1, 2], [3, 4]])
-        b = IntSparseMatrix.from_dense([[5, 6], [7, 8]])
-        assert (a @ b).to_dense() == [[19, 22], [43, 50]]
+        a = int_matrix([[1, 2], [3, 4]])
+        b = int_matrix([[5, 6], [7, 8]])
+        assert int_dense(a @ b) == [[19, 22], [43, 50]]
 
     def test_big_integers_survive(self):
         big = 10**30
-        a = IntSparseMatrix.from_dense([[big]])
-        assert (a @ a).to_dense() == [[big * big]]
+        a = int_matrix([[big]])
+        assert int_dense(a @ a) == [[big * big]]
 
     def test_transpose(self):
-        a = IntSparseMatrix.from_dense([[1, 0, 2]])
-        assert a.transpose().to_dense() == [[1], [0], [2]]
+        a = int_matrix([[1, 0, 2]])
+        assert int_dense(int_transpose(a)) == [[1], [0], [2]]
 
     def test_empty_matrix_operations(self):
         z = IntSparseMatrix(3, 2)
-        assert z.is_zero()
         assert z.nnz == 0
-        assert (z.transpose() @ z).to_dense() == [[0, 0], [0, 0]]
+        assert int_dense(int_transpose(z) @ z) == [[0, 0], [0, 0]]
 
 
 class TestBoundaryMatrix:
@@ -48,14 +56,14 @@ class TestBoundaryMatrix:
         ac = abstr(meshes.reference_triangle())
         b1 = matrices_for(ac).boundary[1]
         # column of edge (0,1) over vertices (0,1,2)
-        col = [row[0] for row in b1.to_dense()]
+        col = [row[0] for row in int_dense(b1)]
         assert col == [-1, 1, 0]
 
     def test_triangle_face_boundary(self):
         ac = abstr(meshes.reference_triangle())
         b2 = matrices_for(ac).boundary[2]
         # edges ordered (0,1),(0,2),(1,2): d(0,1,2) = (1,2) - (0,2) + (0,1)
-        col = [row[0] for row in b2.to_dense()]
+        col = [row[0] for row in int_dense(b2)]
         assert col == [1, -1, 1]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -84,29 +92,29 @@ class TestComplexProperty:
     def test_boundary_squares_to_zero(self, abstract_set, name):
         cm = matrices_for(abstract_set[name])
         for p in range(1, cm.complex_dim):
-            assert (cm.boundary[p] @ cm.boundary[p + 1]).is_zero()
+            assert (cm.boundary[p] @ cm.boundary[p + 1]).nnz == 0
 
     def test_two_tets(self):
         cm = complex_matrices(abstr(two_tets()))
-        assert (cm.boundary[1] @ cm.boundary[2]).is_zero()
-        assert (cm.boundary[2] @ cm.boundary[3]).is_zero()
+        assert (cm.boundary[1] @ cm.boundary[2]).nnz == 0
+        assert (cm.boundary[2] @ cm.boundary[3]).nnz == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_delaunay(self, seed):
         cm = complex_matrices(abstr(random_delaunay_mesh(seed)))
-        assert (cm.boundary[1] @ cm.boundary[2]).is_zero()
+        assert (cm.boundary[1] @ cm.boundary[2]).nnz == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rips(self, seed):
         cm = complex_matrices(rips_complex(seed))
-        assert (cm.boundary[1] @ cm.boundary[2]).is_zero()
+        assert (cm.boundary[1] @ cm.boundary[2]).nnz == 0
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_coboundary_is_transpose(self, abstract_set, name):
         ac = abstract_set[name]
         cm = matrices_for(ac)
         for p in range(ac.complex_dim):
-            assert _exact(cm.coboundary_csr(p)) == cm.boundary[p + 1].transpose()
+            assert int_key(_exact(cm.coboundary_csr(p))) == int_key(int_transpose(cm.boundary[p + 1]))
             assert _exact(cm.coboundary_csr(p)).entries == {
                 (c, r): v for (r, c), v in cm.boundary[p + 1].entries.items()
             }
@@ -114,9 +122,9 @@ class TestComplexProperty:
     def test_coboundary_composition_vanishes(self):
         ac = abstr(meshes.split_square())
         cm = matrices_for(ac)
-        d0 = cm.boundary[1].transpose()
-        d1 = cm.boundary[2].transpose()
-        assert (d1 @ d0).is_zero()
+        d0 = int_transpose(cm.boundary[1])
+        d1 = int_transpose(cm.boundary[2])
+        assert (d1 @ d0).nnz == 0
 
     def test_circle_coboundary_rank(self):
         ac = abstr(meshes.hollow_triangle())

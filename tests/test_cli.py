@@ -218,6 +218,23 @@ def test_usage_errors_come_from_the_command_parser(capsys, argv, options):
 
 
 @pytest.mark.parametrize(
+    "argv, usage, unknown",
+    [
+        (["--bogus", "info", "square.json"], "usage: decfem [-h] [--version]", "--bogus"),
+        (["info", "square.json", "--bogus"], "usage: decfem info [-h]", "--bogus"),
+        (["--bogus", "info", "square.json", "--late"], "usage: decfem [-h] [--version]", "--bogus"),
+    ],
+)
+def test_usage_errors_come_from_the_parser_that_read_the_option(capsys, argv, usage, unknown):
+    # An option before the command is the top-level parser's; after it, the command's.
+    code, out, err = run(capsys, *(FIXTURES / a if a.endswith(".json") else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(usage)
+    assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+@pytest.mark.parametrize(
     "name, header, zeros, stored",
     [("square", "5 5 17", 8, "5 5 9"), ("triangle", "3 3 9", 4, "3 3 5"), ("tetrahedron_boundary", "6 6 30", 12, "6 6 18")],
 )

@@ -15,7 +15,6 @@ from decfem import (
     galerkin_mass_matrix,
     harmonic_basis,
     harmonic_bases,
-    hodge_laplacian_apply,
     homology_generators,
     matrices_for,
     matrix_to_coordinate_text,
@@ -177,8 +176,9 @@ class TestHarmonicBasis:
         gc = fixture_set["torus"]
         ac = abstr(gc)
         basis = harmonic_basis(gc, ac, 1)
-        assert basis.gram.shape == (2, 2)
-        assert abs(np.linalg.det(basis.gram)) > 1e-12
+        gram = m_gram(basis, build_hodges(gc, ac)[1])
+        assert gram.shape == (2, 2)
+        assert abs(np.linalg.det(gram)) > 1e-12
 
     def test_annulus_harmonic_has_nonzero_period(self, fixture_set):
         gc = fixture_set["annulus"]
@@ -188,6 +188,12 @@ class TestHarmonicBasis:
         basis = harmonic_basis(gc, ac, 1)
         period = float(np.array(generator, dtype=float) @ basis.vectors[0].values)
         assert abs(period) > 1e-8
+
+
+def m_gram(basis, hodge):
+    """V^T M V of the basis vectors V, with M from ``build_hodges``."""
+    vectors = np.reshape([v.values for v in basis.vectors], (-1, hodge.shape[0])).T
+    return vectors.T @ (hodge @ vectors)
 
 
 def svd_harmonic_basis(ac, p, hodges):
@@ -235,6 +241,8 @@ ORACLE_MESHES = {
     "kuhn_cube_2": lambda: kuhn_cube(2),
     # beta_1 = 9 exceeds the starting width, so the column count doubles twice
     "perforated_grid_3": lambda: perforated_grid(3),
+    # beta_1 = 81: the column count doubles five times, from 4 to 128
+    "perforated_grid_9": lambda: perforated_grid(9),
 }
 
 
@@ -247,6 +255,7 @@ class TestHarmonicBases:
         hodges = build_hodges(gc, ac, kind)
         bases = harmonic_bases(gc, ac, kind)
         assert list(bases) == list(range(ac.complex_dim + 1))
+        assert [basis.dimension for basis in bases.values()] == betti_numbers(matrices_for(ac))
         for p, basis in bases.items():
             size = ac.num_simplices(p)
             old = svd_harmonic_basis(ac, p, hodges)
@@ -254,7 +263,11 @@ class TestHarmonicBases:
             assert basis.dimension == len(old)
             gap = np.abs(span_projector(new, size) - span_projector(old, size)).max()
             assert gap <= 1e-10
-            np.testing.assert_allclose(basis.gram, np.eye(basis.dimension), atol=1e-10)
+            np.testing.assert_allclose(m_gram(basis, hodges[p]), np.eye(basis.dimension), atol=1e-10)
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_perforated_grid_has_k_squared_holes(self, k):
+        assert betti_numbers(matrices_for(abstr(perforated_grid(k)))) == [1, k * k, 0]
 
     def test_two_calls_give_bitwise_equal_vectors(self, fixture_set):
         gc = fixture_set["torus"]
@@ -322,6 +335,19 @@ class TestCodifferential:
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def hodge_laplacian_apply(c, hodges, codifferential=codifferential):
+    """Hodge Laplacian: codifferential of the coboundary plus coboundary of
+    the codifferential, with the absent term dropped at boundary degrees."""
+    ac = c.complex
+    p = c.degree
+    total = np.zeros_like(c.values)
+    if p < ac.complex_dim:
+        total += codifferential(coboundary_apply(c), hodges).values
+    if p > 0:
+        total += coboundary_apply(codifferential(c, hodges)).values
+    return Cochain(ac, p, total)
+
+
 class TestHodgeLaplacian:
     def test_kills_constants_at_degree_zero(self, fixture_set):
         gc = fixture_set["disk"]
@@ -373,16 +399,6 @@ def old_codifferential(c, hodges, kind):
     return Cochain(c.complex, p - 1, values)
 
 
-def old_hodge_laplacian_apply(c, hodges, kind):
-    ac, p = c.complex, c.degree
-    total = np.zeros_like(c.values)
-    if p < ac.complex_dim:
-        total += old_codifferential(coboundary_apply(c), hodges, kind).values
-    if p > 0:
-        total += coboundary_apply(old_codifferential(c, hodges, kind)).values
-    return total
-
-
 @pytest.mark.parametrize("kind", ["galerkin", "diagonal"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ["two_tets", "kuhn_cube"])
 def test_codifferential_solve_matches_the_per_kind_solve(fixture_set, name, kind):
@@ -401,7 +417,8 @@ def test_codifferential_solve_matches_the_per_kind_solve(fixture_set, name, kind
             new = codifferential(c, hodges).values
             assert new.tobytes() == old_codifferential(c, hodges, kind).values.tobytes()
         lap = hodge_laplacian_apply(c, hodges).values
-        assert lap.tobytes() == old_hodge_laplacian_apply(c, hodges, kind).tobytes()
+        old = hodge_laplacian_apply(c, hodges, lambda c, h: old_codifferential(c, h, kind)).values
+        assert lap.tobytes() == old.tobytes()
 
 
 def test_matrix_coordinate_text_round_trip():
