@@ -44,21 +44,17 @@ class IntSparseMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         self.rows = int(rows)
         self.cols = int(cols)
         self.entries = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), v in items:
-                v = int(v)
-                if v == 0:
-                    continue
-                if not (0 <= r < self.rows and 0 <= c < self.cols):
-                    raise ValueError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-                if (r, c) in self.entries:
-                    raise ValueError(f"duplicate entry at ({r}, {c})")
-                self.entries[(r, c)] = v
+        for (r, c), v in (entries or {}).items():
+            v = int(v)
+            if v == 0:
+                continue
+            if not (0 <= r < self.rows and 0 <= c < self.cols):
+                raise ValueError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
+            self.entries[(r, c)] = v
 
     @property
     def nnz(self) -> int:

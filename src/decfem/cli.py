@@ -63,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"decfem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, degree=None, hodge=False, tol=None, levels=False, out=False, emits_json=True):
+    def add(name, handler, help_text, degree=None, hodge=False, tol=None, levels=False, out=False, emits_json=True):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(command_parser=cmd)
+        cmd.set_defaults(command_parser=cmd, handler=handler)
         cmd.add_argument("mesh", help="mesh file (.json or .txt)")
         if degree:
             cmd.add_argument("--degree", type=int, default=None, help=degree)
@@ -83,21 +83,22 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return cmd
 
-    add("info", "face counts and Euler characteristic")
-    add("betti", "Betti numbers and torsion coefficients")
-    add("generators", "integer homology generator chains", degree="cochain degree p")
+    add("info", _cmd_info, "face counts and Euler characteristic")
+    add("betti", _cmd_betti, "Betti numbers and torsion coefficients")
+    add("generators", _cmd_generators, "integer homology generator chains", degree="cochain degree p")
     degree = "output degree p only (every degree is computed, from one factorisation)"
-    add("harmonic", "harmonic cochain basis", degree=degree, hodge=True, out=True)
+    add("harmonic", _cmd_harmonic, "harmonic cochain basis", degree=degree, hodge=True, out=True)
     # A Hodge matrix has one output format, the coordinate text: no --json.
-    add("hodge", "export a discrete Hodge matrix", degree="cochain degree p", hodge=True, out=True, emits_json=False)
-    add("solve", "Dirichlet Poisson solve", hodge=True, tol=1e-10).add_argument(
+    hodge_help = "export a discrete Hodge matrix"
+    add("hodge", _cmd_hodge, hodge_help, degree="cochain degree p", hodge=True, out=True, emits_json=False)
+    add("solve", _cmd_solve, "Dirichlet Poisson solve", hodge=True, tol=1e-10).add_argument(
         "--manufactured", choices=("sinsin", "affine", "none"), default="sinsin"
     )
-    add("converge", "uniform-refinement convergence study", hodge=True, tol=1e-10, levels=True)
-    cup = add("cup", "cup product of two cochain files", out=True)
+    add("converge", _cmd_converge, "uniform-refinement convergence study", hodge=True, tol=1e-10, levels=True)
+    cup = add("cup", _cmd_cup, "cup product of two cochain files", out=True)
     cup.add_argument("first", help="cochain JSON file")
     cup.add_argument("second", help="cochain JSON file")
-    add("verify", "run the full invariant checklist", tol=1e-12)
+    add("verify", _cmd_verify, "run the full invariant checklist", tol=1e-12)
     return parser
 
 
@@ -122,8 +123,7 @@ def _emit(args, payload: dict, text: str):
     print(json.dumps(payload, indent=2) if args.json else text)
 
 
-def _cmd_info(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_info(args, gc) -> int:
     ac = abstr(gc)
     counts = ac.face_counts()
     payload = {
@@ -145,8 +145,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_betti(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_betti(args, gc) -> int:
     cm = matrices_for(abstr(gc))
     betti = betti_numbers(cm)
     torsion = {p: torsion_coefficients(cm, p) for p in range(cm.complex_dim + 1)}
@@ -160,8 +159,7 @@ def _cmd_betti(args) -> int:
     return 0
 
 
-def _cmd_generators(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_generators(args, gc) -> int:
     ac = abstr(gc)
     cm = matrices_for(ac)
     degrees = [args.degree] if args.degree is not None else range(cm.complex_dim + 1)
@@ -182,8 +180,7 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-def _cmd_harmonic(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_harmonic(args, gc) -> int:
     ac = abstr(gc)
     if args.degree is not None and not 0 <= args.degree <= ac.complex_dim:
         raise ValueError(f"degree {args.degree} outside 0..{ac.complex_dim}")
@@ -205,8 +202,7 @@ def _cmd_harmonic(args) -> int:
     return 0
 
 
-def _cmd_hodge(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_hodge(args, gc) -> int:
     ac = abstr(gc)
     p = args.degree if args.degree is not None else 0
     hodge = (
@@ -223,8 +219,7 @@ def _cmd_hodge(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_solve(args, gc) -> int:
     ac = abstr(gc)
     solution, source, boundary = None, (lambda x: 1.0 + 0 * x[0]), (lambda x: 0 * x[0])
     if args.manufactured != "none":
@@ -261,8 +256,7 @@ GALERKIN_RATE_WINDOW = (1.8, 2.2)
 DIAGONAL_FIRST_RATE_MIN = 1.4
 
 
-def _cmd_converge(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_converge(args, gc) -> int:
     if gc.embed_dim != 2 or gc.complex_dim != 2:
         raise MeshError("convergence study needs a planar 2-d mesh")
     report = convergence_study(gc, args.levels, sin_sin_solution(), args.hodge, tol=args.tol)
@@ -289,8 +283,7 @@ def _cmd_converge(args) -> int:
     return 0 if ok else DATA_ERROR
 
 
-def _cmd_cup(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_cup(args, gc) -> int:
     ac = abstr(gc)
     try:
         a = cochain_from_json(ac, json.loads(Path(args.first).read_text()))
@@ -320,8 +313,9 @@ def _exact_checks(cm) -> list:
     ]
 
 
-def _cmd_verify(args) -> int:
-    gc = _read_mesh(args.mesh)
+def _cmd_verify(args, gc) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise ValueError(f"verify tolerance must be finite and non-negative, got {args.tol}")
     ac = abstr(gc)
     cm = matrices_for(ac)
     n = ac.complex_dim
@@ -401,19 +395,6 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else DATA_ERROR
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "betti": _cmd_betti,
-    "generators": _cmd_generators,
-    "harmonic": _cmd_harmonic,
-    "hodge": _cmd_hodge,
-    "solve": _cmd_solve,
-    "converge": _cmd_converge,
-    "cup": _cmd_cup,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -425,7 +406,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args, _read_mesh(args.mesh))
     except (MeshError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

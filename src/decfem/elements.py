@@ -19,19 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .batched import (
-    _determinants, _facet_rows, _local_coboundary, _local_faces, _minors, _simplex_volumes
+    _facet_rows, _local_coboundary, _local_faces, _minors, _simplex_volumes
 )
 from .mesh import AbstractComplex, GeometricComplex, _dual_shares
 from .whitney import mesh_geometry
-
-
-def _material_tensors(material, count: int, d: int) -> np.ndarray:
-    """The d x d material tensor of every top simplex, shape (count, d, d)."""
-    get = material if callable(material) else material.__getitem__
-    tensors = [np.asarray(get(t), dtype=float) for t in range(count)]
-    if any(g.shape != (d, d) for g in tensors):
-        raise ValueError(f"material tensor must be {d}x{d}")
-    return np.array(tensors)
 
 
 @lru_cache(maxsize=None)
@@ -57,27 +48,24 @@ def _moment_table(n: int, p: int) -> sp.csr_matrix:
     return sp.csr_matrix(folded.reshape(len(a), -1).T)
 
 
-def _galerkin_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int, material=None):
+def _galerkin_blocks(gc: GeometricComplex, ac: AbstractComplex, p: int) -> np.ndarray:
     """Local Whitney p-form mass of every top simplex, shape (num_top, k, k)
     with k = C(n+1, p+1), rows and columns in ``top_faces(p)`` order.
 
     The local mass is |T| times the p x p minors of the Gram matrix
-    G = grad(lambda) A grad(lambda)^T through ``_moment_table``; the
-    top-degree form is constant, so its mass is 1 / |T|, or det(A) / |T|
-    when n = d.
+    G = grad(lambda) grad(lambda)^T through ``_moment_table``; the
+    top-degree form is constant, so its mass is 1 / |T|.
     """
-    n, d = ac.complex_dim, gc.embed_dim
+    n = ac.complex_dim
     geo = mesh_geometry(gc, ac)
     m, k = len(geo.vols), math.comb(n + 1, p + 1)
-    metric = None if material is None else _material_tensors(material, m, d)
     if p == 0:
         local = geo.vols[:, None] * (_moment_table(n, 0) @ np.ones(1))
-    elif p == n and (metric is None or n == d):
-        local = (1.0 if metric is None else _determinants(metric)) / geo.vols
+    elif p == n:
+        local = 1.0 / geo.vols
     else:
-        lifted = geo.grads if metric is None else geo.grads @ metric
         # A contiguous right operand makes the stacked product 3x faster.
-        gram = lifted @ np.ascontiguousarray(geo.grads.transpose(0, 2, 1))
+        gram = geo.grads @ np.ascontiguousarray(geo.grads.transpose(0, 2, 1))
         faces = _local_faces(n, p - 1)
         a, b = np.triu_indices(len(faces))
         local = (_moment_table(n, p) @ _minors(gram, faces[a], faces[b]).T).T * geo.vols[:, None]

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "index_combinations",
-    "num_components",
     "wedge",
 ]
 
@@ -30,10 +29,6 @@ def index_combinations(d: int, p: int) -> tuple:
 @lru_cache(maxsize=None)
 def _combination_positions(d: int, p: int) -> dict:
     return {c: i for i, c in enumerate(index_combinations(d, p))}
-
-
-def num_components(d: int, p: int) -> int:
-    return math.comb(d, p)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +63,7 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int, d: int) -> np.ndarray:
     if p > q:
         out = wedge(b, q, a, p, d)
         return out if (p * q) % 2 == 0 else -out
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (num_components(d, p + q),))
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (math.comb(d, p + q),))
     for out_idx, ia, ib, sign in _shuffle_table(d, p, q):
         out[..., out_idx] += sign * (a[..., ia] * b[..., ib])
     return out

@@ -61,24 +61,17 @@ class HarmonicBasis:
         return len(self.vectors)
 
 
-def galerkin_mass_matrix(
-    gc: GeometricComplex,
-    ac: AbstractComplex,
-    p: int,
-    material=None,
-) -> sp.csr_matrix:
+def galerkin_mass_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
     """Mass matrix of Whitney p-forms under the pointwise Euclidean product.
 
     Entry (sigma, tau) sums exact integrals of the product of the two basis
     forms over the top simplices containing both: the local blocks of
-    ``_galerkin_blocks``, scattered.  ``material`` optionally supplies a
-    symmetric positive d x d tensor per top simplex replacing the Euclidean
-    product on 1-covectors (extended to degree p by Gram determinants).
+    ``_galerkin_blocks``, scattered.
     """
     if not 0 <= p <= ac.complex_dim:
         raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
     ids = ac.top_faces(p)
-    return _scatter([(ids, ids, _galerkin_blocks(gc, ac, p, material))], (ac.num_simplices(p),) * 2)
+    return _scatter([(ids, ids, _galerkin_blocks(gc, ac, p))], (ac.num_simplices(p),) * 2)
 
 
 def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:

@@ -478,28 +478,19 @@ def relabel_vertices(gc: GeometricComplex, permutation) -> GeometricComplex:
     return GeometricComplex(new_verts, new_tops)
 
 
-def _as_text(source) -> str:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    raise MeshParseError(f"unsupported mesh source type {type(source).__name__}")
-
-
-def load_mesh(source, fmt: str = "json") -> GeometricComplex:
-    """Parse and validate a mesh from text, bytes, or a file-like object.
+def load_mesh(source: str, fmt: str = "json") -> GeometricComplex:
+    """Parse and validate a mesh from its text.
 
     ``fmt`` selects the JSON format or the plain-text alternative
     (``"json"`` | ``"text"``).  Parse failures raise MeshParseError,
     invariant violations MeshValidationError; both name the offending
     simplex where applicable.
     """
-    text = _as_text(source)
+    if not isinstance(source, str):
+        raise MeshParseError(f"unsupported mesh source type {type(source).__name__}")
     if fmt == "json":
         try:
-            obj = json.loads(text)
+            obj = json.loads(source)
         except json.JSONDecodeError as exc:
             raise MeshParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
@@ -517,7 +508,7 @@ def load_mesh(source, fmt: str = "json") -> GeometricComplex:
                 raise
             raise MeshParseError(f"malformed vertex or simplex rows: {exc}") from exc
     if fmt == "text":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in source.splitlines() if ln.strip()]
         if not lines:
             raise MeshParseError("empty mesh text")
         header = lines[0].split()
@@ -527,6 +518,9 @@ def load_mesh(source, fmt: str = "json") -> GeometricComplex:
             n, d, m0, mn = (int(tok) for tok in header)
         except ValueError as exc:
             raise MeshParseError("non-integer header field") from exc
+        for name, value in zip(("n", "d", "m0", "mn"), (n, d, m0, mn)):
+            if value < 0:
+                raise MeshParseError(f"negative header field {name} = {value}")
         if len(lines) != 1 + m0 + mn:
             raise MeshParseError(
                 f"expected {1 + m0 + mn} lines, got {len(lines)}"

@@ -65,7 +65,7 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form solution with matching source and (optionally) gradient.
+    """Closed-form solution with matching source and gradient.
 
     Each takes points coordinate-first, one (d,) or a batch (d, m), and
     returns shape (...) (``u``, ``source``) or (d, ...) (``gradient``).
@@ -73,7 +73,7 @@ class ManufacturedSolution:
 
     u: object
     source: object
-    gradient: object = None
+    gradient: object
 
 
 def sin_sin_solution() -> ManufacturedSolution:
@@ -271,9 +271,8 @@ def l2_and_energy_error(
         x = np.einsum("k,mkd->md", bary, coords).T
         diff = top_values @ bary - _batch_values(solution.u(x), (m,), "u")
         l2 += w * float(geo.vols @ (diff * diff))
-        if solution.gradient is not None:
-            gdiff = grad_h - _batch_values(solution.gradient(x), (d, m), "gradient").T
-            energy += w * float(geo.vols @ np.einsum("md,md->m", gdiff, gdiff))
+        gdiff = grad_h - _batch_values(solution.gradient(x), (d, m), "gradient").T
+        energy += w * float(geo.vols @ np.einsum("md,md->m", gdiff, gdiff))
     return math.sqrt(max(l2, 0.0)), math.sqrt(max(energy, 0.0))
 
 

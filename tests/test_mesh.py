@@ -49,13 +49,9 @@ class TestLoadMesh:
         gc = load_mesh(TRIANGLE_JSON[:-1] + ', "color": "blue"}')
         assert gc.num_top == 1
 
-    def test_bytes_and_file_like(self, tmp_path):
-        gc = load_mesh(TRIANGLE_JSON.encode())
-        assert gc.num_top == 1
-        path = tmp_path / "tri.json"
-        path.write_text(TRIANGLE_JSON)
-        with open(path) as handle:
-            assert load_mesh(handle).num_top == 1
+    def test_rejects_a_source_that_is_not_text(self):
+        with pytest.raises(MeshParseError, match="unsupported mesh source type bytes"):
+            load_mesh(TRIANGLE_JSON.encode())
 
     def test_text_format(self):
         text = "2 2 4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
@@ -72,6 +68,13 @@ class TestLoadMesh:
             load_mesh("1 2 3", fmt="text")
         with pytest.raises(MeshParseError):
             load_mesh(TRIANGLE_JSON, fmt="hdf5")
+
+    @pytest.mark.parametrize(
+        "header, field", [("2 2 -2 6", "m0 = -2"), ("2 2 3 -1", "mn = -1"), ("-1 2 3 1", "n = -1"), ("2 -2 3 1", "d = -2")]
+    )
+    def test_text_header_rejects_negative_counts(self, header, field):
+        with pytest.raises(MeshParseError, match=f"negative header field {field}$"):
+            load_mesh(f"{header}\n0 0\n1 0\n0 1\n0 1 2\n", fmt="text")
 
     def test_out_of_range_index(self):
         bad = '{"dimension": 2, "vertices": [[0,0],[1,0],[0,1]], "simplices": [[0,1,7]]}'
