@@ -20,12 +20,7 @@ import numpy as np
 from . import __version__
 from .chains import matrices_for
 from .homology import betti_numbers, homology_generators, torsion_coefficients
-from .hodge import (
-    diagonal_hodge,
-    galerkin_mass_matrix,
-    harmonic_bases,
-    matrix_to_coordinate_text,
-)
+from .hodge import _hodge_matrix, galerkin_mass_matrix, harmonic_bases, matrix_to_coordinate_text
 from .mesh import MeshError, abstr, load_mesh
 from .quadrature import simplex_rule
 from .poisson import (
@@ -205,12 +200,7 @@ def _cmd_harmonic(args, gc) -> int:
 def _cmd_hodge(args, gc) -> int:
     ac = abstr(gc)
     p = args.degree if args.degree is not None else 0
-    hodge = (
-        galerkin_mass_matrix(gc, ac, p)
-        if args.hodge == "galerkin"
-        else diagonal_hodge(gc, ac, p)
-    )
-    text = matrix_to_coordinate_text(hodge)
+    text = matrix_to_coordinate_text(_hodge_matrix(gc, ac, p, args.hodge))
     if args.out is not None:
         _write_out(args.out, text)
         print(f"degree-{p} {args.hodge} Hodge written to {args.out}")

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import matrices_for
-from .elements import _diagonal_blocks, _galerkin_blocks, _local_operators, _scatter
+from .elements import _local_hodges, _local_operators, _scatter
 from .mesh import AbstractComplex, GeometricComplex
 from .whitney import Cochain
 
@@ -61,37 +61,34 @@ class HarmonicBasis:
         return len(self.vectors)
 
 
+def _hodge_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int, kind: str) -> sp.csr_matrix:
+    """The degree-p Hodge matrix of ``kind``: the local blocks of
+    ``elements._local_hodges`` summed over the top simplices."""
+    if not 0 <= p <= ac.complex_dim:
+        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
+    blocks = _local_hodges(gc, ac, kind, p)
+    ids = ac.top_faces(p)
+    return _scatter([(ids, ids, blocks)], (ac.num_simplices(p),) * 2)
+
+
 def galerkin_mass_matrix(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
     """Mass matrix of Whitney p-forms under the pointwise Euclidean product.
 
     Entry (sigma, tau) sums exact integrals of the product of the two basis
-    forms over the top simplices containing both: the local blocks of
-    ``_galerkin_blocks``, scattered.
+    forms over the top simplices containing both.
     """
-    if not 0 <= p <= ac.complex_dim:
-        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    ids = ac.top_faces(p)
-    return _scatter([(ids, ids, _galerkin_blocks(gc, ac, p))], (ac.num_simplices(p),) * 2)
+    return _hodge_matrix(gc, ac, p, "galerkin")
 
 
 def diagonal_hodge(gc: GeometricComplex, ac: AbstractComplex, p: int) -> sp.csr_matrix:
-    """Dual-volume over primal-volume diagonal operator.
-
-    Barycentric dual cells supply the dual measures; the diagonal sums the
-    local blocks of ``_diagonal_blocks`` over the top simplices.
-    """
-    if not 0 <= p <= ac.complex_dim:
-        raise ValueError(f"degree {p} outside 0..{ac.complex_dim}")
-    ids = ac.top_faces(p)
-    return _scatter([(ids, ids, _diagonal_blocks(gc, ac, p))], (ac.num_simplices(p),) * 2)
+    """Dual-volume over primal-volume diagonal operator; barycentric dual
+    cells supply the dual measures."""
+    return _hodge_matrix(gc, ac, p, "diagonal")
 
 
 def build_hodges(gc: GeometricComplex, ac: AbstractComplex, kind: str = "galerkin") -> dict:
     """One Hodge CSR matrix per degree 0..n, keyed by degree."""
-    builders = {"galerkin": galerkin_mass_matrix, "diagonal": diagonal_hodge}
-    if kind not in builders:
-        raise ValueError(f"unknown hodge kind {kind!r}")
-    return {p: builders[kind](gc, ac, p) for p in range(ac.complex_dim + 1)}
+    return {p: _hodge_matrix(gc, ac, p, kind) for p in range(ac.complex_dim + 1)}
 
 
 def codifferential(c: Cochain, hodges: dict) -> Cochain:

@@ -38,131 +38,99 @@ class SnfResult:
 class _Eliminator:
     """Sparse integer elimination with transform tracking.
 
-    The working matrix lives in dict-of-dict rows plus a column index.
-    U^-T and V^T are stored row-major so that every elementary matrix
-    operation reduces to a row operation on the bookkeeping tables.
+    The working matrix A is held twice, by rows and by columns (``stores``,
+    each a dict of dicts, kept equal entry for entry), so a column
+    operation on A is the row operation on A^T: ``_sub`` and ``swap`` serve
+    both axes (0: rows, 1: columns).  U^-T and V^T are stored row-major so
+    that every elementary matrix operation reduces to a row operation on
+    the bookkeeping tables.
 
-    Every operation records the rows and columns in which an entry value, a
-    row length or a column count changed; ``_select_pivot`` re-keys only the
-    cells of those rows and columns into ``heap``.
+    Every operation records, per axis, the lines whose values or length it
+    changed; ``_select_pivot`` re-keys only the cells of those rows and
+    columns into ``heap``.
     """
 
     def __init__(self, mat: IntSparseMatrix):
         self.m, self.n = mat.rows, mat.cols
         self.rows: dict = {}
-        self.colrows: dict = {}
+        self.cols: dict = {}
         for (r, c), v in mat.entries.items():
             self.rows.setdefault(r, {})[c] = v
-            self.colrows.setdefault(c, set()).add(r)
+            self.cols.setdefault(c, {})[r] = v
+        self.stores = (self.rows, self.cols)
         self.heap: list = []
-        self.dirty_rows: set = set(self.rows)
-        self.dirty_cols: set = set()
+        self.dirty = (set(self.rows), set())
         self.UinvT = {i: {i: 1} for i in range(self.m)}
         self.VT = {j: {j: 1} for j in range(self.n)}
 
     @staticmethod
     def _axpy(table: dict, dst: int, src: int, q: int):
         """table row_dst -= q * row_src."""
-        drow = table.setdefault(dst, {})
-        for c, v in list(table.get(src, {}).items()):
+        drow = table[dst]
+        for c, v in table[src].items():
             nv = drow.get(c, 0) - q * v
             if nv:
                 drow[c] = nv
             else:
                 drow.pop(c, None)
 
-    @staticmethod
-    def _swap_rows(table: dict, i: int, j: int):
-        table[i], table[j] = table.get(j, {}), table.get(i, {})
-
-    @staticmethod
-    def _negate_row(table: dict, i: int):
-        row = table.get(i, {})
-        for c in row:
-            row[c] = -row[c]
-
-    def entry(self, r: int, c: int) -> int:
-        return self.rows.get(r, {}).get(c, 0)
+    def _sub(self, axis: int, i: int, t: int, q: int):
+        """Line i -= q * line t of A along ``axis``."""
+        lines, cross = self.stores[axis], self.stores[1 - axis]
+        dirty_cross = self.dirty[1 - axis]
+        self.dirty[axis].add(i)
+        line = lines.setdefault(i, {})
+        for k, v in lines[t].items():
+            # cross[k] holds line t's entry, so it exists and stays nonempty.
+            nv = line.get(k, 0) - q * v
+            if nv:
+                if k not in line:
+                    dirty_cross.add(k)
+                line[k] = cross[k][i] = nv
+            else:
+                del line[k], cross[k][i]
+                dirty_cross.add(k)
+        if not line:
+            del lines[i]
 
     def row_sub(self, i: int, t: int, q: int):
-        """A row_i -= q * row_t, mirrored on U^-T."""
-        drow = self.rows.setdefault(i, {})
-        self.dirty_rows.add(i)
-        for c, v in list(self.rows.get(t, {}).items()):
-            nv = drow.get(c, 0) - q * v
-            if nv:
-                if c not in drow:
-                    self.colrows.setdefault(c, set()).add(i)
-                    self.dirty_cols.add(c)
-                drow[c] = nv
-            else:
-                drow.pop(c, None)
-                self.colrows.get(c, set()).discard(i)
-                self.dirty_cols.add(c)
-        if not drow:
-            self.rows.pop(i, None)
+        """A row_i -= q * row_t, mirrored on U^-T (row t += q * row i)."""
+        self._sub(0, i, t, q)
         self._axpy(self.UinvT, t, i, -q)
 
     def col_sub(self, j: int, t: int, q: int):
-        """A col_j -= q * col_t, mirrored on V^T."""
-        self.dirty_cols.add(j)
-        for r in list(self.colrows.get(t, ())):
-            v = self.rows[r][t]
-            row = self.rows[r]
-            nv = row.get(j, 0) - q * v
-            if nv:
-                if j not in row:
-                    self.colrows.setdefault(j, set()).add(r)
-                    self.dirty_rows.add(r)
-                row[j] = nv
-            else:
-                row.pop(j, None)
-                self.colrows.get(j, set()).discard(r)
-                self.dirty_rows.add(r)
+        """A col_j -= q * col_t, mirrored on V^T (row j -= q * row t)."""
+        self._sub(1, j, t, q)
         self._axpy(self.VT, j, t, q)
 
-    def row_swap(self, i: int, t: int):
+    def swap(self, axis: int, i: int, t: int):
+        """Exchange lines i and t of A along ``axis``, mirrored on U^-T or V^T."""
         if i == t:
             return
-        self.dirty_rows.update((i, t))
-        ri = self.rows.pop(i, {})
-        rt = self.rows.pop(t, {})
-        if rt:
-            self.rows[i] = rt
-        if ri:
-            self.rows[t] = ri
-        for c in set(ri) | set(rt):
-            members = self.colrows.setdefault(c, set())
-            members.discard(i)
-            members.discard(t)
-            if c in rt:
-                members.add(i)
-            if c in ri:
-                members.add(t)
-        self._swap_rows(self.UinvT, i, t)
-
-    def col_swap(self, j: int, t: int):
-        if j == t:
-            return
-        self.dirty_cols.update((j, t))
-        cj = self.colrows.pop(j, set())
-        ct = self.colrows.pop(t, set())
-        for r in cj | ct:
-            row = self.rows[r]
-            vj, vt = row.pop(j, None), row.pop(t, None)
-            if vj is not None:
-                row[t] = vj
+        lines, cross = self.stores[axis], self.stores[1 - axis]
+        self.dirty[axis].update((i, t))
+        li, lt = lines.pop(i, {}), lines.pop(t, {})
+        if lt:
+            lines[i] = lt
+        if li:
+            lines[t] = li
+        for k in li.keys() | lt.keys():
+            members = cross[k]
+            vi, vt = members.pop(i, None), members.pop(t, None)
+            if vi is not None:
+                members[t] = vi
             if vt is not None:
-                row[j] = vt
-        if ct:
-            self.colrows[j] = ct
-        if cj:
-            self.colrows[t] = cj
-        self._swap_rows(self.VT, j, t)
+                members[i] = vt
+        table = (self.UinvT, self.VT)[axis]
+        table[i], table[t] = table[t], table[i]
 
     def row_negate(self, i: int):
-        self._negate_row(self.rows, i)
-        self._negate_row(self.UinvT, i)
+        row = self.rows[i]
+        for c, v in row.items():
+            row[c] = self.cols[c][i] = -v
+        row = self.UinvT[i]
+        for c, v in row.items():
+            row[c] = -v
 
 
 def _select_pivot(elim: _Eliminator, t: int):
@@ -170,7 +138,7 @@ def _select_pivot(elim: _Eliminator, t: int):
 
     Each cell's key (|v|, fill, r, c) is packed into one int,
     ((|v| m n + fill) m + r) n + c, which orders like the tuple because
-    fill = (row length - 1)(column count - 1) < m n.  The cells of rows and
+    fill = (row length - 1)(column length - 1) < m n.  The cells of rows and
     columns changed since the last call are pushed with their current keys,
     so every live cell's current key is in the heap; popping until the top
     key matches its cell's current key therefore yields the exact minimum.
@@ -178,24 +146,24 @@ def _select_pivot(elim: _Eliminator, t: int):
     """
     m, n = elim.m, elim.n
     mn = m * n
-    rows, colrows, heap = elim.rows, elim.colrows, elim.heap
-    for r in elim.dirty_rows:
+    rows, cols, heap = elim.rows, elim.cols, elim.heap
+    dirty_rows, dirty_cols = elim.dirty
+    for r in dirty_rows:
         row = rows.get(r)
         if r < t or not row:
             continue
         rfill = len(row) - 1
         for c, v in row.items():
-            heapq.heappush(heap, ((abs(v) * mn + rfill * (len(colrows[c]) - 1)) * m + r) * n + c)
-    for c in elim.dirty_cols:
-        members = colrows.get(c)
-        if c < t or not members:
+            heapq.heappush(heap, ((abs(v) * mn + rfill * (len(cols[c]) - 1)) * m + r) * n + c)
+    for c in dirty_cols:
+        col = cols.get(c)
+        if c < t or not col:
             continue
-        cfill = len(members) - 1
-        for r in members - elim.dirty_rows:
-            row = rows[r]
-            heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
-    elim.dirty_rows.clear()
-    elim.dirty_cols.clear()
+        cfill = len(col) - 1
+        for r in col.keys() - dirty_rows:
+            heapq.heappush(heap, ((abs(col[r]) * mn + (len(rows[r]) - 1) * cfill) * m + r) * n + c)
+    dirty_rows.clear()
+    dirty_cols.clear()
     while heap:
         key = heapq.heappop(heap)
         rest, c = divmod(key, n)
@@ -205,56 +173,40 @@ def _select_pivot(elim: _Eliminator, t: int):
             continue
         row = rows.get(r)
         v = row.get(c) if row else None
-        if (
-            v is not None
-            and abs(v) == absv
-            and (len(row) - 1) * (len(colrows[c]) - 1) == fill
-        ):
+        if v is not None and abs(v) == absv and (len(row) - 1) * (len(cols[c]) - 1) == fill:
             return r, c
     return None
 
 
 def _process_pivot(elim: _Eliminator, t: int):
     while True:
-        # Euclidean sweeps until the pivot divides its whole row and column.
+        # Euclidean sweeps until the pivot divides its whole row and column:
+        # row operations reduce column t, column operations row t.
         while True:
-            if elim.entry(t, t) < 0:
+            if elim.rows[t][t] < 0:
                 elim.row_negate(t)
-            p = elim.entry(t, t)
-            for i in sorted(elim.colrows.get(t, set()) - {t}):
-                q = elim.rows[i][t] // p
-                if q:
-                    elim.row_sub(i, t, q)
-            for j in sorted(c for c in elim.rows.get(t, {}) if c != t):
-                q = elim.rows[t][j] // p
-                if q:
-                    elim.col_sub(j, t, q)
-            leftovers = [
-                (abs(elim.rows[i][t]), 0, i)
-                for i in elim.colrows.get(t, set())
-                if i != t
-            ]
-            leftovers += [
-                (abs(elim.rows[t][j]), 1, j) for j in elim.rows.get(t, {}) if j != t
-            ]
+            p = elim.rows[t][t]
+            leftovers = []
+            for axis, sub in enumerate((elim.row_sub, elim.col_sub)):
+                line = elim.stores[1 - axis][t]
+                for i in sorted(line):
+                    q = line[i] // p
+                    if i != t and q:
+                        sub(i, t, q)
+                leftovers += [(abs(v), axis, i) for i, v in line.items() if i != t]
             if not leftovers:
                 break
-            _, kind, idx = min(leftovers)
-            if kind == 0:
-                elim.row_swap(idx, t)
-            else:
-                elim.col_swap(idx, t)
-        # Invariant-factor condition: pivot divides the remaining submatrix.
-        p = elim.entry(t, t)
+            _, axis, i = min(leftovers)
+            elim.swap(axis, i, t)
+        # Invariant-factor condition: pivot divides the remaining submatrix,
+        # whose rows are those after t (columns up to t hold only pivots).
+        p = elim.rows[t][t]
         if p == 1:
             return
-        violator = None
-        for r in sorted(elim.rows):
-            if r <= t:
-                continue
-            if any(c > t and v % p for c, v in elim.rows[r].items()):
-                violator = r
-                break
+        violator = next(
+            (r for r in sorted(elim.rows) if r > t and any(v % p for v in elim.rows[r].values())),
+            None,
+        )
         if violator is None:
             return
         elim.row_sub(t, violator, -1)
@@ -276,10 +228,10 @@ def smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
         pivot = _select_pivot(elim, t)
         if pivot is None:
             break
-        elim.row_swap(pivot[0], t)
-        elim.col_swap(pivot[1], t)
+        elim.swap(0, pivot[0], t)
+        elim.swap(1, pivot[1], t)
         _process_pivot(elim, t)
-        diag.append(elim.entry(t, t))
+        diag.append(elim.rows[t][t])
         t += 1
     rank = len(diag)
 

@@ -640,7 +640,7 @@ class TestLocalAssembly:
     def test_default_call_builds_no_global_hodge(self, monkeypatch, fixture_set, kind):
         gc = fixture_set["torus"]
         calls = []
-        for name in ("galerkin_mass_matrix", "diagonal_hodge", "build_hodges"):
+        for name in ("_hodge_matrix", "galerkin_mass_matrix", "diagonal_hodge", "build_hodges"):
             monkeypatch.setattr(hodge, name, lambda *args, name=name: calls.append(name))
         bases = harmonic_bases(gc, abstr(gc), kind)
         assert [b.dimension for b in bases.values()] == [1, 2, 1]

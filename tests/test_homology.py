@@ -1,7 +1,9 @@
 """Smith normal form and the integer homology pipeline."""
 
 import hashlib
+import heapq
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from decfem import (
 )
 from decfem import homology
 from decfem.chains import IntSparseMatrix, _exact
+from decfem.homology import SnfResult
 from decfem.mesh import AbstractComplex, GeometricComplex
 
 from conftest import (
@@ -362,7 +365,7 @@ def full_scan_pivot(elim, t):
         for c, v in row.items():
             if c < t:
                 continue
-            fill = (rlen - 1) * (len(elim.colrows[c]) - 1)
+            fill = (rlen - 1) * (len(elim.cols[c]) - 1)
             key = (abs(v), fill, r, c)
             if best_key is None or key < best_key:
                 best_key = key
@@ -415,10 +418,19 @@ DIFFERENTIAL_COMPLEXES = {
 }
 
 
+def differential_inputs(abstract_set, name):
+    """The complex matrices of a fixture or differential complex, and its
+    boundaries and coboundaries as integer matrices."""
+    build = DIFFERENTIAL_COMPLEXES.get(name)
+    cm = matrices_for(abstract_set[name] if build is None else build())
+    coboundaries = [_exact(cm.coboundary_csr(p)) for p in range(cm.complex_dim)]
+    return cm, list(cm.boundary.values()) + coboundaries
+
+
 def packed_key(elim, r, c):
     """The heap key of cell (r, c): ((|v| m n + fill) m + r) n + c."""
     m, n = elim.m, elim.n
-    fill = (len(elim.rows[r]) - 1) * (len(elim.colrows[c]) - 1)
+    fill = (len(elim.rows[r]) - 1) * (len(elim.cols[c]) - 1)
     return ((abs(elim.rows[r][c]) * m * n + fill) * m + r) * n + c
 
 
@@ -448,39 +460,370 @@ def assert_heap_invariant(mat):
     assert searches or mat.nnz == 0
 
 
+def integer_matrix_cases(test):
+    """Run ``test(dense)`` on small integer matrices with non-unit entries.
+
+    The examples force each non-unit branch of ``_process_pivot``:
+    [[2, 3]] a column leftover swap, [[2], [3]] a row leftover swap and
+    [[2, 0], [0, 3]] the divisibility violator.
+    """
+    matrices = st.integers(min_value=1, max_value=6).flatmap(
+        lambda cols: st.lists(
+            st.lists(
+                st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 10]),
+                min_size=cols,
+                max_size=cols,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for dense in ([[2, 3]], [[2], [3]], [[2, 0], [0, 3]], [[4, 6, 0], [6, 4, 2], [0, 2, 9]]):
+        test = example(dense)(test)
+    return settings(max_examples=150, deadline=None)(given(matrices)(test))
+
+
 class TestAgainstFullScanPivot:
     """The heap pivot search picks exactly the pivots of a full-matrix scan."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES + list(DIFFERENTIAL_COMPLEXES))
     def test_complexes(self, abstract_set, name):
-        build = DIFFERENTIAL_COMPLEXES.get(name)
-        cm = matrices_for(abstract_set[name] if build is None else build())
-        coboundaries = [_exact(cm.coboundary_csr(p)) for p in range(cm.complex_dim)]
-        for mat in list(cm.boundary.values()) + coboundaries:
+        cm, mats = differential_inputs(abstract_set, name)
+        for mat in mats:
             assert_same_as_full_scan(mat)
             assert_heap_invariant(mat)
         assert_generators_same_as_full_scan(cm)
 
-    @given(
-        st.integers(min_value=1, max_value=6).flatmap(
-            lambda cols: st.lists(
-                st.lists(
-                    st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 10]),
-                    min_size=cols,
-                    max_size=cols,
-                ),
-                min_size=1,
-                max_size=6,
-            )
-        )
-    )
-    @example([[2, 0], [0, 3]])
-    @example([[4, 6, 0], [6, 4, 2], [0, 2, 9]])
-    @settings(max_examples=150, deadline=None)
+    @integer_matrix_cases
     def test_random_integer_matrices(self, dense):
         mat = int_matrix(dense)
         assert_same_as_full_scan(mat)
         assert_heap_invariant(mat)
+
+
+# The engine that ``_Eliminator`` replaced, kept verbatim as an oracle: rows
+# as dicts, columns only as row-membership sets, and every elementary
+# operation written once per axis.  Identical inputs must give identical
+# invariant factors, U^-1 and V.
+class RowSetEliminator:
+    """Sparse integer elimination with transform tracking.
+
+    The working matrix lives in dict-of-dict rows plus a column index.
+    U^-T and V^T are stored row-major so that every elementary matrix
+    operation reduces to a row operation on the bookkeeping tables.
+
+    Every operation records the rows and columns in which an entry value, a
+    row length or a column count changed; ``rowset_select_pivot`` re-keys only the
+    cells of those rows and columns into ``heap``.
+    """
+
+    def __init__(self, mat: IntSparseMatrix):
+        self.m, self.n = mat.rows, mat.cols
+        self.rows: dict = {}
+        self.colrows: dict = {}
+        for (r, c), v in mat.entries.items():
+            self.rows.setdefault(r, {})[c] = v
+            self.colrows.setdefault(c, set()).add(r)
+        self.heap: list = []
+        self.dirty_rows: set = set(self.rows)
+        self.dirty_cols: set = set()
+        self.UinvT = {i: {i: 1} for i in range(self.m)}
+        self.VT = {j: {j: 1} for j in range(self.n)}
+
+    @staticmethod
+    def _axpy(table: dict, dst: int, src: int, q: int):
+        """table row_dst -= q * row_src."""
+        drow = table.setdefault(dst, {})
+        for c, v in list(table.get(src, {}).items()):
+            nv = drow.get(c, 0) - q * v
+            if nv:
+                drow[c] = nv
+            else:
+                drow.pop(c, None)
+
+    @staticmethod
+    def _swap_rows(table: dict, i: int, j: int):
+        table[i], table[j] = table.get(j, {}), table.get(i, {})
+
+    @staticmethod
+    def _negate_row(table: dict, i: int):
+        row = table.get(i, {})
+        for c in row:
+            row[c] = -row[c]
+
+    def entry(self, r: int, c: int) -> int:
+        return self.rows.get(r, {}).get(c, 0)
+
+    def row_sub(self, i: int, t: int, q: int):
+        """A row_i -= q * row_t, mirrored on U^-T."""
+        drow = self.rows.setdefault(i, {})
+        self.dirty_rows.add(i)
+        for c, v in list(self.rows.get(t, {}).items()):
+            nv = drow.get(c, 0) - q * v
+            if nv:
+                if c not in drow:
+                    self.colrows.setdefault(c, set()).add(i)
+                    self.dirty_cols.add(c)
+                drow[c] = nv
+            else:
+                drow.pop(c, None)
+                self.colrows.get(c, set()).discard(i)
+                self.dirty_cols.add(c)
+        if not drow:
+            self.rows.pop(i, None)
+        self._axpy(self.UinvT, t, i, -q)
+
+    def col_sub(self, j: int, t: int, q: int):
+        """A col_j -= q * col_t, mirrored on V^T."""
+        self.dirty_cols.add(j)
+        for r in list(self.colrows.get(t, ())):
+            v = self.rows[r][t]
+            row = self.rows[r]
+            nv = row.get(j, 0) - q * v
+            if nv:
+                if j not in row:
+                    self.colrows.setdefault(j, set()).add(r)
+                    self.dirty_rows.add(r)
+                row[j] = nv
+            else:
+                row.pop(j, None)
+                self.colrows.get(j, set()).discard(r)
+                self.dirty_rows.add(r)
+        self._axpy(self.VT, j, t, q)
+
+    def row_swap(self, i: int, t: int):
+        if i == t:
+            return
+        self.dirty_rows.update((i, t))
+        ri = self.rows.pop(i, {})
+        rt = self.rows.pop(t, {})
+        if rt:
+            self.rows[i] = rt
+        if ri:
+            self.rows[t] = ri
+        for c in set(ri) | set(rt):
+            members = self.colrows.setdefault(c, set())
+            members.discard(i)
+            members.discard(t)
+            if c in rt:
+                members.add(i)
+            if c in ri:
+                members.add(t)
+        self._swap_rows(self.UinvT, i, t)
+
+    def col_swap(self, j: int, t: int):
+        if j == t:
+            return
+        self.dirty_cols.update((j, t))
+        cj = self.colrows.pop(j, set())
+        ct = self.colrows.pop(t, set())
+        for r in cj | ct:
+            row = self.rows[r]
+            vj, vt = row.pop(j, None), row.pop(t, None)
+            if vj is not None:
+                row[t] = vj
+            if vt is not None:
+                row[j] = vt
+        if ct:
+            self.colrows[j] = ct
+        if cj:
+            self.colrows[t] = cj
+        self._swap_rows(self.VT, j, t)
+
+    def row_negate(self, i: int):
+        self._negate_row(self.rows, i)
+        self._negate_row(self.UinvT, i)
+
+
+def rowset_select_pivot(elim: RowSetEliminator, t: int):
+    """Smallest |value|, then least fill-in estimate, then lowest (row, col).
+
+    Each cell's key (|v|, fill, r, c) is packed into one int,
+    ((|v| m n + fill) m + r) n + c, which orders like the tuple because
+    fill = (row length - 1)(column count - 1) < m n.  The cells of rows and
+    columns changed since the last call are pushed with their current keys,
+    so every live cell's current key is in the heap; popping until the top
+    key matches its cell's current key therefore yields the exact minimum.
+    Rows and columns below t hold only finished pivots and are skipped.
+    """
+    m, n = elim.m, elim.n
+    mn = m * n
+    rows, colrows, heap = elim.rows, elim.colrows, elim.heap
+    for r in elim.dirty_rows:
+        row = rows.get(r)
+        if r < t or not row:
+            continue
+        rfill = len(row) - 1
+        for c, v in row.items():
+            heapq.heappush(heap, ((abs(v) * mn + rfill * (len(colrows[c]) - 1)) * m + r) * n + c)
+    for c in elim.dirty_cols:
+        members = colrows.get(c)
+        if c < t or not members:
+            continue
+        cfill = len(members) - 1
+        for r in members - elim.dirty_rows:
+            row = rows[r]
+            heapq.heappush(heap, ((abs(row[c]) * mn + (len(row) - 1) * cfill) * m + r) * n + c)
+    elim.dirty_rows.clear()
+    elim.dirty_cols.clear()
+    while heap:
+        key = heapq.heappop(heap)
+        rest, c = divmod(key, n)
+        rest, r = divmod(rest, m)
+        absv, fill = divmod(rest, mn)
+        if r < t or c < t:
+            continue
+        row = rows.get(r)
+        v = row.get(c) if row else None
+        if (
+            v is not None
+            and abs(v) == absv
+            and (len(row) - 1) * (len(colrows[c]) - 1) == fill
+        ):
+            return r, c
+    return None
+
+
+def rowset_process_pivot(elim: RowSetEliminator, t: int):
+    while True:
+        # Euclidean sweeps until the pivot divides its whole row and column.
+        while True:
+            if elim.entry(t, t) < 0:
+                elim.row_negate(t)
+            p = elim.entry(t, t)
+            for i in sorted(elim.colrows.get(t, set()) - {t}):
+                q = elim.rows[i][t] // p
+                if q:
+                    elim.row_sub(i, t, q)
+            for j in sorted(c for c in elim.rows.get(t, {}) if c != t):
+                q = elim.rows[t][j] // p
+                if q:
+                    elim.col_sub(j, t, q)
+            leftovers = [
+                (abs(elim.rows[i][t]), 0, i)
+                for i in elim.colrows.get(t, set())
+                if i != t
+            ]
+            leftovers += [
+                (abs(elim.rows[t][j]), 1, j) for j in elim.rows.get(t, {}) if j != t
+            ]
+            if not leftovers:
+                break
+            _, kind, idx = min(leftovers)
+            if kind == 0:
+                elim.row_swap(idx, t)
+            else:
+                elim.col_swap(idx, t)
+        # Invariant-factor condition: pivot divides the remaining submatrix.
+        p = elim.entry(t, t)
+        if p == 1:
+            return
+        violator = None
+        for r in sorted(elim.rows):
+            if r <= t:
+                continue
+            if any(c > t and v % p for c, v in elim.rows[r].items()):
+                violator = r
+                break
+        if violator is None:
+            return
+        elim.row_sub(t, violator, -1)
+
+
+def rowset_smith_normal_form(mat: IntSparseMatrix) -> SnfResult:
+    """Smith normal form over the integers.
+
+    Returns positive invariant factors d1 | d2 | ..., the rank, and U^-1
+    and V of unimodular U, V with U A V = diag(d1, ..., dr, 0, ...).
+    The pivot rule is total-ordered, so identical inputs give identical
+    outputs.
+    """
+    elim = RowSetEliminator(mat)
+    diag: list = []
+    t = 0
+    limit = min(elim.m, elim.n)
+    while t < limit:
+        pivot = rowset_select_pivot(elim, t)
+        if pivot is None:
+            break
+        elim.row_swap(pivot[0], t)
+        elim.col_swap(pivot[1], t)
+        rowset_process_pivot(elim, t)
+        diag.append(elim.entry(t, t))
+        t += 1
+    rank = len(diag)
+
+    def build(table: dict, size: int) -> IntSparseMatrix:
+        # The transpose of a row-major table.  Rows leave the table as they
+        # are copied, and the entries (nonzero, in range, unique) bypass the
+        # constructor's checking copy, so no transform is held twice.
+        out = IntSparseMatrix(size, size)
+        for r in list(table):
+            for c, v in table.pop(r).items():
+                out.entries[(c, r)] = v
+        return out
+
+    return SnfResult(diag, rank, right=build(elim.VT, elim.n), left_inv=build(elim.UinvT, elim.m))
+
+
+def assert_same_as_row_set_engine(mat):
+    assert snf_fields(smith_normal_form(mat)) == snf_fields(rowset_smith_normal_form(mat))
+
+
+def non_unit_branches(mat) -> Counter:
+    """Count the leftover swaps per axis and the divisibility-violator steps
+    of ``_process_pivot`` in the Smith normal form of mat."""
+    counts = Counter()
+    inside = []
+    process, swap, row_sub = homology._process_pivot, homology._Eliminator.swap, homology._Eliminator.row_sub
+
+    def counted_process(elim, t):
+        inside.append(t)
+        try:
+            process(elim, t)
+        finally:
+            inside.pop()
+
+    def counted_swap(elim, axis, i, t):
+        if inside:  # outside ``_process_pivot`` a swap places the new pivot
+            counts[("row", "column")[axis] + " leftover swap"] += 1
+        swap(elim, axis, i, t)
+
+    def counted_row_sub(elim, i, t, q):
+        if i < t:  # the sweeps subtract the pivot row t from a later row i
+            counts["violator step"] += 1
+        row_sub(elim, i, t, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_process_pivot", counted_process)
+        patch.setattr(homology._Eliminator, "swap", counted_swap)
+        patch.setattr(homology._Eliminator, "row_sub", counted_row_sub)
+        smith_normal_form(mat)
+    return counts
+
+
+class TestAgainstRowSetEngine:
+    """The two-store engine gives the row-set engine's output entry for entry."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + list(DIFFERENTIAL_COMPLEXES))
+    def test_complexes(self, abstract_set, name):
+        for mat in differential_inputs(abstract_set, name)[1]:
+            assert_same_as_row_set_engine(mat)
+
+    @integer_matrix_cases
+    def test_random_integer_matrices(self, dense):
+        assert_same_as_row_set_engine(int_matrix(dense))
+
+    def test_random_integer_matrices_reach_every_non_unit_branch(self):
+        counts = Counter()
+
+        @integer_matrix_cases
+        def run(dense):
+            counts.update(non_unit_branches(int_matrix(dense)))
+
+        run()
+        for branch in ("row leftover swap", "column leftover swap", "violator step"):
+            assert counts[branch] >= 1, branch
 
 
 def refined_projective_plane(times: int):

@@ -170,7 +170,7 @@ class TestAssembly:
         source, dirichlet = lambda x: 1.0 + 0 * x[0], lambda x: 0 * x[0]
         assemble_poisson(gc, abstr(gc), kind, source, dirichlet)  # fills the constant tables
         calls = []
-        for name in ("galerkin_mass_matrix", "diagonal_hodge", "build_hodges"):
+        for name in ("_hodge_matrix", "galerkin_mass_matrix", "diagonal_hodge", "build_hodges"):
             monkeypatch.setattr(hodge, name, lambda *args, name=name: calls.append(name))
         scatter = poisson._scatter
 
