@@ -3,7 +3,9 @@
 Mrozek & Batko, "Coreduction homology algorithm", DCG 2009; Kaczynski,
 Mischaikow & Mrozek, *Computational Homology*, 2004.  Plain Python over
 the faces and cofaces read off the int64 CSR boundaries, so a Smith
-normal form need only see the small residual complex.
+normal form need only see the small residual complex.  A live-face
+counter per cell stands in for a rescan of its faces; the queue and its
+order are unchanged by it, and so are the removed pairs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ def coreduce(cm: ComplexMatrices) -> tuple:
     in removal order, flat as cell, face, cell, face, ...; ``live[p]``
     lists the ascending ids of the degree-p cells left and ``residual[p]``
     (p = 1..n) is the boundary among them.
+
+    Each cell of degree p >= 1 keeps a count of its live faces, p + 1 at
+    the start and one less for each removed face (start vertex, paired
+    cell or paired face), so a queued cell is a candidate when its count
+    is 1 and only then are its faces scanned, to find that one live face.
+    The count rejects exactly the cells a rescan of every face would
+    reject, so the queue, its order and the pairs are those of the rescan.
     """
     n = cm.complex_dim
     # cols[p]: the CSC columns of the degree-p boundary (each a cell's p + 1
@@ -48,31 +57,42 @@ def coreduce(cm: ComplexMatrices) -> tuple:
         return ids[ptr[cell] : ptr[cell + 1]]
 
     alive = [[True] * cm.counts[p] for p in range(n + 1)]
+    # counts[p][cell]: the live faces of a degree-p cell (p >= 1).
+    counts = [None] + [[p + 1] * cm.counts[p] for p in range(1, n + 1)]
     queue = deque()  # (p, list of degree-p cells), in removal order
     starts = []
     pairs = [[] for _ in range(n + 1)]
+
+    def removed(p: int, cell: int):
+        """Each coface of a removed degree-p cell loses a live face and is queued."""
+        if p < n:
+            above, count = cofaces(p, cell), counts[p + 1]
+            for coface in above:
+                count[coface] -= 1
+            queue.append((p + 1, above))
+
     for vertex in range(cm.counts[0]):
         if not alive[0][vertex]:
             continue
         starts.append(vertex)
         alive[0][vertex] = False
-        if n:
-            queue.append((1, cofaces(0, vertex)))
+        removed(0, vertex)
         while queue:
             p, cells = queue.popleft()
-            here, below = alive[p], alive[p - 1]
+            here, below, count = alive[p], alive[p - 1], counts[p]
             ptr, faces, coeffs = cols[p]
             for cell in cells:
-                if not here[cell]:
+                if count[cell] != 1 or not here[cell]:
                     continue
-                live_faces = [k for k in range(ptr[cell], ptr[cell + 1]) if below[faces[k]]]
-                if len(live_faces) == 1 and abs(coeffs[live_faces[0]]) == 1:
-                    face = faces[live_faces[0]]
+                k = ptr[cell]
+                while not below[faces[k]]:
+                    k += 1
+                if abs(coeffs[k]) == 1:
+                    face = faces[k]
                     here[cell] = below[face] = False
                     pairs[p] += (cell, face)
-                    if p < n:
-                        queue.append((p + 1, cofaces(p, cell)))
-                    queue.append((p, cofaces(p - 1, face)))
+                    removed(p, cell)
+                    removed(p - 1, face)
     live = [[i for i, a in enumerate(alive[p]) if a] for p in range(n + 1)]
     # Read off the lists above: scipy fancy indexing would load code that no
     # other homology path runs, which costs more memory than it saves time.

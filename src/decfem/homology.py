@@ -47,7 +47,14 @@ class _Eliminator:
 
     Every operation records, per axis, the lines whose values or length it
     changed; ``_select_pivot`` re-keys only the cells of those rows and
-    columns into ``heap``.
+    columns into ``heap``.  A fill-in is the one change left unrecorded:
+    it lengthens a cross line k in which the pivot line t has an entry,
+    and that entry leaves line t before ``_process_pivot`` returns only by
+    an operation that records k (a sweep or swap of k, or a deletion in
+    k).  A swap of line t itself is with a line the same round swept,
+    whose entry in k is nonzero unless a deletion recorded k, because in
+    each Euclidean round at most one of row t and column t has entries
+    smaller than the pivot.
     """
 
     def __init__(self, mat: IntSparseMatrix):
@@ -84,8 +91,6 @@ class _Eliminator:
             # cross[k] holds line t's entry, so it exists and stays nonempty.
             nv = line.get(k, 0) - q * v
             if nv:
-                if k not in line:
-                    dirty_cross.add(k)
                 line[k] = cross[k][i] = nv
             else:
                 del line[k], cross[k][i]
@@ -375,9 +380,14 @@ def homology_generators(cm: ComplexMatrices, p: int) -> list:
     pairs = red.pairs[p]
     for chain in gens:
         for k in range(len(pairs) - 2, -1, -2):
-            a, b = pairs[k], pairs[k + 1]
-            row = range(ptr[b], ptr[b + 1])
-            dc = sum(coeffs[t] * chain[cells[t]] for t in row)  # <dc, b>
+            b = pairs[k + 1]
+            lo, hi = ptr[b], ptr[b + 1]
+            dc = 0  # <dc, b>, over the cofaces of b on which c is nonzero
+            for t in range(lo, hi):
+                x = chain[cells[t]]
+                if x:
+                    dc += coeffs[t] * x
             if dc:
-                chain[a] -= dc * next(coeffs[t] for t in row if cells[t] == a)
+                a = pairs[k]
+                chain[a] -= dc * coeffs[cells.index(a, lo, hi)]
     return gens

@@ -89,6 +89,35 @@ def kuhn_cube(k: int) -> GeometricComplex:
     return GeometricComplex(verts, tets)
 
 
+def perforated_grid(k: int) -> GeometricComplex:
+    """A (2k+1) x (2k+1) grid of split unit squares with the k^2 squares at
+    odd (row, column) removed: beta = [1, k^2, 0]."""
+    m = 2 * k + 1
+    tris = []
+    for i in range(m):
+        for j in range(m):
+            if i % 2 and j % 2:
+                continue
+            a, b, c, d = (np.array([i, i + 1, i + 1, i]) * (m + 1) + [j, j, j + 1, j + 1]).tolist()
+            tris += [[a, b, c], [a, c, d]]
+    return GeometricComplex([[i, j] for i in range(m + 1) for j in range(m + 1)], tris)
+
+
+def tunnel_cube(k: int) -> GeometricComplex:
+    """kuhn_cube(k) without the tetrahedra whose centroid has x and y in
+    (1/3, 2/3): a square tunnel along z, beta = [1, 1, 0, 0].
+
+    A centroid coordinate is s / 4k with s = 4i + 1, 2 or 3, never 1/3 or
+    2/3 (s = 4k/3 or 8k/3, a multiple of 4), and 4k < 3s < 8k tests it
+    in integers.
+    """
+    cube = kuhn_cube(k)
+    grid = np.rint(cube.vertices * k).astype(np.int64)
+    sums = grid[cube.top_simplices].sum(axis=1)  # 4k x centroid
+    inside = ((4 * k < 3 * sums) & (3 * sums < 8 * k))[:, :2].all(axis=1)
+    return GeometricComplex(cube.vertices, cube.top_simplices[~inside])
+
+
 def random_delaunay_mesh(seed: int, npts: int = 30) -> GeometricComplex:
     rng = np.random.default_rng(seed)
     pts = rng.random((npts, 2))

@@ -26,7 +26,7 @@ from decfem.elements import _diagonal_blocks, _local_operators
 from decfem.mesh import AbstractComplex, GeometricComplex
 from decfem.whitney import Cochain
 
-from conftest import FIXTURE_NAMES, kuhn_cube, two_tets
+from conftest import FIXTURE_NAMES, kuhn_cube, perforated_grid, two_tets
 
 
 class TestGalerkinMass:
@@ -188,20 +188,6 @@ def span_projector(rows, size):
     """Euclidean orthogonal projector onto the span of the given rows."""
     q, _ = np.linalg.qr(np.asarray(rows, dtype=float).reshape(-1, size).T)
     return q @ q.T
-
-
-def perforated_grid(k: int) -> GeometricComplex:
-    """A (2k+1) x (2k+1) grid of split unit squares with the k^2 squares at
-    odd (row, column) removed: beta = [1, k^2, 0]."""
-    m = 2 * k + 1
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            if i % 2 and j % 2:
-                continue
-            a, b, c, d = (np.array([i, i + 1, i + 1, i]) * (m + 1) + [j, j, j + 1, j + 1]).tolist()
-            tris += [[a, b, c], [a, c, d]]
-    return GeometricComplex([[i, j] for i in range(m + 1) for j in range(m + 1)], tris)
 
 
 ORACLE_MESHES = {

@@ -3,7 +3,7 @@
 import hashlib
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +22,9 @@ from decfem import (
     torsion_coefficients,
     uniform_refine,
 )
-from decfem import homology
+from decfem import coreduction, homology
 from decfem.chains import IntSparseMatrix, _exact
+from decfem.coreduction import coreduce
 from decfem.homology import SnfResult
 from decfem.mesh import AbstractComplex, GeometricComplex
 
@@ -35,8 +36,10 @@ from conftest import (
     int_key,
     int_matrix,
     kuhn_cube,
+    perforated_grid,
     random_delaunay_mesh,
     rips_complex,
+    tunnel_cube,
     two_tets,
 )
 
@@ -435,11 +438,23 @@ def packed_key(elim, r, c):
 
 
 def assert_heap_invariant(mat):
-    """After every pivot search, each live cell's current key is in the heap."""
+    """On entry to every pivot search, each live cell whose current key is
+    not in the heap lies in a dirty row or column, which the search
+    re-keys; after it, each live cell's current key is in the heap."""
     searches = []
     heap_search = homology._select_pivot
 
     def checked(elim, t):
+        heap = set(elim.heap)
+        dirty_rows, dirty_cols = elim.dirty
+        stale = [
+            (r, c)
+            for r, row in elim.rows.items()
+            if r >= t
+            for c in row
+            if packed_key(elim, r, c) not in heap and r not in dirty_rows and c not in dirty_cols
+        ]
+        assert stale == []
         expected = full_scan_pivot(elim, t)
         pivot = heap_search(elim, t)
         assert pivot == expected
@@ -1113,6 +1128,151 @@ class TestAgainstTwoSnfGenerators:
         assert [homology_generators(cm, p) for p in degrees] != [
             two_snf_generators(cm, p) for p in degrees
         ]
+
+
+# The coreduction and generator lift that live-face counters and the
+# zero-skipping lift replaced, kept verbatim as oracles: the same pairs in
+# the same order, so the same residual and the same generators.
+def rescan_coreduce(cm):
+    """Return (starts, pairs, live, residual) for the coreduced complex of cm."""
+    n = cm.complex_dim
+    # cols[p]: the CSC columns of the degree-p boundary (each a cell's p + 1
+    # faces, rows ascending); rows[p]: its CSR rows (each a face's cofaces).
+    # Flat lists leave the garbage collector no per-cell lists to scan.
+    cols, rows = [None], [None]
+    for p in range(1, n + 1):
+        b = cm.boundary_csr(p)
+        csc = b.tocsc()
+        cols.append((csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()))
+        rows.append((b.indptr.tolist(), b.indices.tolist()))
+
+    def cofaces(p: int, cell: int) -> list:
+        ptr, ids = rows[p + 1]
+        return ids[ptr[cell] : ptr[cell + 1]]
+
+    alive = [[True] * cm.counts[p] for p in range(n + 1)]
+    queue = deque()  # (p, list of degree-p cells), in removal order
+    starts = []
+    pairs = [[] for _ in range(n + 1)]
+    for vertex in range(cm.counts[0]):
+        if not alive[0][vertex]:
+            continue
+        starts.append(vertex)
+        alive[0][vertex] = False
+        if n:
+            queue.append((1, cofaces(0, vertex)))
+        while queue:
+            p, cells = queue.popleft()
+            here, below = alive[p], alive[p - 1]
+            ptr, faces, coeffs = cols[p]
+            for cell in cells:
+                if not here[cell]:
+                    continue
+                live_faces = [k for k in range(ptr[cell], ptr[cell + 1]) if below[faces[k]]]
+                if len(live_faces) == 1 and abs(coeffs[live_faces[0]]) == 1:
+                    face = faces[live_faces[0]]
+                    here[cell] = below[face] = False
+                    pairs[p] += (cell, face)
+                    if p < n:
+                        queue.append((p + 1, cofaces(p, cell)))
+                    queue.append((p, cofaces(p - 1, face)))
+    live = [[i for i, a in enumerate(alive[p]) if a] for p in range(n + 1)]
+    # Read off the lists above: scipy fancy indexing would load code that no
+    # other homology path runs, which costs more memory than it saves time.
+    residual = {}
+    for p in range(1, n + 1):
+        row_of = {f: i for i, f in enumerate(live[p - 1])}
+        ptr, faces, coeffs = cols[p]
+        entries = {
+            (row_of[faces[k]], j): coeffs[k]
+            for j, cell in enumerate(live[p])
+            for k in range(ptr[cell], ptr[cell + 1])
+            if alive[p - 1][faces[k]]
+        }
+        residual[p] = IntSparseMatrix(len(live[p - 1]), len(live[p]), entries)
+    return starts, pairs, live, residual
+
+
+def generator_expression_generators(cm, p):
+    """Integer cycles whose classes form a basis of degree-p homology modulo torsion."""
+    _reduction, _tail, smith_normal_form = homology._reduction, homology._tail, homology.smith_normal_form
+    if not 0 <= p <= cm.complex_dim:
+        raise ValueError(f"degree {p} outside 0..{cm.complex_dim}")
+    red = _reduction(cm)
+    if p == 0:
+        gens = []
+        for vertex in red.starts:
+            chain = [0] * cm.counts[0]
+            chain[vertex] = 1
+            gens.append(chain)
+        return gens
+    if p == cm.complex_dim:
+        cycles = red.top_cycles
+    else:
+        complement = red.complement[p]
+        snf = smith_normal_form(red.residual[p] @ complement)
+        cycles = complement @ _tail(snf.right, snf.rank)
+    live = red.live[p]
+    gens = [[0] * cm.counts[p] for _ in range(cycles.cols)]
+    for (i, j), v in cycles.entries.items():
+        gens[j][live[i]] = v
+    csr = cm.boundary_csr(p)
+    ptr, cells, coeffs = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+    pairs = red.pairs[p]
+    for chain in gens:
+        for k in range(len(pairs) - 2, -1, -2):
+            a, b = pairs[k], pairs[k + 1]
+            row = range(ptr[b], ptr[b + 1])
+            dc = sum(coeffs[t] * chain[cells[t]] for t in row)  # <dc, b>
+            if dc:
+                chain[a] -= dc * next(coeffs[t] for t in row if cells[t] == a)
+    return gens
+
+
+# Beyond REDUCTION_INPUTS: a beta_1 that grows with the mesh and a 3-d
+# tunnel whose residual keeps cells in degrees 1 to 3.
+COREDUCTION_DIFFERENTIAL = {
+    "perforated_grid_3": lambda: abstr(perforated_grid(3)),
+    "perforated_grid_9": lambda: abstr(perforated_grid(9)),
+    "tunnel_cube_6": lambda: abstr(tunnel_cube(6)),
+}
+COREDUCTION_NAMES = FIXTURE_NAMES + list(REDUCTION_INPUTS) + list(COREDUCTION_DIFFERENTIAL)
+
+
+def coreduction_input(abstract_set, name):
+    build = COREDUCTION_DIFFERENTIAL.get(name)
+    return reduction_input(abstract_set, name) if build is None else build()
+
+
+def coreduction_key(result):
+    starts, pairs, live, residual = result
+    return starts, pairs, live, {p: int_key(mat) for p, mat in residual.items()}
+
+
+class TestAgainstRescanCoreduction:
+    """Live-face counters and the zero-skipping lift give the rescanning
+    code's starts, pairs (in removal order), live cells, residual
+    boundaries and generators."""
+
+    @pytest.mark.parametrize("name", COREDUCTION_NAMES)
+    def test_same_reduction(self, abstract_set, name):
+        cm = matrices_for(coreduction_input(abstract_set, name))
+        assert coreduction_key(coreduce(cm)) == coreduction_key(rescan_coreduce(cm))
+
+    @pytest.mark.parametrize("name", COREDUCTION_NAMES)
+    def test_same_generators_in_every_degree(self, abstract_set, name, monkeypatch):
+        ac = coreduction_input(abstract_set, name)
+        degrees = range(ac.complex_dim + 1)
+        cm = complex_matrices(ac)
+        gens = [homology_generators(cm, p) for p in degrees]
+        monkeypatch.setattr(coreduction, "coreduce", rescan_coreduce)
+        old = complex_matrices(ac)
+        assert [generator_expression_generators(old, p) for p in degrees] == gens
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_tunnel_cube_betti_numbers(k):
+    assert betti_numbers(matrices_for(abstr(tunnel_cube(k)))) == [1, 1, 0, 0]
 
 
 def snf_digest(mats):
